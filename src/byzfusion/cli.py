@@ -259,7 +259,7 @@ def _write(path, text):
     os.replace(tmp, path)
 
 
-def _meta_comments(cfg, matrix_seed=None):
+def _meta_comments(cfg):
     return {"config": config_hash(cfg), "tool": f"byzfusion {__version__}"}
 
 
@@ -288,7 +288,8 @@ def load_payoff_csv(path, metric="per-component"):
     """PayoffMatrix from a payoff.csv written by this tool (or hand-made).
 
     Injected matrices are treated as exact: both metrics are set to the
-    stored entries and standard errors are zero.
+    stored entries and standard errors are zero. A file whose ``# metric =``
+    line names another metric than `metric` is rejected with ValueError.
     """
     meta = {}
     rows = []
@@ -303,6 +304,8 @@ def load_payoff_csv(path, metric="per-component"):
                     meta[key.strip()] = value.strip()
                 continue
             rows.append([cell.strip() for cell in line.split(",")])
+    if meta.get("metric", metric) != metric:
+        raise ValueError(f"{path}: holds the {meta['metric']} metric, not {metric}")
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one data row")
     grid_fc = StrategyGrid(tuple(float(v) for v in rows[0][1:]))

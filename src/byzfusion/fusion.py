@@ -19,7 +19,13 @@ deterministic across the scalar path, the vectorized path and exhaustive
 reference implementations, which may round differently.
 
 ``fuse`` is the readable one-shot rule. ``BatchFuser`` fixes the assumption
-once and decodes packed report batches; the Monte Carlo game engine uses it.
+once and decodes packed report batches by type class: every prior here is
+symmetric in the nodes, so a (trial, hypothesis) cell's score depends only
+on its match-count histogram, and each distinct histogram of a batch is
+scored once (``TypeClasses``). The histograms do not depend on the
+assumption, so ``decide_columns`` builds them once per chunk of trials for
+several fusers; the Monte Carlo game engine decodes every column of a row
+that way.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ __all__ = [
     "argmax_lex",
     "fuse",
     "fuse_majority",
+    "TypeClasses",
     "BatchFuser",
+    "decide_columns",
 ]
 
 SCORE_TIE_TOL = 1e-9
@@ -192,13 +200,80 @@ def fuse_majority(reports):
     return (2 * ones > n).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=8)
-def _match_count_table(m):
-    # table[v, h] = number of bit positions where v and h agree, m bits each
-    v = np.arange(2**m)
-    tab = (m - popcount(v[:, None] ^ v[None, :])).astype(np.int8)
-    tab.setflags(write=False)
-    return tab
+@functools.lru_cache(maxsize=2)
+def _key_tables(n, m):
+    # A cell's key holds H[1..m] as digits of `bits` bits each (H[0] is n
+    # minus the rest), packed into as few int64 words as keep every word
+    # below 2**63. table[w, v, h] is what one node reporting v adds to word w
+    # under hypothesis h, so building a key takes one row gather per node
+    # and word.
+    bits = n.bit_length()
+    per_word = 63 // bits
+    places = np.zeros((max(1, -(-m // per_word)), m + 1), dtype=np.int64)
+    for c in range(1, m + 1):
+        word, digit = divmod(c - 1, per_word)
+        places[word, c] = 1 << (bits * digit)
+    hyps = np.arange(2**m)
+    matches = m - popcount(hyps)
+    table = np.empty((places.shape[0], 2**m, 2**m), dtype=np.int64)
+    for v in range(2**m):
+        table[:, v] = places[:, matches[v ^ hyps]]
+    table.setflags(write=False)
+    return bits, per_word, table
+
+
+def _hist_dot(hist, w):
+    # sum_c H[c] * w[c] per row; an empty bin adds 0 even where w[c] = -inf
+    finite = np.isfinite(w)
+    out = hist @ np.where(finite, w, 0.0)
+    out[(hist[:, ~finite] > 0).any(axis=1)] = -np.inf
+    return out
+
+
+class TypeClasses:
+    """The (trial, hypothesis) cells of a packed report batch, grouped by type.
+
+    A cell's type is its match-count histogram H[c], the number of nodes whose
+    report agrees with the hypothesis in exactly c of the m bits. Every prior
+    here is symmetric in the nodes, so two cells of one type score the same
+    under any assumption (the method of types). ``hist`` has one row per
+    distinct type, shape (types, m + 1); ``inverse`` maps each cell to its
+    type, shape (T, 2**m). One instance can be shared by every BatchFuser
+    that decodes the same batch.
+    """
+
+    def __init__(self, report_ints, n, m):
+        report_ints = np.asarray(report_ints, dtype=np.int64)
+        if report_ints.ndim != 2 or report_ints.shape[1] != n:
+            raise ValueError("report_ints must be (trials, n)")
+        self.n = n
+        self.m = m
+        bits, per_word, table = _key_tables(n, m)
+        keys = np.zeros((table.shape[0], report_ints.shape[0], 2**m), dtype=np.int64)
+        for r_i in report_ints.T:
+            for word, word_table in zip(keys, table):
+                word += word_table[r_i]
+        if len(keys) == 1:
+            uniq, inverse = np.unique(keys[0].ravel(), return_inverse=True)
+            uniq = uniq[:, None]
+        else:
+            flat = keys.reshape(len(keys), -1).T
+            uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(report_ints.shape[0], 2**m)
+        hist = np.empty((uniq.shape[0], m + 1), dtype=np.int64)
+        for c in range(1, m + 1):
+            word, digit = divmod(c - 1, per_word)
+            hist[:, c] = (uniq[:, word] >> (bits * digit)) & ((1 << bits) - 1)
+        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
+        self.hist = hist
+
+    @functools.cached_property
+    def counts(self):
+        """Each type's per-node match counts in ascending order, shape (n, types) uint8."""
+        n_types, bins = self.hist.shape
+        labels = np.tile(np.arange(bins, dtype=np.uint8), n_types)
+        counts = np.repeat(labels, self.hist.ravel()).reshape(n_types, self.n)
+        return np.ascontiguousarray(counts.T)
 
 
 class BatchFuser:
@@ -206,15 +281,16 @@ class BatchFuser:
 
     Reports enter packed: one int per node row (first component = MSB).
     Decisions come back packed the same way and match ``fuse`` decision for
-    decision under the shared tie rule. Keeps (2**m, 2**m) tables, so m is
-    capped at 12.
+    decision under the shared tie rule. m is capped at 12.
 
-    For the subset-count models the per-trial DP runs over elementary
-    symmetric polynomials of the per-node Byzantine/honest likelihood
-    ratios, which is the same recursion as :func:`byzfusion.dp.subset_sum`
-    after factoring out the all-honest product. When the ratio table would
-    overflow (degenerate eps or delta), scoring falls back to a log-domain
-    variant of the recursion.
+    Decoding goes by type class (see :class:`TypeClasses`): only the distinct
+    match-count histograms of a batch are scored, and each (trial,
+    hypothesis) cell then reads its type's score. Independent priors score a
+    type as H . w. Fixed-count and bounded priors run the two-term recursion
+    of :func:`byzfusion.dp.subset_sum` over the type's sorted per-node
+    counts: on elementary symmetric polynomials of the Byzantine/honest
+    likelihood ratios after factoring out the all-honest product, or, when
+    those ratios would overflow (degenerate eps or delta), in the log domain.
     """
 
     MAX_M = 12
@@ -229,17 +305,16 @@ class BatchFuser:
         self.m = m
         self.tie_tol = float(tie_tol)
         self.n_hyp = 2**m
-        self._rows_per_chunk = max(1, chunk_cells // (n * self.n_hyp))
-        lut = _match_count_table(m)
+        # trials per TypeClasses build: chunk_cells bounds trials * n * 2**m,
+        # the size of its per-node count table when every cell is its own type
+        self.rows_per_chunk = max(1, chunk_cells // (n * self.n_hyp))
         model = assumption.model
         eps = assumption.eps
         delta = assumption.delta_fc
-        logh = honest_log_weights(eps, m)
-        logb = byzantine_log_weights(delta, m)
         if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
             alpha = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
             self._kind = "independent"
-            self._node_score = _independent_mix_weights(alpha, eps, delta, m)[lut]
+            self._weights = _independent_mix_weights(alpha, eps, delta, m)
             return
         if isinstance(model, FixedCount):
             self._kind = "fixed"
@@ -251,61 +326,48 @@ class BatchFuser:
             raise TypeError(f"unknown Byzantine model {model!r}")
         if self._k_cap > n:
             raise ValueError(f"Byzantine count cap {self._k_cap} exceeds n={n}")
-        self._node_logh = logh[lut]
+        logh = honest_log_weights(eps, m)
+        logb = byzantine_log_weights(delta, m)
+        self._logh = logh
         finite_h = np.isfinite(logh).all()
         ratios = logb - logh if finite_h else None
         headroom = np.inf
         if finite_h:
             headroom = _log_comb(n, self._k_cap) + self._k_cap * max(0.0, ratios.max())
         if headroom < 600.0:
-            self._node_ratio = np.exp(ratios)[lut]
-            self._node_logb = None
+            self._ratio = np.exp(ratios)
+            self._logb = None
         else:
-            self._node_ratio = None
-            self._node_logb = logb[lut]
+            self._ratio = None
+            self._logb = logb
 
-    def scores(self, report_ints):
-        """Log scores (up to a constant) for every hypothesis, shape (T, 2**m)."""
+    def _check(self, report_ints):
         report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
         if report_ints.ndim != 2 or report_ints.shape[1] != self.n:
             raise ValueError("report_ints must be (trials, n)")
-        out = np.empty((report_ints.shape[0], self.n_hyp))
-        for start in range(0, report_ints.shape[0], self._rows_per_chunk):
-            chunk = report_ints[start : start + self._rows_per_chunk]
-            out[start : start + chunk.shape[0]] = self._score_chunk(chunk)
-        return out
+        return report_ints
 
-    def _score_chunk(self, chunk):
+    def _type_scores(self, classes):
+        """Log score (up to a constant) of each type of `classes`, shape (types,)."""
         if self._kind == "independent":
-            return self._node_score[chunk].sum(axis=1)
-        if self._node_ratio is not None:
-            return self._score_chunk_ratio(chunk)
-        return self._score_chunk_log(chunk)
-
-    def _score_chunk_ratio(self, chunk):
-        base = self._node_logh[chunk].sum(axis=1)
-        rho = self._node_ratio[chunk]
+            return _hist_dot(classes.hist, self._weights)
         k_cap = self._k_cap
-        esym = np.zeros((k_cap + 1,) + base.shape)
-        esym[0] = 1.0
-        for i in range(self.n):
-            r_i = rho[:, i, :]
-            for k in range(min(k_cap, i + 1), 0, -1):
-                esym[k] += r_i * esym[k - 1]
-        with np.errstate(divide="ignore"):
-            if self._kind == "fixed":
-                return base + np.log(esym[k_cap])
-            return base + np.log(esym.sum(axis=0))
-
-    def _score_chunk_log(self, chunk):
-        logh = self._node_logh[chunk]
-        logb = self._node_logb[chunk]
-        k_cap = self._k_cap
-        g = np.full((k_cap + 1, chunk.shape[0], self.n_hyp), -np.inf)
+        counts = classes.counts
+        if self._ratio is not None:
+            esym = np.zeros((k_cap + 1, counts.shape[1]))
+            esym[0] = 1.0
+            for i, c in enumerate(counts):
+                r_i = self._ratio[c]
+                for k in range(min(k_cap, i + 1), 0, -1):
+                    esym[k] += r_i * esym[k - 1]
+            total = esym[k_cap] if self._kind == "fixed" else esym.sum(axis=0)
+            with np.errstate(divide="ignore"):
+                return _hist_dot(classes.hist, self._logh) + np.log(total)
+        g = np.full((k_cap + 1, counts.shape[1]), -np.inf)
         g[0] = 0.0
-        for i in range(self.n):
-            lh_i = logh[:, i, :]
-            lb_i = logb[:, i, :]
+        for i, c in enumerate(counts):
+            lh_i = self._logh[c]
+            lb_i = self._logb[c]
             for k in range(min(k_cap, i + 1), 0, -1):
                 g[k] = np.logaddexp(g[k] + lh_i, g[k - 1] + lb_i)
             g[0] += lh_i
@@ -313,18 +375,37 @@ class BatchFuser:
             return g[k_cap]
         return np.logaddexp.reduce(g, axis=0)
 
-    def decide_ints(self, report_ints):
-        """Packed MAP decision per trial, shape (T,) int64."""
-        report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
-        if report_ints.ndim != 2 or report_ints.shape[1] != self.n:
-            raise ValueError("report_ints must be (trials, n)")
-        out = np.empty(report_ints.shape[0], dtype=np.int64)
-        for start in range(0, report_ints.shape[0], self._rows_per_chunk):
-            chunk = report_ints[start : start + self._rows_per_chunk]
-            sc = self._score_chunk(chunk)
-            best = sc.max(axis=1, keepdims=True)
-            out[start : start + chunk.shape[0]] = np.argmax(sc >= best - self.tie_tol, axis=1)
+    def scores(self, report_ints):
+        """Log scores (up to a constant) for every hypothesis, shape (T, 2**m)."""
+        report_ints = self._check(report_ints)
+        out = np.empty((report_ints.shape[0], self.n_hyp))
+        step = self.rows_per_chunk
+        for rows, _, classes in _typed_chunks(report_ints, self.n, self.m, step):
+            out[rows] = self._type_scores(classes)[classes.inverse]
         return out
+
+    def decide_ints(self, report_ints, classes=None):
+        """Packed MAP decision per trial, shape (T,) int64.
+
+        `classes` is this batch's TypeClasses if the caller already built it
+        (see :func:`decide_columns`); otherwise it is built here, one chunk
+        of trials at a time.
+        """
+        report_ints = self._check(report_ints)
+        if classes is None:
+            out = np.empty(report_ints.shape[0], dtype=np.int64)
+            step = self.rows_per_chunk
+            for rows, _, chunk_classes in _typed_chunks(report_ints, self.n, self.m, step):
+                out[rows] = self._decide(chunk_classes)
+            return out
+        if (classes.n, classes.m, classes.inverse.shape[0]) != (self.n, self.m, len(report_ints)):
+            raise ValueError("classes were built from a different report batch")
+        return self._decide(classes)
+
+    def _decide(self, classes):
+        sc = self._type_scores(classes)[classes.inverse]
+        best = sc.max(axis=1, keepdims=True)
+        return np.argmax(sc >= best - self.tie_tol, axis=1).astype(np.int64, copy=False)
 
     def decide(self, reports):
         """Convenience wrapper taking (T, n, m) bit arrays, returning (T, m) bits."""
@@ -332,3 +413,29 @@ class BatchFuser:
         if reports.ndim != 3 or reports.shape[1:] != (self.n, self.m):
             raise ValueError("reports must be (trials, n, m)")
         return unpack_bits(self.decide_ints(pack_bits(reports)), self.m)
+
+
+def decide_columns(fusers, report_ints):
+    """Decisions of several fusers on one report batch, shape (len(fusers), T) int64.
+
+    Chunk by chunk, the batch's TypeClasses are built once and shared by
+    every fuser, so each distinct histogram is scored once per fuser and
+    chunk. The fusers must agree on n and m.
+    """
+    n, m = fusers[0].n, fusers[0].m
+    if any((f.n, f.m) != (n, m) for f in fusers):
+        raise ValueError("fusers must share n and m")
+    report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
+    out = np.empty((len(fusers), report_ints.shape[0]), dtype=np.int64)
+    step = min(f.rows_per_chunk for f in fusers)
+    for rows, chunk, classes in _typed_chunks(report_ints, n, m, step):
+        for j, fuser in enumerate(fusers):
+            out[j, rows] = fuser.decide_ints(chunk, classes)
+    return out
+
+
+def _typed_chunks(report_ints, n, m, step):
+    # (rows, chunk, TypeClasses of the chunk) for consecutive chunks of `step` trials
+    for start in range(0, report_ints.shape[0], step):
+        chunk = report_ints[start : start + step]
+        yield slice(start, start + chunk.shape[0]), chunk, TypeClasses(chunk, n, m)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bits import pack_bits, popcount
-from .fusion import BatchFuser, FusionAssumption, fuse_majority
+from .fusion import BatchFuser, FusionAssumption, decide_columns
 from .model import (
     mix64,
     sample_placements_batch,
@@ -216,17 +216,15 @@ def _row_errors(scenario, pmal_b, grid_fc, trials, row_seed):
     states, reports = simulate_row(scenario, pmal_b, trials, rng)
     state_ints = pack_bits(states)
     report_ints = pack_bits(reports)
+    assumptions = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
+    fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
     n_cols = len(grid_fc)
     pe_c = np.empty(n_cols)
     pe_s = np.empty(n_cols)
     se_c = np.empty(n_cols)
     se_s = np.empty(n_cols)
     ddof = 1 if trials > 1 else 0
-    for j, pmal_fc in enumerate(grid_fc.values):
-        fuser = BatchFuser(
-            FusionAssumption(scenario.fc_model, scenario.eps, pmal_fc), scenario.n, scenario.m
-        )
-        decisions = fuser.decide_ints(report_ints)
+    for j, decisions in enumerate(decide_columns(fusers, report_ints)):
         bit_err = popcount(decisions ^ state_ints) / scenario.m
         seq_err = (decisions != state_ints).astype(np.float64)
         pe_c[j] = bit_err.mean()

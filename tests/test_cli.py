@@ -10,6 +10,7 @@ from byzfusion.cli import (
     model_to_text,
     parse_model,
 )
+from byzfusion.game import PayoffMatrix, StrategyGrid
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
@@ -146,6 +147,22 @@ class TestMainPayoff:
         assert pm.seed == 9 and pm.trials == 300
         # six significant digits survive the round trip
         assert np.isfinite(pm.pe_component).all()
+
+    @pytest.mark.parametrize("metric", ["per-component", "per-sequence"])
+    def test_to_csv_round_trip_keeps_the_metric(self, tmp_path, metric):
+        grid = StrategyGrid((0.5, 0.75))
+        pe_c = np.array([[0.125, 0.25], [0.375, 0.5]])
+        pe_s = np.array([[0.0625, 0.5], [0.75, 1.0]])
+        pm = PayoffMatrix(grid, grid, pe_c, pe_s, 0 * pe_c, 0 * pe_s, trials=8, seed=3,
+                          metric=metric)
+        path = tmp_path / "payoff.csv"
+        path.write_text(pm.to_csv({"config": "abc"}))
+        back = load_payoff_csv(str(path), metric=metric)
+        np.testing.assert_array_equal(back.pe, pm.pe)
+        assert (back.metric, back.trials, back.seed) == (metric, 8, 3)
+        other = "per-sequence" if metric == "per-component" else "per-component"
+        with pytest.raises(ValueError, match="metric"):
+            load_payoff_csv(str(path), metric=other)
 
 
 class TestMainEquilibrium:

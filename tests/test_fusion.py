@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzfusion.bits import all_bit_vectors, pack_bits
 from byzfusion.fusion import (
     SCORE_TIE_TOL,
     BatchFuser,
     FusionAssumption,
+    TypeClasses,
+    _key_tables,
     argmax_lex,
     byzantine_log_weights,
+    decide_columns,
     fuse,
     fuse_majority,
     honest_log_weights,
@@ -181,9 +185,60 @@ class TestBatchFuser:
         for model in (FixedCount(2), BoundedBelowHalf()):
             asm = FusionAssumption(model, eps, pfc)
             reports = rng.integers(0, 2, size=(32, 5, 2), dtype=np.uint8)
-            batch = BatchFuser(asm, 5, 2).decide(reports)
+            fuser = BatchFuser(asm, 5, 2)
+            # eps = 0 leaves honest weights of -inf, which only the log domain takes
+            assert (fuser._ratio is None) == (eps == 0.0)
+            batch = fuser.decide(reports)
             scalar = np.stack([fuse(reports[t], asm) for t in range(len(reports))])
             np.testing.assert_array_equal(batch, scalar)
+
+    def test_log_domain_on_overflowing_ratios_matches_scalar(self):
+        # finite weights whose likelihood ratios would overflow the ratio domain
+        asm = FusionAssumption(FixedCount(4), 1e-30, 0.9)
+        fuser = BatchFuser(asm, 8, 6)
+        assert fuser._ratio is None
+        rng = np.random.default_rng(11)
+        reports = rng.integers(0, 2, size=(12, 8, 6), dtype=np.uint8)
+        scalar = np.stack([fuse(r, asm) for r in reports])
+        np.testing.assert_array_equal(fuser.decide(reports), scalar)
+
+    @pytest.mark.parametrize("model", [UnconstrainedMaxEntropy(), IndependentAlpha(0.3)],
+                             ids=lambda m: type(m).__name__)
+    def test_independent_weights_with_neg_inf(self, model):
+        # eps = 0, pmal_fc = 1 makes the per-node weight -inf for 0 < c < m; a
+        # type with no node in such a bin must add 0 for it, not nan
+        asm = FusionAssumption(model, 0.0, 1.0)
+        fuser = BatchFuser(asm, 5, 3)
+        assert np.isneginf(fuser._weights).any()
+        rng = np.random.default_rng(12)
+        reports = rng.integers(0, 2, size=(40, 5, 3), dtype=np.uint8)
+        reports[:8] = reports[:8, :1]  # unanimous rows score finitely
+        assert not np.isnan(fuser.scores(pack_bits(reports))).any()
+        scalar = np.stack([fuse(r, asm) for r in reports])
+        np.testing.assert_array_equal(fuser.decide(reports), scalar)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_repeated_report_rows_match_scalar(self, model):
+        # few distinct matrices, many copies: every type is shared by many cells
+        rng = np.random.default_rng(13)
+        asm = FusionAssumption(model, 0.15, 0.8)
+        base = rng.integers(0, 2, size=(3, 7, 3), dtype=np.uint8)
+        pick = rng.integers(0, 3, size=500)
+        decisions = BatchFuser(asm, 7, 3).decide(base[pick])
+        scalar = np.stack([fuse(r, asm) for r in base])
+        np.testing.assert_array_equal(decisions, scalar[pick])
+
+    def test_wide_key_matches_scalar(self):
+        # 8 histogram digits of 8 bits each do not fit one int64 key word
+        n, m = 250, 8
+        assert _key_tables(n, m)[2].shape[0] > 1
+        rng = np.random.default_rng(14)
+        for model in (IndependentAlpha(0.3), FixedCount(2)):
+            asm = FusionAssumption(model, 0.1, 0.9)
+            reports = rng.integers(0, 2, size=(2, n, m), dtype=np.uint8)
+            reports[0, : n // 2] = reports[0, 0]  # a clear majority
+            scalar = np.stack([fuse(r, asm) for r in reports])
+            np.testing.assert_array_equal(BatchFuser(asm, n, m).decide(reports), scalar)
 
     def test_scores_match_log_score(self):
         rng = np.random.default_rng(4)
@@ -220,12 +275,68 @@ class TestBatchFuser:
         b = BatchFuser(asm, 6, 3, chunk_cells=64).decide_ints(ints)
         np.testing.assert_array_equal(a, b)
 
+    def test_decide_columns_across_chunks_matches_fresh_decodes(self):
+        # one TypeClasses per chunk shared by fusers of every prior, against
+        # one fresh single-column decode per fuser
+        rng = np.random.default_rng(15)
+        ints = pack_bits(rng.integers(0, 2, size=(301, 6, 3), dtype=np.uint8))
+        fusers = [BatchFuser(FusionAssumption(model, 0.1, pfc), 6, 3, chunk_cells=200)
+                  for model in MODELS for pfc in (0.6, 1.0)]
+        assert fusers[0].rows_per_chunk < 301 // 10
+        got = decide_columns(fusers, ints)
+        for fuser, row in zip(fusers, got):
+            fresh = BatchFuser(fuser.assumption, 6, 3).decide_ints(ints)
+            np.testing.assert_array_equal(row, fresh)
+
+    def test_decide_ints_rejects_classes_of_another_batch(self):
+        fuser = BatchFuser(FusionAssumption(FixedCount(1), 0.1, 0.9), 3, 2)
+        ints = np.zeros((5, 3), dtype=np.int64)
+        with pytest.raises(ValueError):
+            fuser.decide_ints(ints, TypeClasses(ints[:4], 3, 2))
+
     def test_tie_tol_consistency_on_blinded_center(self):
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 1.0)
         rng = np.random.default_rng(6)
         reports = rng.integers(0, 2, size=(50, 4, 1), dtype=np.uint8)
         decisions = BatchFuser(asm, 4, 1).decide_ints(pack_bits(reports))
         np.testing.assert_array_equal(decisions, 0)
+
+
+@st.composite
+def decoding_cases(draw):
+    """A fuser for one of the four priors at small n and m, plus a report batch."""
+    model = draw(st.sampled_from(MODELS))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    eps = draw(st.floats(0.01, 0.45))
+    pfc = draw(st.floats(0.5, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ints = rng.integers(0, 2**m, size=(24, n))
+    return BatchFuser(FusionAssumption(model, eps, pfc), n, m), ints, rng
+
+
+class TestDecoderSymmetries:
+    """The symmetries type-class decoding relies on, checked on decide_ints."""
+
+    @settings(settings.get_profile("byzfusion"), max_examples=60)
+    @given(decoding_cases())
+    def test_node_permutation_invariance(self, case):
+        fuser, ints, rng = case
+        perm = rng.permutation(fuser.n)
+        np.testing.assert_array_equal(fuser.decide_ints(ints[:, perm]), fuser.decide_ints(ints))
+
+    @settings(settings.get_profile("byzfusion"), max_examples=60)
+    @given(decoding_cases())
+    def test_xor_equivariance(self, case):
+        # XOR-ing the state and every report by one mask XORs the decision by
+        # it, so the error is unchanged; ties may break differently, so only
+        # trials with a clear winner are compared
+        fuser, ints, rng = case
+        mask = int(rng.integers(0, 2**fuser.m))
+        ranked = np.sort(fuser.scores(ints), axis=1)
+        clear = ranked[:, -1] - ranked[:, -2] > SCORE_TIE_TOL
+        want = fuser.decide_ints(ints) ^ mask
+        np.testing.assert_array_equal(fuser.decide_ints(ints ^ mask)[clear], want[clear])
 
 
 def test_assumption_validation():
