@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .model import (
     BoundedBelowHalf,
-    ChannelParams,
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
@@ -35,7 +34,6 @@ from .oracle import ExactScenario, exact_error_probability
 __all__ = [
     "__version__",
     "BoundedBelowHalf",
-    "ChannelParams",
     "FixedCount",
     "IndependentAlpha",
     "UnconstrainedMaxEntropy",

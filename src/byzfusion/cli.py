@@ -24,11 +24,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .game import (
-    PayoffMatrix,
     Scenario,
     StrategyGrid,
     dominance_report,
@@ -37,6 +34,7 @@ from .game import (
     estimate_majority_pe,
     estimate_payoff_matrix,
     find_pure_equilibria,
+    load_payoff_csv,
     saddle_points_within_noise,
     solve_mixed,
 )
@@ -281,49 +279,6 @@ def _estimate(cfg):
         seed=cfg.seed,
         metric=cfg.metric,
         workers=cfg.workers,
-    )
-
-
-def load_payoff_csv(path, metric="per-component"):
-    """PayoffMatrix from a payoff.csv written by this tool (or hand-made).
-
-    Injected matrices are treated as exact: both metrics are set to the
-    stored entries and standard errors are zero. A file whose ``# metric =``
-    line names another metric than `metric` is rejected with ValueError.
-    """
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append([cell.strip() for cell in line.split(",")])
-    if meta.get("metric", metric) != metric:
-        raise ValueError(f"{path}: holds the {meta['metric']} metric, not {metric}")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header row and at least one data row")
-    grid_fc = StrategyGrid(tuple(float(v) for v in rows[0][1:]))
-    grid_b = StrategyGrid(tuple(float(r[0]) for r in rows[1:]))
-    entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    if entries.shape != (len(grid_b), len(grid_fc)):
-        raise ValueError(f"{path}: ragged payoff table")
-    zeros = np.zeros_like(entries)
-    return PayoffMatrix(
-        grid_b=grid_b,
-        grid_fc=grid_fc,
-        pe_component=entries,
-        pe_sequence=entries.copy(),
-        se_component=zeros,
-        se_sequence=zeros.copy(),
-        trials=int(meta.get("trials", 0)),
-        seed=int(meta.get("seed", 0)),
-        metric=metric,
     )
 
 

@@ -1,22 +1,26 @@
 """Subset-weighted likelihood sums via a two-term recursion.
 
 Given per-node weights b(i) (node i behaves as Byzantine) and h(i) (node i
-behaves honestly), several fusion rules need
+behaves honestly), the fixed-count and bounded fusion rules need
 
     f(n, k) = sum over all size-k subsets S of {1..n} of
               prod_{i in S} b(i) * prod_{i not in S} h(i).
 
-Summing the (n choose k) subsets directly is exponential. Splitting on
-whether the first node of the remaining suffix is in S gives
+Summing the (n choose k) subsets directly is exponential. Adding the nodes
+one at a time and splitting on whether the newest node is in S gives
 
-    f(r, j) = b * f(r-1, j-1) + h * f(r-1, j)
+    f(i, k) = b(i) * f(i-1, k-1) + h(i) * f(i-1, k)
 
-with closed-form boundary values f(r, 0) and f(r, r) (pure products), so
-only the interior cells reachable from (n, k) are ever evaluated. That is
-at most k * (n - k + 1) two-term combinations.
+(the conditional-Bernoulli recursion of Chen, Dempster & Liu 1994), with the
+pure product f(i, 0) as boundary. :func:`subset_sums` runs it for a whole
+batch of node multisets at once, one numpy row per count, and visits only
+the cells that can still end in the requested count range
+(:func:`live_cells`): k * (n - k + 1) two-term combinations for one count k.
+It works on linear Byzantine/honest likelihood ratios while they stay far
+from overflow and underflow, and in the log domain otherwise.
 
-Everything runs in the log domain; a weight of zero enters as -inf and
-propagates correctly through the accumulation.
+:func:`naive_subset_sum` enumerates the subsets one by one; it is the
+independent reference the recursion is checked against.
 """
 
 from __future__ import annotations
@@ -28,15 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-__all__ = [
-    "NodeWeights",
-    "subset_sum",
-    "subset_sum_with_stats",
-    "subset_sum_all",
-    "naive_subset_sum",
-]
+__all__ = ["NodeWeights", "live_cells", "subset_sums", "naive_subset_sum"]
 
 _NAIVE_LIMIT = 1_000_000
+# subset_sums takes the ratio domain while log C(n, k_hi) + k_hi * max|log(b/h)|
+# stays below this, far from the exp(+-709) float range; bounding |log(b/h)|,
+# not just its positive side, keeps small ratios from underflowing too
+_RATIO_HEADROOM = 600.0
 
 
 @dataclass(frozen=True)
@@ -77,88 +79,65 @@ class NodeWeights:
         return self.logb.shape[0]
 
 
-def _logaddexp(a, b):
-    # scalar log(exp(a) + exp(b)) without the numpy call overhead
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi = a if a >= b else b
-    return hi + math.log1p(math.exp(-abs(a - b)))
+def live_cells(n, k_lo, k_hi):
+    """The two-term cells of the recursion that can still end in [k_lo, k_hi].
 
-
-def _suffix_sums(arr):
-    # out[r] = sum of the last r entries; -inf propagates as intended
-    out = np.empty(arr.shape[0] + 1)
-    out[0] = 0.0
-    np.cumsum(arr[::-1], out=out[1:])
-    return out
-
-
-def subset_sum(weights, k):
-    """log f(n, k) for the given node weights."""
-    return subset_sum_with_stats(weights, k)[0]
-
-
-def subset_sum_with_stats(weights, k):
-    """log f(n, k) plus the number of interior two-term evaluations used."""
-    n = weights.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    h_suf = _suffix_sums(weights.logh)
-    b_suf = _suffix_sums(weights.logb)
-    # table[r][j] only for interior cells; boundaries come from the prefix sums
-    table = {}
-
-    def get(r, j):
-        if j == 0:
-            return h_suf[r]
-        if j == r:
-            return b_suf[r]
-        return table[(r, j)]
-
-    count = 0
-    for r in range(2, n + 1):
-        lo = max(1, k - (n - r))
-        hi = min(r - 1, k)
-        if lo > hi:
-            continue
-        node = n - r  # node joined when the suffix grows to length r
-        lb = weights.logb[node]
-        lh = weights.logh[node]
-        for j in range(lo, hi + 1):
-            table[(r, j)] = _logaddexp(lb + get(r - 1, j - 1), lh + get(r - 1, j))
-            count += 1
-    return get(n, k), count
-
-
-def subset_sum_all(weights, k_max):
-    """log f(n, k) for every k in 0..k_max, sharing one table.
-
-    Cheaper than k_max independent subset_sum calls when the caller needs a
-    whole prefix of counts (the bounded-minority fusion rule does).
+    Yields (i, ks) per node i = 0..n-1: after node i joins, the subset sum
+    for count k is updated from counts k and k - 1 of the first i nodes, for
+    every k in ks (descending, so one array updates in place). A cell is live
+    if k <= min(k_hi, i + 1) and the n - 1 - i nodes still to come can lift k
+    to k_lo. Count 0 is the closed-form boundary and never listed. For
+    k_lo = k_hi = k that is exactly k * (n - k + 1) cells.
     """
-    n = weights.n
-    if not 0 <= k_max <= n:
-        raise ValueError(f"k_max must lie in [0, {n}], got {k_max}")
-    h_suf = _suffix_sums(weights.logh)
-    b_suf = _suffix_sums(weights.logb)
-    table = {}
+    for i in range(n):
+        yield i, range(min(k_hi, i + 1), max(0, k_lo - n + i), -1)
 
-    def get(r, j):
-        if j == 0:
-            return h_suf[r]
-        if j == r:
-            return b_suf[r]
-        return table[(r, j)]
 
-    for r in range(2, n + 1):
-        node = n - r
-        lb = weights.logb[node]
-        lh = weights.logh[node]
-        for j in range(1, min(r - 1, k_max) + 1):
-            table[(r, j)] = _logaddexp(lb + get(r - 1, j - 1), lh + get(r - 1, j))
-    return np.array([get(n, j) for j in range(k_max + 1)])
+def subset_sums(logb, logh, counts, hist, k_lo, k_hi):
+    """log sum_{k=k_lo..k_hi} f(n, k) for a batch of node multisets, shape (batch,).
+
+    Node i of multiset t sits in bin counts[i, t] and has log weights
+    logb[bin] and logh[bin]; hist[t] is the same multiset as bin counts,
+    shape (batch, bins), and counts has shape (n, batch).
+
+    When every honest weight is positive and the Byzantine/honest ratios stay
+    far from overflow and underflow (headroom below _RATIO_HEADROOM), the
+    recursion runs on elementary symmetric polynomials of the linear ratios
+    b/h, after factoring out the all-honest product hist @ logh. Otherwise
+    (degenerate eps or delta) it runs in the log domain, where a zero weight
+    enters as -inf. Both give the same sums up to rounding.
+    """
+    n, batch = counts.shape
+    if not 0 <= k_lo <= k_hi <= n:
+        raise ValueError(f"need 0 <= k_lo <= k_hi <= {n}, got [{k_lo}, {k_hi}]")
+    with np.errstate(invalid="ignore"):
+        ratios = logb - logh
+    finite = np.isfinite(ratios)
+    headroom = np.inf
+    if np.isfinite(logh).all():
+        widest = np.abs(ratios[finite]).max(initial=0.0)
+        headroom = math.lgamma(n + 1) - math.lgamma(k_hi + 1) - math.lgamma(n - k_hi + 1)
+        # a product of up to k_hi ratios; one ratio must fit even when k_hi = 0
+        headroom += max(k_hi, 1) * widest
+    if headroom < _RATIO_HEADROOM:
+        ratio = np.exp(ratios)
+        esym = np.zeros((k_hi + 1, batch))
+        esym[0] = 1.0
+        for i, ks in live_cells(n, k_lo, k_hi):
+            r_i = ratio[counts[i]]
+            for k in ks:
+                esym[k] += r_i * esym[k - 1]
+        with np.errstate(divide="ignore"):
+            return hist @ logh + np.log(esym[k_lo:].sum(axis=0))
+    g = np.full((k_hi + 1, batch), -np.inf)
+    g[0] = 0.0
+    for i, ks in live_cells(n, k_lo, k_hi):
+        lh_i = logh[counts[i]]
+        lb_i = logb[counts[i]]
+        for k in ks:
+            g[k] = np.logaddexp(g[k] + lh_i, g[k - 1] + lb_i)
+        g[0] += lh_i
+    return np.logaddexp.reduce(g[k_lo:], axis=0)
 
 
 def naive_subset_sum(weights, k):

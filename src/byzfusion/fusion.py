@@ -2,30 +2,28 @@
 
 The fusion center scores every candidate state sequence s against the full
 report matrix r and returns the maximizer of P(r | s) (states are uniform,
-so this is the MAP rule). What P(r | s) looks like depends on the Byzantine
-model the center assumes:
+so this is the MAP rule). Every prior here is symmetric in the nodes, so a
+hypothesis' score depends only on its type: the match-count histogram H[c],
+the number of nodes whose report agrees with s in exactly c of the m bits.
+What P(r | s) looks like depends on the Byzantine model the center assumes:
 
 * independent placements factor across nodes into a two-term mixture per
-  node (``log_score_independent``);
+  node, so the score is the dot product of H with a per-count weight table;
 * fixed-count and bounded-minority placements couple the nodes and reduce
-  to subset-weighted sums handled by :mod:`byzfusion.dp`
-  (``log_score_subset``).
+  to subset-weighted sums, computed by :func:`byzfusion.dp.subset_sums`.
 
-Scores are kept in the log domain throughout. Ties are broken toward the
-lexicographically smallest sequence: any hypothesis scoring within
-``SCORE_TIE_TOL`` of the maximum counts as tied. The tolerance makes exact
-mathematical ties (a fully blinded center, perfectly balanced reports)
-deterministic across the scalar path, the vectorized path and exhaustive
-reference implementations, which may round differently.
+Ties are broken toward the lexicographically smallest sequence: any
+hypothesis scoring within ``SCORE_TIE_TOL`` of the maximum counts as tied.
+The tolerance makes exact mathematical ties (a fully blinded center,
+perfectly balanced reports) deterministic across this decoder and the
+exhaustive reference implementations, which may round differently.
 
-``fuse`` is the readable one-shot rule. ``BatchFuser`` fixes the assumption
-once and decodes packed report batches by type class: every prior here is
-symmetric in the nodes, so a (trial, hypothesis) cell's score depends only
-on its match-count histogram, and each distinct histogram of a batch is
-scored once (``TypeClasses``). The histograms do not depend on the
-assumption, so ``decide_columns`` builds them once per chunk of trials for
-several fusers; the Monte Carlo game engine decodes every column of a row
-that way.
+``BatchFuser`` fixes the assumption once and decodes packed report batches
+by type class: each distinct histogram of a batch is scored once
+(``TypeClasses``). The histograms do not depend on the assumption, so
+``decide_columns`` builds them once per chunk of trials for several fusers;
+the Monte Carlo game engine decodes every column of a row that way.
+``fuse`` is the same decoder applied to one report matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import dp
-from .bits import all_bit_vectors, pack_bits, popcount, unpack_bits
+from .bits import pack_bits, popcount, unpack_bits
 from .model import (
     BoundedBelowHalf,
     FixedCount,
@@ -50,14 +48,9 @@ from .model import (
 
 __all__ = [
     "SCORE_TIE_TOL",
-    "MAX_FUSE_COMPONENTS",
     "FusionAssumption",
-    "match_counts",
     "honest_log_weights",
     "byzantine_log_weights",
-    "log_score_independent",
-    "log_score_subset",
-    "log_score",
     "argmax_lex",
     "fuse",
     "fuse_majority",
@@ -67,7 +60,6 @@ __all__ = [
 ]
 
 SCORE_TIE_TOL = 1e-9
-MAX_FUSE_COMPONENTS = 24
 
 
 @dataclass(frozen=True)
@@ -89,15 +81,6 @@ class FusionAssumption:
         return crossover_delta(self.eps, self.pmal_fc)
 
 
-def match_counts(reports, states):
-    """Per-node count of report bits agreeing with the candidate states."""
-    reports = np.asarray(reports)
-    states = np.asarray(states)
-    if reports.ndim != 2 or states.ndim != 1 or reports.shape[1] != states.shape[0]:
-        raise ValueError("reports must be (n, m) and states (m,)")
-    return (reports == states[None, :]).sum(axis=1)
-
-
 def honest_log_weights(eps, m):
     """log[(1-eps)^c * eps^(m-c)] for c = 0..m; xlogy keeps 0*log(0) = 0."""
     c = np.arange(m + 1, dtype=np.float64)
@@ -117,49 +100,6 @@ def _independent_mix_weights(alpha, eps, delta_fc, m):
     return np.logaddexp(lna + honest_log_weights(eps, m), la + byzantine_log_weights(delta_fc, m))
 
 
-def log_score_independent(reports, states, alpha, eps, delta_fc):
-    """log P(r | s) when nodes are Byzantine independently with rate alpha."""
-    counts = match_counts(reports, states)
-    m = np.asarray(states).shape[0]
-    w = _independent_mix_weights(alpha, eps, delta_fc, m)
-    return float(w[counts].sum())
-
-
-def log_score_subset(reports, states, fc_model, eps, delta_fc):
-    """log P(r | s) for placement models that fix or bound the Byzantine count."""
-    counts = match_counts(reports, states)
-    m = np.asarray(states).shape[0]
-    n = counts.shape[0]
-    weights = dp.NodeWeights(
-        logb=byzantine_log_weights(delta_fc, m)[counts],
-        logh=honest_log_weights(eps, m)[counts],
-    )
-    if isinstance(fc_model, FixedCount):
-        return dp.subset_sum(weights, fc_model.n_b) - _log_comb(n, fc_model.n_b)
-    if isinstance(fc_model, BoundedBelowHalf):
-        cap = bounded_k_max(fc_model, n)
-        f_all = dp.subset_sum_all(weights, cap)
-        norm = math.log(sum(math.comb(n, j) for j in range(cap + 1)))
-        return float(np.logaddexp.reduce(f_all)) - norm
-    raise TypeError(f"not a subset-count model: {fc_model!r}")
-
-
-def _log_comb(n, k):
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def log_score(reports, states, assumption):
-    """Dispatch on the assumed placement model; normalized log P(r | s)."""
-    model = assumption.model
-    if isinstance(model, UnconstrainedMaxEntropy):
-        return log_score_independent(reports, states, 0.5, assumption.eps, assumption.delta_fc)
-    if isinstance(model, IndependentAlpha):
-        return log_score_independent(
-            reports, states, model.alpha, assumption.eps, assumption.delta_fc
-        )
-    return log_score_subset(reports, states, model, assumption.eps, assumption.delta_fc)
-
-
 def argmax_lex(scores, tol=SCORE_TIE_TOL):
     """Index of the first entry within tol of the maximum."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -172,31 +112,25 @@ def argmax_lex(scores, tol=SCORE_TIE_TOL):
 
 
 def fuse(reports, assumption, tie_tol=SCORE_TIE_TOL):
-    """MAP state sequence for one report matrix, shape (m,) uint8.
+    """MAP state sequence for one report matrix (n, m), shape (m,) uint8.
 
-    Enumerates all 2**m hypotheses, so m is capped at MAX_FUSE_COMPONENTS.
-    Batches should go through BatchFuser instead.
+    The batch decoder applied to a batch of one, so m is capped at
+    BatchFuser.MAX_M.
     """
     reports = np.asarray(reports)
     if reports.ndim != 2:
         raise ValueError("reports must be (n, m)")
-    m = reports.shape[1]
-    if m > MAX_FUSE_COMPONENTS:
-        raise ValueError(f"m={m} exceeds the enumeration cap {MAX_FUSE_COMPONENTS}")
-    hypotheses = all_bit_vectors(m)
-    scores = np.empty(2**m)
-    for idx in range(2**m):
-        scores[idx] = log_score(reports, hypotheses[idx], assumption)
-    return hypotheses[argmax_lex(scores, tie_tol)].copy()
+    n, m = reports.shape
+    return BatchFuser(assumption, n, m, tie_tol).decide(reports[None])[0]
 
 
 def fuse_majority(reports):
-    """Componentwise majority vote over nodes; ties resolve to 0."""
+    """Componentwise majority vote over the nodes of (..., n, m) reports; ties resolve to 0."""
     reports = np.asarray(reports)
-    if reports.ndim != 2:
-        raise ValueError("reports must be (n, m)")
-    n = reports.shape[0]
-    ones = reports.astype(np.int64).sum(axis=0)
+    if reports.ndim < 2:
+        raise ValueError("reports must be (..., n, m)")
+    n = reports.shape[-2]
+    ones = reports.astype(np.int64).sum(axis=-2)
     return (2 * ones > n).astype(np.uint8)
 
 
@@ -280,17 +214,14 @@ class BatchFuser:
     """Vectorized MAP decoding of many report matrices under one assumption.
 
     Reports enter packed: one int per node row (first component = MSB).
-    Decisions come back packed the same way and match ``fuse`` decision for
-    decision under the shared tie rule. m is capped at 12.
+    Decisions come back packed the same way. m is capped at MAX_M.
 
     Decoding goes by type class (see :class:`TypeClasses`): only the distinct
     match-count histograms of a batch are scored, and each (trial,
     hypothesis) cell then reads its type's score. Independent priors score a
-    type as H . w. Fixed-count and bounded priors run the two-term recursion
-    of :func:`byzfusion.dp.subset_sum` over the type's sorted per-node
-    counts: on elementary symmetric polynomials of the Byzantine/honest
-    likelihood ratios after factoring out the all-honest product, or, when
-    those ratios would overflow (degenerate eps or delta), in the log domain.
+    type as H . w. Fixed-count and bounded priors sum the subset-weighted
+    likelihood over the admissible Byzantine counts with
+    :func:`byzfusion.dp.subset_sums`, on each type's per-node counts.
     """
 
     MAX_M = 12
@@ -311,35 +242,22 @@ class BatchFuser:
         model = assumption.model
         eps = assumption.eps
         delta = assumption.delta_fc
+        # the admissible Byzantine counts (k_lo, k_hi); None for independent priors
+        self._k_range = None
         if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
             alpha = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
-            self._kind = "independent"
             self._weights = _independent_mix_weights(alpha, eps, delta, m)
             return
         if isinstance(model, FixedCount):
-            self._kind = "fixed"
-            self._k_cap = model.n_b
+            self._k_range = (model.n_b, model.n_b)
         elif isinstance(model, BoundedBelowHalf):
-            self._kind = "bounded"
-            self._k_cap = bounded_k_max(model, n)
+            self._k_range = (0, bounded_k_max(model, n))
         else:
             raise TypeError(f"unknown Byzantine model {model!r}")
-        if self._k_cap > n:
-            raise ValueError(f"Byzantine count cap {self._k_cap} exceeds n={n}")
-        logh = honest_log_weights(eps, m)
-        logb = byzantine_log_weights(delta, m)
-        self._logh = logh
-        finite_h = np.isfinite(logh).all()
-        ratios = logb - logh if finite_h else None
-        headroom = np.inf
-        if finite_h:
-            headroom = _log_comb(n, self._k_cap) + self._k_cap * max(0.0, ratios.max())
-        if headroom < 600.0:
-            self._ratio = np.exp(ratios)
-            self._logb = None
-        else:
-            self._ratio = None
-            self._logb = logb
+        if self._k_range[1] > n:
+            raise ValueError(f"Byzantine count cap {self._k_range[1]} exceeds n={n}")
+        self._logh = honest_log_weights(eps, m)
+        self._logb = byzantine_log_weights(delta, m)
 
     def _check(self, report_ints):
         report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
@@ -348,40 +266,25 @@ class BatchFuser:
         return report_ints
 
     def _type_scores(self, classes):
-        """Log score (up to a constant) of each type of `classes`, shape (types,)."""
-        if self._kind == "independent":
+        """Log score of each type of `classes`, shape (types,).
+
+        For the subset priors this is the log of P(r | s) times the number
+        of admissible placements; :meth:`scores` divides that out.
+        """
+        if self._k_range is None:
             return _hist_dot(classes.hist, self._weights)
-        k_cap = self._k_cap
-        counts = classes.counts
-        if self._ratio is not None:
-            esym = np.zeros((k_cap + 1, counts.shape[1]))
-            esym[0] = 1.0
-            for i, c in enumerate(counts):
-                r_i = self._ratio[c]
-                for k in range(min(k_cap, i + 1), 0, -1):
-                    esym[k] += r_i * esym[k - 1]
-            total = esym[k_cap] if self._kind == "fixed" else esym.sum(axis=0)
-            with np.errstate(divide="ignore"):
-                return _hist_dot(classes.hist, self._logh) + np.log(total)
-        g = np.full((k_cap + 1, counts.shape[1]), -np.inf)
-        g[0] = 0.0
-        for i, c in enumerate(counts):
-            lh_i = self._logh[c]
-            lb_i = self._logb[c]
-            for k in range(min(k_cap, i + 1), 0, -1):
-                g[k] = np.logaddexp(g[k] + lh_i, g[k - 1] + lb_i)
-            g[0] += lh_i
-        if self._kind == "fixed":
-            return g[k_cap]
-        return np.logaddexp.reduce(g, axis=0)
+        return dp.subset_sums(self._logb, self._logh, classes.counts, classes.hist, *self._k_range)
 
     def scores(self, report_ints):
-        """Log scores (up to a constant) for every hypothesis, shape (T, 2**m)."""
+        """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
         report_ints = self._check(report_ints)
         out = np.empty((report_ints.shape[0], self.n_hyp))
         step = self.rows_per_chunk
         for rows, _, classes in _typed_chunks(report_ints, self.n, self.m, step):
             out[rows] = self._type_scores(classes)[classes.inverse]
+        if self._k_range is not None:
+            k_lo, k_hi = self._k_range
+            out -= math.log(sum(math.comb(self.n, k) for k in range(k_lo, k_hi + 1)))
         return out
 
     def decide_ints(self, report_ints, classes=None):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bits import pack_bits, popcount
-from .fusion import BatchFuser, FusionAssumption, decide_columns
+from .fusion import BatchFuser, FusionAssumption, decide_columns, fuse_majority
 from .model import (
     mix64,
     sample_placements_batch,
@@ -37,6 +37,7 @@ __all__ = [
     "StrategyGrid",
     "Scenario",
     "PayoffMatrix",
+    "load_payoff_csv",
     "ErrorEstimate",
     "simulate_row",
     "estimate_payoff_matrix",
@@ -175,6 +176,49 @@ class PayoffMatrix:
         return "\n".join(lines) + "\n"
 
 
+def load_payoff_csv(path, metric="per-component"):
+    """PayoffMatrix from a payoff.csv written by PayoffMatrix.to_csv (or hand-made).
+
+    Injected matrices are treated as exact: both metrics are set to the
+    stored entries and standard errors are zero. A file whose ``# metric =``
+    line names another metric than `metric` is rejected with ValueError.
+    """
+    meta = {}
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
+                continue
+            rows.append([cell.strip() for cell in line.split(",")])
+    if meta.get("metric", metric) != metric:
+        raise ValueError(f"{path}: holds the {meta['metric']} metric, not {metric}")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header row and at least one data row")
+    grid_fc = StrategyGrid(tuple(float(v) for v in rows[0][1:]))
+    grid_b = StrategyGrid(tuple(float(r[0]) for r in rows[1:]))
+    entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    if entries.shape != (len(grid_b), len(grid_fc)):
+        raise ValueError(f"{path}: ragged payoff table")
+    zeros = np.zeros_like(entries)
+    return PayoffMatrix(
+        grid_b=grid_b,
+        grid_fc=grid_fc,
+        pe_component=entries,
+        pe_sequence=entries.copy(),
+        se_component=zeros,
+        se_sequence=zeros.copy(),
+        trials=int(meta.get("trials", 0)),
+        seed=int(meta.get("seed", 0)),
+        metric=metric,
+    )
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Monte Carlo error estimate of one decoding scheme, both metrics."""
@@ -284,8 +328,7 @@ def estimate_majority_pe(scenario, pmal_b, trials, seed):
     """Monte Carlo error of the componentwise majority vote at one pmal_b."""
     rng = np.random.default_rng(mix64(seed, _MAJORITY_STREAM_TAG))
     states, reports = simulate_row(scenario, pmal_b, trials, rng)
-    votes = reports.astype(np.int64).sum(axis=1)
-    decisions = (2 * votes > scenario.n).astype(np.uint8)
+    decisions = fuse_majority(reports)
     bit_err = (decisions != states).mean(axis=1)
     seq_err = (decisions != states).any(axis=1).astype(np.float64)
     ddof = 1 if trials > 1 else 0

@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "crossover_delta",
-    "ChannelParams",
     "UnconstrainedMaxEntropy",
     "IndependentAlpha",
     "BoundedBelowHalf",
@@ -38,10 +37,6 @@ __all__ = [
     "validate_model",
     "bounded_k_max",
     "mix64",
-    "derive_rng",
-    "sample_states",
-    "sample_placement",
-    "sample_reports",
     "sample_states_batch",
     "sample_placements_batch",
     "sample_reports_batch",
@@ -62,22 +57,6 @@ def crossover_delta(eps, pmal):
     eps = _check_prob(eps, "eps")
     pmal = _check_prob(pmal, "pmal")
     return eps * (1.0 - pmal) + (1.0 - eps) * pmal
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Local decision error eps and Byzantine flip probability pmal."""
-
-    eps: float
-    pmal: float
-
-    def __post_init__(self):
-        _check_prob(self.eps, "eps")
-        _check_prob(self.pmal, "pmal")
-
-    @property
-    def delta(self):
-        return crossover_delta(self.eps, self.pmal)
 
 
 @dataclass(frozen=True)
@@ -165,37 +144,6 @@ def mix64(seed, *indices):
     return h
 
 
-def derive_rng(seed, *indices):
-    """Generator seeded from mix64(seed, *indices)."""
-    return np.random.default_rng(mix64(seed, *indices))
-
-
-def sample_states(rng, m):
-    """One state sequence: m fair bits, shape (m,) uint8."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return (rng.random(m) < 0.5).astype(np.uint8)
-
-
-def sample_placement(rng, model, n):
-    """One Byzantine indicator vector of shape (n,) uint8."""
-    return sample_placements_batch(rng, model, n, 1)[0]
-
-
-def sample_reports(rng, states, placement, eps, pmal_b):
-    """Report matrix of shape (n, m) for one trial.
-
-    Draw order is fixed: local decision noise for all node/component pairs
-    first, then flip noise for all pairs. Flip noise is drawn for honest
-    nodes too and masked out, so consumption of the stream does not depend
-    on the placement.
-    """
-    states = np.asarray(states, dtype=np.uint8)
-    placement = np.asarray(placement, dtype=np.uint8)
-    reports = sample_reports_batch(rng, states[None, :], placement[None, :], eps, pmal_b)
-    return reports[0]
-
-
 def sample_states_batch(rng, m, count):
     """count independent state sequences, shape (count, m) uint8."""
     if m < 1:
@@ -236,8 +184,11 @@ def sample_placements_batch(rng, model, n, count):
 def sample_reports_batch(rng, states, placements, eps, pmal_b):
     """Report matrices for a batch of trials, shape (count, n, m) uint8.
 
-    states has shape (count, m), placements (count, n). Same fixed draw
-    order as sample_reports.
+    states has shape (count, m), placements (count, n). Draw order is fixed:
+    local decision noise for all trial/node/component triples first, then
+    flip noise for all triples. Flip noise is drawn for honest nodes too and
+    masked out, so consumption of the stream does not depend on the
+    placements.
     """
     eps = _check_prob(eps, "eps")
     pmal_b = _check_prob(pmal_b, "pmal_b")

@@ -1,9 +1,12 @@
 """Exhaustive-enumeration references for desk-size problem instances.
 
-Everything here trades speed for being obviously correct: likelihoods are
-summed placement by placement in the linear domain, and error probabilities
-enumerate every report matrix. Used to validate the factorized scoring and
-the Monte Carlo estimates on instances small enough to enumerate.
+Likelihoods and MAP decisions here trade speed for being obviously
+correct: they sum placement by placement in the linear domain and share no
+code with the decoder, so they are the independent reference that the
+type-class scoring of :mod:`byzfusion.fusion` is checked against. Error
+probabilities decode every report matrix with that decoder (one
+``BatchFuser`` call) and weight each decision exactly, which validates the
+Monte Carlo estimates on instances small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import all_bit_vectors, pack_bits, popcount, unpack_bits
-from .fusion import SCORE_TIE_TOL, FusionAssumption, argmax_lex, fuse
+from .fusion import SCORE_TIE_TOL, BatchFuser, FusionAssumption, argmax_lex
 from .model import (
     BoundedBelowHalf,
     FixedCount,
@@ -32,7 +35,6 @@ __all__ = [
     "enumerate_placements",
     "exact_likelihood",
     "exact_map_decision",
-    "all_report_probabilities",
     "exact_error_probability",
 ]
 
@@ -145,38 +147,21 @@ def _all_report_rows(n, m):
     return rows
 
 
-def all_report_probabilities(n, m, state_int, mask, eps, delta_b):
-    """P(r | a, s) for every report matrix r, in row-major enumeration order.
-
-    The report matrix with index v has its bits laid out row-major, first
-    node in the most significant bits. `mask` is the Byzantine placement.
-    """
-    if n * m > MAX_REPORT_BITS:
-        raise ValueError(f"n*m={n*m} exceeds the enumeration cap {MAX_REPORT_BITS}")
-    mask = np.asarray(mask, dtype=bool)
-    rows = _all_report_rows(n, m)
-    mism = popcount(rows ^ int(state_int))
-    honest_t, flipped_t = _channel_tables(eps, delta_b, m)
-    per_node = np.where(mask[None, :], flipped_t[mism], honest_t[mism])
-    return per_node.prod(axis=1)
-
-
 def exact_error_probability(scenario, metric="per-component"):
     """Exact expected decision error of the MAP rule, no sampling.
 
     Enumerates placements, state sequences and report matrices, so n*m is
-    capped at MAX_REPORT_BITS bits. `metric` selects the per-component bit
-    error rate or the whole-sequence error rate.
+    capped at MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M. `metric`
+    selects the per-component bit error rate or the whole-sequence error rate.
     """
     if metric not in ("per-component", "per-sequence"):
         raise ValueError(f"unknown metric {metric!r}")
     n, m = scenario.n, scenario.m
     if n * m > MAX_REPORT_BITS:
         raise ValueError(f"n*m={n*m} exceeds the enumeration cap {MAX_REPORT_BITS}")
+    fuser = BatchFuser(scenario.assumption, n, m)
     rows = _all_report_rows(n, m)
-    assumption = scenario.assumption
-    bits = unpack_bits(np.arange(2 ** (n * m)), n * m).reshape(-1, n, m)
-    decisions = np.array([pack_bits(fuse(bits[v], assumption)) for v in range(len(bits))])
+    decisions = fuser.decide_ints(rows)
     masks, weights = enumerate_placements(scenario.true_model, n)
     honest_t, flipped_t = _channel_tables(scenario.eps, scenario.delta_b, m)
     total = 0.0

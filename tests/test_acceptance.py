@@ -14,8 +14,9 @@ import pytest
 
 from byzfusion.bits import unpack_bits
 from byzfusion.cli import main as cli_main
-from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sum, subset_sum_with_stats
-from byzfusion.fusion import FusionAssumption, fuse, log_score_independent
+from byzfusion import dp
+from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
+from byzfusion.fusion import FusionAssumption, _independent_mix_weights, fuse
 from byzfusion.game import (
     Scenario,
     StrategyGrid,
@@ -87,30 +88,67 @@ def table_fixed8():
     return estimate_payoff_matrix(sc, GRID, GRID, trials=50_000, seed=0)
 
 
+def per_node_subset_sum(w, k):
+    """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
+    counts = np.arange(w.n)[:, None]
+    return subset_sums(w.logb, w.logh, counts, np.ones((1, w.n), dtype=np.int64), k, k)[0]
+
+
 def test_a1_dp_matches_naive_enumeration():
     rng = np.random.default_rng(0)
-    worst = 0.0
+    sets = []
     for _ in range(200):
         n = int(rng.integers(1, 13))
-        w = NodeWeights(logb=rng.normal(0.0, 2.0, n), logh=rng.normal(0.0, 2.0, n))
-        for k in range(n + 1):
-            fast = subset_sum(w, k)
+        sets.append(NodeWeights(logb=rng.normal(0.0, 2.0, n), logh=rng.normal(0.0, 2.0, n)))
+    # weights of scale 200, whose products of ratios leave the float range in
+    # both directions; every other set also has zero honest weights, which
+    # subset_sums can only take in the log domain
+    rng = np.random.default_rng(1)
+    for i in range(50):
+        n = int(rng.integers(1, 13))
+        logh = rng.normal(0.0, 200.0, n)
+        if i % 2:
+            logh[rng.random(n) < 0.3] = -np.inf
+            logh[rng.integers(n)] = -np.inf
+        sets.append(NodeWeights(logb=rng.normal(0.0, 200.0, n), logh=logh))
+    # no ratio above 1, but one so small that it underflows in the linear domain
+    sets.append(NodeWeights(logb=np.array([-800.0, 0.0, -1.0]), logh=np.zeros(3)))
+    worst = 0.0
+    for w in sets:
+        for k in range(w.n + 1):
+            fast = per_node_subset_sum(w, k)
             slow = naive_subset_sum(w, k)
-            worst = max(worst, abs(math.expm1(fast - slow)))
+            if slow == -np.inf:
+                worst = max(worst, 0.0 if fast == -np.inf else np.inf)
+            else:
+                worst = max(worst, abs(math.expm1(fast - slow)))
     ok = worst <= 1e-12
     assert verdict("A1 dp-vs-naive", ok,
-                   f"200 random weight sets, n<=12, worst rel err {worst:.2e} (tol 1e-12)")
+                   f"200 random weight sets plus 51 large-scale sets, n<=12, "
+                   f"worst rel err {worst:.2e} (tol 1e-12)")
 
 
-def test_a2_dp_interior_work_bound():
+def test_a2_dp_interior_work_bound(monkeypatch):
+    # count the cells subset_sums' loop actually receives from live_cells
+    visited = []
+    live_cells = dp.live_cells
+
+    def counted(n, k_lo, k_hi):
+        for i, ks in live_cells(n, k_lo, k_hi):
+            visited.append(len(ks))
+            yield i, ks
+
+    monkeypatch.setattr(dp, "live_cells", counted)
     worst = ""
     ok = True
     for n in range(1, 31):
         w = NodeWeights(logb=np.linspace(-1.0, 0.5, n), logh=np.linspace(-0.2, -1.5, n))
         for k in range(n + 1):
-            _, evals = subset_sum_with_stats(w, k)
+            visited.clear()
+            per_node_subset_sum(w, k)
+            evals = sum(visited)
             bound = k * (n - k + 1)
-            if evals > bound:
+            if evals > bound or len(visited) != n:
                 ok = False
                 worst = f" first violation at n={n} k={k}"
     assert verdict("A2 dp-work-bound", ok,
@@ -154,7 +192,9 @@ def test_a4_independent_score_factorization():
         delta = float(rng.uniform(0.05, 0.95))
         r = rng.integers(0, 2, (n, m)).astype(np.uint8)
         s = rng.integers(0, 2, m).astype(np.uint8)
-        factored = math.exp(log_score_independent(r, s, alpha, eps, delta))
+        # the per-node mixture table the decoder scores independent priors with
+        counts = (r == s).sum(axis=1)
+        factored = math.exp(_independent_mix_weights(alpha, eps, delta, m)[counts].sum())
         enumerated = exact_likelihood(r, s, IndependentAlpha(alpha), eps, delta)
         worst = max(worst, abs(factored - enumerated) / enumerated)
     ok = worst <= 1e-12

@@ -5,12 +5,11 @@ from byzfusion.cli import (
     ConfigError,
     config_hash,
     load_config,
-    load_payoff_csv,
     main,
     model_to_text,
     parse_model,
 )
-from byzfusion.game import PayoffMatrix, StrategyGrid
+from byzfusion.game import PayoffMatrix, StrategyGrid, load_payoff_csv
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzfusion.dp import (
-    NodeWeights,
-    naive_subset_sum,
-    subset_sum,
-    subset_sum_all,
-    subset_sum_with_stats,
-)
+from byzfusion.dp import NodeWeights, live_cells, naive_subset_sum, subset_sums
 
 
 def random_weights(rng, n, allow_zero=False):
@@ -20,6 +14,24 @@ def random_weights(rng, n, allow_zero=False):
         b[rng.random(n) < 0.2] = 0.0
         h[rng.random(n) < 0.2] = 0.0
     return NodeWeights.from_linear(b, h)
+
+
+def per_node_sums(w, k_lo, k_hi):
+    """subset_sums on one multiset in which every node has a bin of its own."""
+    n = w.n
+    counts = np.arange(n)[:, None]
+    return float(subset_sums(w.logb, w.logh, counts, np.ones((1, n), dtype=np.int64),
+                             k_lo, k_hi)[0])
+
+
+def subset_sum(w, k):
+    """log f(n, k) through subset_sums."""
+    return per_node_sums(w, k, k)
+
+
+def interior_evals(n, k):
+    """Two-term cells the recursion visits for one count k."""
+    return sum(len(ks) for _, ks in live_cells(n, k, k))
 
 
 class TestNodeWeights:
@@ -81,31 +93,70 @@ class TestSubsetSum:
             subset_sum(w, 5)
         with pytest.raises(ValueError):
             subset_sum(w, -1)
+        with pytest.raises(ValueError):
+            per_node_sums(w, 3, 2)
 
     def test_interior_eval_bound(self):
-        rng = np.random.default_rng(3)
         for n, k in [(1, 0), (1, 1), (5, 2), (12, 6), (30, 9), (30, 30), (25, 1)]:
-            w = random_weights(rng, n)
-            _, count = subset_sum_with_stats(w, k)
-            assert count <= k * (n - k + 1)
+            assert interior_evals(n, k) <= k * (n - k + 1)
 
     def test_eval_count_exact_interior(self):
-        # for 1 <= k <= n-1 the reachable interior is exactly the stated bound
-        w = random_weights(np.random.default_rng(4), 10)
-        _, count = subset_sum_with_stats(w, 3)
-        assert count == 3 * (10 - 3 + 1) - 3  # minus cells that fall on the boundary
+        # for 1 <= k <= n-1 the live cells are exactly the stated bound: counts
+        # 1..k, each at the n - k + 1 nodes where it can still reach k
+        assert interior_evals(10, 3) == 3 * (10 - 3 + 1)
+        cells = {(i, k) for i, ks in live_cells(10, 3, 3) for k in ks}
+        assert cells == {(i, k) for k in range(1, 4) for i in range(k - 1, 10 - 3 + k)}
 
     def test_subset_sum_all_matches_individual(self):
+        # one call over the count range 0..6 sums the single-count results
         rng = np.random.default_rng(5)
         w = random_weights(rng, 11, allow_zero=True)
-        vals = subset_sum_all(w, 6)
-        assert vals.shape == (7,)
+        singles = [subset_sum(w, k) for k in range(7)]
         for k in range(7):
-            single = subset_sum(w, k)
-            if math.isinf(single):
-                assert math.isinf(vals[k])
+            want = naive_subset_sum(w, k)
+            if math.isinf(want):
+                assert math.isinf(singles[k])
             else:
-                assert vals[k] == pytest.approx(single, rel=1e-12)
+                assert singles[k] == pytest.approx(want, rel=1e-12)
+        for lo, hi in [(0, 6), (2, 5), (6, 6)]:
+            want = float(np.logaddexp.reduce(singles[lo : hi + 1]))
+            assert per_node_sums(w, lo, hi) == pytest.approx(want, rel=1e-12)
+
+    def test_both_domains_match_naive(self):
+        # one count range, once through the ratio domain and once forced into
+        # the log domain by an extra bin with a zero honest weight that no
+        # node occupies; both must reproduce the enumeration
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(1, 10))
+            k_lo = int(rng.integers(0, n + 1))
+            k_hi = int(rng.integers(k_lo, n + 1))
+            w = random_weights(rng, n)
+            want = float(np.logaddexp.reduce([naive_subset_sum(w, k)
+                                              for k in range(k_lo, k_hi + 1)]))
+            counts = np.arange(n)[:, None]
+            hist = np.ones((1, n), dtype=np.int64)
+            ratio = subset_sums(w.logb, w.logh, counts, hist, k_lo, k_hi)[0]
+            logb = np.append(w.logb, 0.0)
+            logh = np.append(w.logh, -np.inf)
+            hist = np.append(hist, [[0]], axis=1)
+            logd = subset_sums(logb, logh, counts, hist, k_lo, k_hi)[0]
+            assert ratio == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert logd == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_batch_of_multisets(self):
+        # several multisets over shared bins in one call, against the
+        # enumeration on each multiset's own per-node weights
+        rng = np.random.default_rng(9)
+        logb = np.log(rng.random(4))
+        logh = np.log(rng.random(4))
+        counts = np.sort(rng.integers(0, 4, size=(7, 25)), axis=0)
+        hist = np.stack([np.bincount(col, minlength=4) for col in counts.T])
+        got = subset_sums(logb, logh, counts, hist, 1, 3)
+        for t in range(25):
+            w = NodeWeights(logb[counts[:, t]], logh[counts[:, t]])
+            want = np.logaddexp.reduce([naive_subset_sum(w, k) for k in range(1, 4)])
+            assert got[t] == pytest.approx(float(want), rel=1e-12)
 
     def test_naive_refuses_huge_enumerations(self):
         w = random_weights(np.random.default_rng(6), 40)

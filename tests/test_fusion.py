@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzfusion.bits import all_bit_vectors, pack_bits
+from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
 from byzfusion.fusion import (
     SCORE_TIE_TOL,
     BatchFuser,
@@ -17,18 +18,15 @@ from byzfusion.fusion import (
     fuse,
     fuse_majority,
     honest_log_weights,
-    log_score,
-    log_score_independent,
-    log_score_subset,
-    match_counts,
 )
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
-    crossover_delta,
+    bounded_k_max,
 )
+from byzfusion.oracle import exact_likelihood, exact_map_decision
 
 MODELS = [
     UnconstrainedMaxEntropy(),
@@ -42,14 +40,50 @@ def random_reports(rng, n, m):
     return rng.integers(0, 2, size=(n, m), dtype=np.uint8)
 
 
-class TestScores:
-    def test_match_counts(self):
-        r = np.array([[0, 1, 1], [1, 1, 0]], dtype=np.uint8)
-        s = np.array([0, 1, 0], dtype=np.uint8)
-        np.testing.assert_array_equal(match_counts(r, s), [2, 2])
-        with pytest.raises(ValueError):
-            match_counts(r, np.array([0, 1]))
+def recursion_subset_sum(w, k):
+    """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
+    counts = np.arange(w.n)[:, None]
+    return subset_sums(w.logb, w.logh, counts, np.ones((1, w.n), dtype=np.int64), k, k)[0]
 
+
+def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
+    """Reference MAP decision for one (n, m) report matrix, hypothesis by hypothesis.
+
+    Match counts come from comparing each report row with the hypothesis,
+    and scores from the per-node mixture or from `subset_sum` over the
+    admissible Byzantine counts, so no TypeClasses key is involved.
+    """
+    n, m = reports.shape
+    model = asm.model
+    lh = honest_log_weights(asm.eps, m)
+    lb = byzantine_log_weights(asm.delta_fc, m)
+    hyps = all_bit_vectors(m)
+    scores = np.empty(len(hyps))
+    for h, states in enumerate(hyps):
+        c = (reports == states).sum(axis=1)
+        if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
+            alpha = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
+            with np.errstate(divide="ignore"):
+                per_node = np.logaddexp(np.log(1.0 - alpha) + lh[c], np.log(alpha) + lb[c])
+            scores[h] = per_node.sum()
+            continue
+        if isinstance(model, FixedCount):
+            ks = [model.n_b]
+        else:
+            ks = range(bounded_k_max(model, n) + 1)
+        w = NodeWeights(lb[c], lh[c])
+        scores[h] = np.logaddexp.reduce([subset_sum(w, k) for k in ks])
+    return hyps[argmax_lex(scores)]
+
+
+def score(reports, states, asm):
+    """BatchFuser.scores of one report matrix under one hypothesis."""
+    n, m = reports.shape
+    fuser = BatchFuser(asm, n, m)
+    return fuser.scores(pack_bits(reports)[None])[0, pack_bits(states)]
+
+
+class TestScores:
     def test_weight_tables_normalize(self):
         # summing C(m,c) exp(w[c]) over c recovers a full binomial: total 1
         for p in (0.0, 0.1, 0.5, 1.0):
@@ -60,30 +94,37 @@ class TestScores:
     def test_independent_score_manual(self):
         r = np.array([[1, 0], [1, 1]], dtype=np.uint8)
         s = np.array([1, 0], dtype=np.uint8)
-        eps, delta, alpha = 0.1, 0.74, 0.3
+        eps, alpha = 0.1, 0.3
+        asm = FusionAssumption(IndependentAlpha(alpha), eps, 0.8)
+        delta = asm.delta_fc
+        assert delta == pytest.approx(0.74)
         expected = 0.0
         for i in range(2):
             c = int((r[i] == s).sum())
             ph = (1 - eps) ** c * eps ** (2 - c)
             pb = (1 - delta) ** c * delta ** (2 - c)
             expected += math.log((1 - alpha) * ph + alpha * pb)
-        got = log_score_independent(r, s, alpha, eps, delta)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert score(r, s, asm) == pytest.approx(expected, rel=1e-12)
 
     def test_independent_alpha_extremes(self):
         r = np.array([[1, 0, 1]], dtype=np.uint8)
         s = np.array([1, 1, 1], dtype=np.uint8)
-        eps, delta = 0.2, 0.9
-        all_honest = log_score_independent(r, s, 0.0, eps, delta)
+        eps = 0.2
+        all_honest = score(r, s, FusionAssumption(IndependentAlpha(0.0), eps, 1.0))
         assert all_honest == pytest.approx(2 * math.log(1 - eps) + math.log(eps))
-        all_byz = log_score_independent(r, s, 1.0, eps, delta)
+        asm = FusionAssumption(IndependentAlpha(1.0), eps, 1.0)
+        delta = asm.delta_fc
+        all_byz = score(r, s, asm)
         assert all_byz == pytest.approx(2 * math.log(1 - delta) + math.log(delta))
 
     def test_subset_score_fixed_manual(self):
         # n=2, one byzantine: average the two placements explicitly
         r = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         s = np.array([1, 1], dtype=np.uint8)
-        eps, delta = 0.15, 0.8
+        eps = 0.15
+        asm = FusionAssumption(FixedCount(1), eps, 0.65 / 0.7)
+        delta = asm.delta_fc
+        assert delta == pytest.approx(0.8)
 
         def ph(c):
             return (1 - eps) ** c * eps ** (2 - c)
@@ -94,15 +135,14 @@ class TestScores:
         c1 = int((r[0] == s).sum())
         c2 = int((r[1] == s).sum())
         expected = math.log(0.5 * (pb(c1) * ph(c2) + ph(c1) * pb(c2)))
-        got = log_score_subset(r, s, FixedCount(1), eps, delta)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert score(r, s, asm) == pytest.approx(expected, rel=1e-12)
 
     def test_subset_score_bounded_manual(self):
         # n=2, cap 0: only the all-honest placement is admissible
         r = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         s = np.array([0, 0], dtype=np.uint8)
-        eps, delta = 0.2, 0.6
-        got = log_score_subset(r, s, BoundedBelowHalf(), eps, delta)
+        eps = 0.2
+        got = score(r, s, FusionAssumption(BoundedBelowHalf(), eps, 2 / 3))
         c1 = int((r[0] == s).sum())
         c2 = int((r[1] == s).sum())
         expected = math.log(
@@ -111,12 +151,13 @@ class TestScores:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_log_score_dispatch(self):
+        # the unconstrained prior scores exactly like independent alpha = 1/2
         rng = np.random.default_rng(0)
         r = random_reports(rng, 4, 3)
         s = np.array([0, 1, 0], dtype=np.uint8)
-        asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8)
-        via_alpha = log_score_independent(r, s, 0.5, 0.1, asm.delta_fc)
-        assert log_score(r, s, asm) == pytest.approx(via_alpha, rel=1e-12)
+        unconstrained = score(r, s, FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8))
+        via_alpha = score(r, s, FusionAssumption(IndependentAlpha(0.5), 0.1, 0.8))
+        assert unconstrained == pytest.approx(via_alpha, rel=1e-12)
 
 
 class TestArgmaxLex:
@@ -154,8 +195,9 @@ class TestFuse:
 
     def test_m_cap(self):
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8)
-        with pytest.raises(ValueError):
-            fuse(np.zeros((2, 25), dtype=np.uint8), asm)
+        for m in (BatchFuser.MAX_M + 1, 25):
+            with pytest.raises(ValueError):
+                fuse(np.zeros((2, m), dtype=np.uint8), asm)
 
     def test_majority_vote(self):
         r = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 0]], dtype=np.uint8)
@@ -163,11 +205,18 @@ class TestFuse:
         # even split resolves to zero
         r = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         np.testing.assert_array_equal(fuse_majority(r), [0, 0])
+        # a batch of (n, m) matrices votes matrix by matrix
+        batch = np.random.default_rng(7).integers(0, 2, size=(20, 5, 3), dtype=np.uint8)
+        np.testing.assert_array_equal(fuse_majority(batch),
+                                      np.stack([fuse_majority(b) for b in batch]))
+        with pytest.raises(ValueError):
+            fuse_majority(np.zeros(3, dtype=np.uint8))
 
 
 class TestBatchFuser:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_matches_scalar_fuse(self, model):
+        # against the oracle's linear-domain enumeration over placements
         rng = np.random.default_rng(2)
         for n, m in [(2, 1), (3, 2), (5, 3), (8, 4)]:
             eps = float(rng.uniform(0.05, 0.4))
@@ -175,31 +224,33 @@ class TestBatchFuser:
             asm = FusionAssumption(model, eps, pfc)
             reports = rng.integers(0, 2, size=(64, n, m), dtype=np.uint8)
             batch = BatchFuser(asm, n, m).decide(reports)
-            scalar = np.stack([fuse(reports[t], asm) for t in range(len(reports))])
+            scalar = np.stack([exact_map_decision(r, model, eps, asm.delta_fc) for r in reports])
             np.testing.assert_array_equal(batch, scalar)
+            np.testing.assert_array_equal(np.stack([fuse(r, asm) for r in reports[:8]]),
+                                          scalar[:8])
 
     @pytest.mark.parametrize("eps,pfc", [(0.0, 1.0), (0.0, 0.5), (0.1, 1.0), (0.5, 0.9)])
     def test_matches_scalar_on_degenerate_channels(self, eps, pfc):
-        # exercises the log-domain fallback paths
+        # eps = 0 leaves honest weights of -inf, which only the log domain takes
+        assert np.isneginf(honest_log_weights(eps, 2)).any() == (eps == 0.0)
         rng = np.random.default_rng(3)
         for model in (FixedCount(2), BoundedBelowHalf()):
             asm = FusionAssumption(model, eps, pfc)
             reports = rng.integers(0, 2, size=(32, 5, 2), dtype=np.uint8)
-            fuser = BatchFuser(asm, 5, 2)
-            # eps = 0 leaves honest weights of -inf, which only the log domain takes
-            assert (fuser._ratio is None) == (eps == 0.0)
-            batch = fuser.decide(reports)
-            scalar = np.stack([fuse(reports[t], asm) for t in range(len(reports))])
+            batch = BatchFuser(asm, 5, 2).decide(reports)
+            scalar = np.stack([scalar_decision(r, asm) for r in reports])
             np.testing.assert_array_equal(batch, scalar)
 
     def test_log_domain_on_overflowing_ratios_matches_scalar(self):
         # finite weights whose likelihood ratios would overflow the ratio domain
         asm = FusionAssumption(FixedCount(4), 1e-30, 0.9)
+        log_ratios = byzantine_log_weights(asm.delta_fc, 6) - honest_log_weights(1e-30, 6)
+        assert np.isfinite(log_ratios).all()
+        assert 4 * log_ratios.max() > np.log(np.finfo(np.float64).max)
         fuser = BatchFuser(asm, 8, 6)
-        assert fuser._ratio is None
         rng = np.random.default_rng(11)
         reports = rng.integers(0, 2, size=(12, 8, 6), dtype=np.uint8)
-        scalar = np.stack([fuse(r, asm) for r in reports])
+        scalar = np.stack([scalar_decision(r, asm) for r in reports])
         np.testing.assert_array_equal(fuser.decide(reports), scalar)
 
     @pytest.mark.parametrize("model", [UnconstrainedMaxEntropy(), IndependentAlpha(0.3)],
@@ -214,7 +265,7 @@ class TestBatchFuser:
         reports = rng.integers(0, 2, size=(40, 5, 3), dtype=np.uint8)
         reports[:8] = reports[:8, :1]  # unanimous rows score finitely
         assert not np.isnan(fuser.scores(pack_bits(reports))).any()
-        scalar = np.stack([fuse(r, asm) for r in reports])
+        scalar = np.stack([scalar_decision(r, asm) for r in reports])
         np.testing.assert_array_equal(fuser.decide(reports), scalar)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
@@ -225,11 +276,13 @@ class TestBatchFuser:
         base = rng.integers(0, 2, size=(3, 7, 3), dtype=np.uint8)
         pick = rng.integers(0, 3, size=500)
         decisions = BatchFuser(asm, 7, 3).decide(base[pick])
-        scalar = np.stack([fuse(r, asm) for r in base])
+        scalar = np.stack([exact_map_decision(r, model, 0.15, asm.delta_fc) for r in base])
         np.testing.assert_array_equal(decisions, scalar[pick])
 
     def test_wide_key_matches_scalar(self):
-        # 8 histogram digits of 8 bits each do not fit one int64 key word
+        # 8 histogram digits of 8 bits each do not fit one int64 key word;
+        # enumerating C(250, 2) subsets per hypothesis is too slow, so the
+        # reference scores with the recursion (checked against it in A1)
         n, m = 250, 8
         assert _key_tables(n, m)[2].shape[0] > 1
         rng = np.random.default_rng(14)
@@ -237,10 +290,11 @@ class TestBatchFuser:
             asm = FusionAssumption(model, 0.1, 0.9)
             reports = rng.integers(0, 2, size=(2, n, m), dtype=np.uint8)
             reports[0, : n // 2] = reports[0, 0]  # a clear majority
-            scalar = np.stack([fuse(r, asm) for r in reports])
+            scalar = np.stack([scalar_decision(r, asm, recursion_subset_sum) for r in reports])
             np.testing.assert_array_equal(BatchFuser(asm, n, m).decide(reports), scalar)
 
     def test_scores_match_log_score(self):
+        # normalized log P(r | s) against the oracle's placement-by-placement sum
         rng = np.random.default_rng(4)
         n, m = 6, 3
         for model in MODELS:
@@ -250,10 +304,9 @@ class TestBatchFuser:
             got = fuser.scores(pack_bits(reports))
             hyps = all_bit_vectors(m)
             for t in range(10):
-                want = np.array([log_score(reports[t], hyps[h], asm) for h in range(2**m)])
-                # vectorized scores drop constant normalization terms
-                shift = got[t, 0] - want[0]
-                np.testing.assert_allclose(got[t] - shift, want, rtol=1e-10, atol=1e-10)
+                want = np.log([exact_likelihood(reports[t], hyps[h], model, 0.12, asm.delta_fc)
+                               for h in range(2**m)])
+                np.testing.assert_allclose(got[t], want, rtol=1e-10, atol=1e-10)
 
     def test_m_cap(self):
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8)

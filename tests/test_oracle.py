@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from byzfusion.bits import all_bit_vectors
-from byzfusion.fusion import FusionAssumption, fuse, log_score
+from byzfusion.bits import all_bit_vectors, pack_bits
+from byzfusion.fusion import BatchFuser, FusionAssumption, fuse
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
@@ -14,7 +14,6 @@ from byzfusion.model import (
 )
 from byzfusion.oracle import (
     ExactScenario,
-    all_report_probabilities,
     enumerate_placements,
     exact_error_probability,
     exact_likelihood,
@@ -69,13 +68,6 @@ class TestExactLikelihood:
                         for v in range(len(reports)))
             assert total == pytest.approx(1.0, rel=1e-10)
 
-    def test_report_distribution_closure_per_placement(self):
-        n, m = 3, 2
-        for mask in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
-            probs = all_report_probabilities(n, m, 2, np.array(mask), 0.15, 0.6)
-            assert probs.shape == (2 ** (n * m),)
-            assert probs.sum() == pytest.approx(1.0, rel=1e-12)
-
     def test_matches_factorized_scores(self):
         rng = np.random.default_rng(0)
         for trial in range(100):
@@ -90,7 +82,8 @@ class TestExactLikelihood:
             r = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
             s = rng.integers(0, 2, size=m, dtype=np.uint8)
             lin = exact_likelihood(r, s, model, eps, delta)
-            live = log_score(r, s, FusionAssumption(model, eps, pfc))
+            fuser = BatchFuser(FusionAssumption(model, eps, pfc), n, m)
+            live = fuser.scores(pack_bits(r)[None])[0, pack_bits(s)]
             assert math.exp(live) == pytest.approx(lin, rel=1e-11, abs=1e-300)
 
     def test_independent_product_form_large_n(self):
@@ -177,6 +170,13 @@ class TestExactErrorProbability:
         sc = ExactScenario(
             n=10, m=2, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
             true_model=FixedCount(1), fc_model=FixedCount(1),
+        )
+        with pytest.raises(ValueError):
+            exact_error_probability(sc)
+        # 13 report bits pass the bit cap, but m = 13 exceeds the decoder's cap
+        sc = ExactScenario(
+            n=1, m=13, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
+            true_model=FixedCount(0), fc_model=FixedCount(0),
         )
         with pytest.raises(ValueError):
             exact_error_probability(sc)
