@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .game import (
+    METRICS,
     Scenario,
     StrategyGrid,
     dominance_report,
@@ -44,7 +45,6 @@ from .model import (
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
-    validate_model,
 )
 from .oracle import ExactScenario, exact_error_probability
 
@@ -231,7 +231,7 @@ def load_config(config_path=None, overrides=None):
     if scenario.m > BatchFuser.MAX_M:
         raise ConfigError(f"m={scenario.m} exceeds the simulation cap {BatchFuser.MAX_M}")
     metric = raw["metric"]
-    if metric not in ("per-component", "per-sequence"):
+    if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     trials = int(raw["trials"])
     workers = int(raw["workers"])
@@ -394,7 +394,7 @@ def run_compare(cfg):
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",
         f"| majority vote (worst pmal_b = {_g(maj_pb)}) | {_g(maj.value(cfg.metric))} | "
-        f"{_g(maj.se_component if cfg.metric == 'per-component' else maj.se_sequence)} |",
+        f"{_g(maj.stderr(cfg.metric))} |",
         f"| optimum fusion (equilibrium) | {_g(opt)} | |",
         "",
     ]
@@ -461,7 +461,7 @@ def _build_parser():
     common.add_argument("--config", help="flat key = value experiment file")
     common.add_argument("--seed", type=int, help="override the seed")
     common.add_argument("--trials", type=int, help="override the trial count")
-    common.add_argument("--metric", choices=("per-component", "per-sequence"),
+    common.add_argument("--metric", choices=METRICS,
                         help="override the error metric")
     common.add_argument("--out", help="override the output directory")
     common.add_argument("--workers", type=int, help="row-level thread count")

@@ -37,14 +37,7 @@ from scipy.special import xlogy
 
 from . import dp
 from .bits import pack_bits, popcount, unpack_bits
-from .model import (
-    BoundedBelowHalf,
-    FixedCount,
-    IndependentAlpha,
-    UnconstrainedMaxEntropy,
-    bounded_k_max,
-    crossover_delta,
-)
+from .model import crossover_delta, placement_law
 
 __all__ = [
     "SCORE_TIE_TOL",
@@ -229,8 +222,8 @@ class BatchFuser:
     def __init__(self, assumption, n, m, tie_tol=SCORE_TIE_TOL, chunk_cells=1 << 22):
         if m > self.MAX_M:
             raise ValueError(f"m={m} exceeds the BatchFuser cap {self.MAX_M}")
-        if n < 1:
-            raise ValueError("need at least one node")
+        # the admissible Byzantine counts (k_lo, k_hi); None for independent priors
+        alpha, self._k_range = placement_law(assumption.model, n)
         self.assumption = assumption
         self.n = n
         self.m = m
@@ -239,23 +232,11 @@ class BatchFuser:
         # trials per TypeClasses build: chunk_cells bounds trials * n * 2**m,
         # the size of its per-node count table when every cell is its own type
         self.rows_per_chunk = max(1, chunk_cells // (n * self.n_hyp))
-        model = assumption.model
         eps = assumption.eps
         delta = assumption.delta_fc
-        # the admissible Byzantine counts (k_lo, k_hi); None for independent priors
-        self._k_range = None
-        if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
-            alpha = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
+        if self._k_range is None:
             self._weights = _independent_mix_weights(alpha, eps, delta, m)
             return
-        if isinstance(model, FixedCount):
-            self._k_range = (model.n_b, model.n_b)
-        elif isinstance(model, BoundedBelowHalf):
-            self._k_range = (0, bounded_k_max(model, n))
-        else:
-            raise TypeError(f"unknown Byzantine model {model!r}")
-        if self._k_range[1] > n:
-            raise ValueError(f"Byzantine count cap {self._k_range[1]} exceeds n={n}")
         self._logh = honest_log_weights(eps, m)
         self._logb = byzantine_log_weights(delta, m)
 

@@ -26,10 +26,10 @@ from .bits import pack_bits, popcount
 from .fusion import BatchFuser, FusionAssumption, decide_columns, fuse_majority
 from .model import (
     mix64,
+    placement_law,
     sample_placements_batch,
     sample_reports_batch,
     sample_states_batch,
-    validate_model,
 )
 
 __all__ = [
@@ -59,6 +59,15 @@ DEFAULT_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 _MAJORITY_STREAM_TAG = 0x4D414A  # disjoint from payoff row indices
 
 METRICS = ("per-component", "per-sequence")
+
+
+def _by_metric(metric, component, sequence):
+    # the per-component or the per-sequence one of a pair of estimates
+    if metric == "per-component":
+        return component
+    if metric == "per-sequence":
+        return sequence
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,8 @@ class Scenario:
             raise ValueError("m must be positive")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
-        validate_model(self.true_model, self.n)
-        validate_model(self.fc_model, self.n)
+        placement_law(self.true_model, self.n)
+        placement_law(self.fc_model, self.n)
 
 
 @dataclass(eq=False)
@@ -130,11 +139,11 @@ class PayoffMatrix:
 
     @property
     def pe(self):
-        return self.pe_component if self.metric == "per-component" else self.pe_sequence
+        return _by_metric(self.metric, self.pe_component, self.pe_sequence)
 
     @property
     def se(self):
-        return self.se_component if self.metric == "per-component" else self.se_sequence
+        return _by_metric(self.metric, self.se_component, self.se_sequence)
 
     def with_metric(self, metric):
         if metric not in METRICS:
@@ -230,11 +239,26 @@ class ErrorEstimate:
     trials: int
 
     def value(self, metric="per-component"):
-        if metric == "per-component":
-            return self.pe_component
-        if metric == "per-sequence":
-            return self.pe_sequence
-        raise ValueError(f"unknown metric {metric!r}")
+        return _by_metric(metric, self.pe_component, self.pe_sequence)
+
+    def stderr(self, metric="per-component"):
+        return _by_metric(metric, self.se_component, self.se_sequence)
+
+
+def _error_stats(bit_err, seq_err):
+    """(pe_component, pe_sequence, se_component, se_sequence) of per-trial errors.
+
+    Standard errors use ddof=1, or ddof=0 for a single trial.
+    """
+    trials = len(bit_err)
+    ddof = 1 if trials > 1 else 0
+    root = np.sqrt(trials)
+    return (
+        bit_err.mean(),
+        seq_err.mean(),
+        bit_err.std(ddof=ddof) / root,
+        seq_err.std(ddof=ddof) / root,
+    )
 
 
 def _fmt(v):
@@ -262,20 +286,12 @@ def _row_errors(scenario, pmal_b, grid_fc, trials, row_seed):
     report_ints = pack_bits(reports)
     assumptions = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
     fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
-    n_cols = len(grid_fc)
-    pe_c = np.empty(n_cols)
-    pe_s = np.empty(n_cols)
-    se_c = np.empty(n_cols)
-    se_s = np.empty(n_cols)
-    ddof = 1 if trials > 1 else 0
+    stats = np.empty((4, len(grid_fc)))
     for j, decisions in enumerate(decide_columns(fusers, report_ints)):
         bit_err = popcount(decisions ^ state_ints) / scenario.m
         seq_err = (decisions != state_ints).astype(np.float64)
-        pe_c[j] = bit_err.mean()
-        pe_s[j] = seq_err.mean()
-        se_c[j] = bit_err.std(ddof=ddof) / np.sqrt(trials)
-        se_s[j] = seq_err.std(ddof=ddof) / np.sqrt(trials)
-    return pe_c, pe_s, se_c, se_s
+        stats[:, j] = _error_stats(bit_err, seq_err)
+    return stats
 
 
 def estimate_payoff_matrix(
@@ -307,10 +323,7 @@ def estimate_payoff_matrix(
             results = list(pool.map(lambda args: _row_errors(*args), jobs))
     else:
         results = [_row_errors(*args) for args in jobs]
-    pe_c = np.stack([r[0] for r in results])
-    pe_s = np.stack([r[1] for r in results])
-    se_c = np.stack([r[2] for r in results])
-    se_s = np.stack([r[3] for r in results])
+    pe_c, pe_s, se_c, se_s = np.stack(results, axis=1)
     return PayoffMatrix(
         grid_b=grid_b,
         grid_fc=grid_fc,
@@ -331,14 +344,7 @@ def estimate_majority_pe(scenario, pmal_b, trials, seed):
     decisions = fuse_majority(reports)
     bit_err = (decisions != states).mean(axis=1)
     seq_err = (decisions != states).any(axis=1).astype(np.float64)
-    ddof = 1 if trials > 1 else 0
-    return ErrorEstimate(
-        pe_component=float(bit_err.mean()),
-        pe_sequence=float(seq_err.mean()),
-        se_component=float(bit_err.std(ddof=ddof) / np.sqrt(trials)),
-        se_sequence=float(seq_err.std(ddof=ddof) / np.sqrt(trials)),
-        trials=trials,
-    )
+    return ErrorEstimate(*map(float, _error_stats(bit_err, seq_err)), trials=trials)
 
 
 def _entries(pm):

@@ -14,8 +14,18 @@ Which nodes are Byzantine is drawn from one of four placement models:
   probability one half (the max-entropy distribution over placements).
 * ``IndependentAlpha``: every node independently with probability alpha.
 * ``BoundedBelowHalf``: uniform over placements where Byzantines are a
-  strict minority (popcount < n/2), optionally tightened via ``k_max``.
+  strict minority (popcount < n/2), or at most ``k_max`` of them.
 * ``FixedCount``: uniform over placements with exactly ``n_b`` Byzantines.
+
+These are two placement laws, and :func:`placement_law` is the one place
+that tells them apart: either each node is Byzantine independently with
+probability alpha, or the placement is uniform over the placements whose
+Byzantine count k lies in a range [k_lo, k_hi] (one count for
+``FixedCount``, 0 up to the cap for ``BoundedBelowHalf``). A count-range
+placement is drawn exactly, with no rejection (Chen, Dempster & Liu 1994):
+first each row's count k with P(k) proportional to C(n, k), from one
+uniform per row, drawn only when the range holds more than one count; then
+n uniforms per row, whose k smallest mark the Byzantines.
 
 All samplers are pure functions of the generator handed to them, so a run
 is reproducible from its seed alone.
@@ -23,6 +33,8 @@ is reproducible from its seed alone.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +45,7 @@ __all__ = [
     "IndependentAlpha",
     "BoundedBelowHalf",
     "FixedCount",
-    "ByzantineModel",
-    "validate_model",
-    "bounded_k_max",
+    "placement_law",
     "mix64",
     "sample_states_batch",
     "sample_placements_batch",
@@ -100,28 +110,29 @@ class FixedCount:
             raise ValueError("n_b must be nonnegative")
 
 
-ByzantineModel = UnconstrainedMaxEntropy | IndependentAlpha | BoundedBelowHalf | FixedCount
+def placement_law(model, n):
+    """The placement law of `model` on n nodes: (alpha, None) or (None, (k_lo, k_hi)).
 
-
-def validate_model(model, n):
-    """Raise ValueError if `model` cannot apply to an n-node network."""
+    (alpha, None): each node is Byzantine independently with probability
+    alpha. (None, (k_lo, k_hi)): uniform over the placements whose Byzantine
+    count lies in [k_lo, k_hi]. Raises ValueError if the model cannot apply
+    to an n-node network (a count above n) and TypeError for an unknown model.
+    """
     if n < 1:
         raise ValueError("need at least one node")
+    if isinstance(model, UnconstrainedMaxEntropy):
+        return 0.5, None
+    if isinstance(model, IndependentAlpha):
+        return model.alpha, None
     if isinstance(model, FixedCount):
-        if model.n_b > n:
-            raise ValueError(f"n_b={model.n_b} exceeds network size {n}")
+        k_range = (model.n_b, model.n_b)
     elif isinstance(model, BoundedBelowHalf):
-        if model.k_max is not None and model.k_max > n:
-            raise ValueError(f"k_max={model.k_max} exceeds network size {n}")
-    elif not isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
+        k_range = (0, (n - 1) // 2 if model.k_max is None else model.k_max)
+    else:
         raise TypeError(f"unknown Byzantine model {model!r}")
-
-
-def bounded_k_max(model, n):
-    """Inclusive cap on the Byzantine count for a BoundedBelowHalf model."""
-    if model.k_max is not None:
-        return min(model.k_max, n)
-    return (n - 1) // 2
+    if k_range[1] > n:
+        raise ValueError(f"Byzantine count {k_range[1]} exceeds network size {n}")
+    return None, k_range
 
 
 def _splitmix64(x):
@@ -152,33 +163,26 @@ def sample_states_batch(rng, m, count):
 
 
 def sample_placements_batch(rng, model, n, count):
-    """count placements, shape (count, n) uint8."""
-    validate_model(model, n)
-    if isinstance(model, UnconstrainedMaxEntropy):
-        return (rng.random((count, n)) < 0.5).astype(np.uint8)
-    if isinstance(model, IndependentAlpha):
-        return (rng.random((count, n)) < model.alpha).astype(np.uint8)
-    if isinstance(model, FixedCount):
-        # rank n uniforms per row; the n_b smallest mark the Byzantines
-        u = rng.random((count, n))
-        order = np.argsort(u, axis=1)
-        flags = np.zeros((count, n), dtype=np.uint8)
-        np.put_along_axis(flags, order[:, : model.n_b], 1, axis=1)
-        return flags
-    # BoundedBelowHalf: rejection from the unconstrained model
-    cap = bounded_k_max(model, n)
-    out = np.empty((count, n), dtype=np.uint8)
-    filled = 0
-    while filled < count:
-        need = count - filled
-        # acceptance rate is >= 0.4 for the default cap; oversample a little
-        draw = max(64, int(need * 2.8) + 8)
-        cand = (rng.random((draw, n)) < 0.5).astype(np.uint8)
-        good = cand[cand.sum(axis=1) <= cap]
-        take = min(len(good), need)
-        out[filled : filled + take] = good[:take]
-        filled += take
-    return out
+    """count placements, shape (count, n) uint8.
+
+    Independent laws mark the nodes whose uniform falls below alpha. Count
+    ranges draw k by inverse CDF over P(k) ∝ C(n, k), k_lo <= k <= k_hi,
+    then a uniform k-subset, in the draw order the module docstring gives.
+    """
+    alpha, k_range = placement_law(model, n)
+    if k_range is None:
+        return (rng.random((count, n)) < alpha).astype(np.uint8)
+    k_lo, k_hi = k_range
+    if k_hi > k_lo:
+        cum = list(itertools.accumulate(math.comb(n, k) for k in range(k_lo, k_hi + 1)))
+        cdf = np.array([c / cum[-1] for c in cum])
+        k = k_lo + np.searchsorted(cdf, rng.random(count), side="right")[:, None]
+    else:
+        k = k_lo
+    order = np.argsort(rng.random((count, n)), axis=1)
+    flags = np.empty((count, n), dtype=np.uint8)
+    np.put_along_axis(flags, order, np.arange(n) < k, axis=1)
+    return flags
 
 
 def sample_reports_batch(rng, states, placements, eps, pmal_b):

@@ -18,15 +18,8 @@ import numpy as np
 
 from .bits import all_bit_vectors, pack_bits, popcount, unpack_bits
 from .fusion import SCORE_TIE_TOL, BatchFuser, FusionAssumption, argmax_lex
-from .model import (
-    BoundedBelowHalf,
-    FixedCount,
-    IndependentAlpha,
-    UnconstrainedMaxEntropy,
-    bounded_k_max,
-    crossover_delta,
-    validate_model,
-)
+from .game import METRICS
+from .model import crossover_delta, placement_law
 
 __all__ = [
     "MAX_ENUM_NODES",
@@ -55,8 +48,8 @@ class ExactScenario:
     fc_model: object
 
     def __post_init__(self):
-        validate_model(self.true_model, self.n)
-        validate_model(self.fc_model, self.n)
+        placement_law(self.true_model, self.n)
+        placement_law(self.fc_model, self.n)
         for name in ("eps", "pmal_b", "pmal_fc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -76,22 +69,14 @@ def enumerate_placements(model, n):
 
     Weights sum to one. Capped at MAX_ENUM_NODES nodes.
     """
-    validate_model(model, n)
+    alpha, k_range = placement_law(model, n)
     if n > MAX_ENUM_NODES:
         raise ValueError(f"n={n} exceeds the enumeration cap {MAX_ENUM_NODES}")
     masks = all_bit_vectors(n)
     counts = masks.sum(axis=1)
-    if isinstance(model, UnconstrainedMaxEntropy):
-        return masks, np.full(len(masks), 0.5**n)
-    if isinstance(model, IndependentAlpha):
-        a = model.alpha
-        weights = a**counts * (1.0 - a) ** (n - counts)
-        return masks, weights
-    if isinstance(model, FixedCount):
-        keep = counts == model.n_b
-    else:
-        keep = counts <= bounded_k_max(model, n)
-    masks = masks[keep]
+    if k_range is None:
+        return masks, alpha**counts * (1.0 - alpha) ** (n - counts)
+    masks = masks[(counts >= k_range[0]) & (counts <= k_range[1])]
     return masks, np.full(len(masks), 1.0 / len(masks))
 
 
@@ -118,9 +103,9 @@ def exact_likelihood(reports, states, model, eps, delta):
     honest_t, flipped_t = _channel_tables(eps, delta, m)
     ph = honest_t[mism]
     pb = flipped_t[mism]
-    if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)) and n > MAX_ENUM_NODES:
-        a = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
-        return float(np.prod((1.0 - a) * ph + a * pb))
+    alpha, k_range = placement_law(model, n)
+    if k_range is None and n > MAX_ENUM_NODES:
+        return float(np.prod((1.0 - alpha) * ph + alpha * pb))
     masks, weights = enumerate_placements(model, n)
     per_node = np.where(masks == 1, pb[None, :], ph[None, :])
     return float((weights * per_node.prod(axis=1)).sum())
@@ -154,7 +139,7 @@ def exact_error_probability(scenario, metric="per-component"):
     capped at MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M. `metric`
     selects the per-component bit error rate or the whole-sequence error rate.
     """
-    if metric not in ("per-component", "per-sequence"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     n, m = scenario.n, scenario.m
     if n * m > MAX_REPORT_BITS:

@@ -24,7 +24,7 @@ from byzfusion.model import (
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
-    bounded_k_max,
+    placement_law,
 )
 from byzfusion.oracle import exact_likelihood, exact_map_decision
 
@@ -54,24 +54,20 @@ def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
     admissible Byzantine counts, so no TypeClasses key is involved.
     """
     n, m = reports.shape
-    model = asm.model
+    alpha, k_range = placement_law(asm.model, n)
     lh = honest_log_weights(asm.eps, m)
     lb = byzantine_log_weights(asm.delta_fc, m)
     hyps = all_bit_vectors(m)
     scores = np.empty(len(hyps))
     for h, states in enumerate(hyps):
         c = (reports == states).sum(axis=1)
-        if isinstance(model, (UnconstrainedMaxEntropy, IndependentAlpha)):
-            alpha = 0.5 if isinstance(model, UnconstrainedMaxEntropy) else model.alpha
+        if k_range is None:
             with np.errstate(divide="ignore"):
                 per_node = np.logaddexp(np.log(1.0 - alpha) + lh[c], np.log(alpha) + lb[c])
             scores[h] = per_node.sum()
             continue
-        if isinstance(model, FixedCount):
-            ks = [model.n_b]
-        else:
-            ks = range(bounded_k_max(model, n) + 1)
         w = NodeWeights(lb[c], lh[c])
+        ks = range(k_range[0], k_range[1] + 1)
         scores[h] = np.logaddexp.reduce([subset_sum(w, k) for k in ks])
     return hyps[argmax_lex(scores)]
 

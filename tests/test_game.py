@@ -62,6 +62,11 @@ class TestGridAndMatrix:
         assert seq.pe[0, 0] == 0.2
         with pytest.raises(ValueError):
             pm.with_metric("nope")
+        est = ErrorEstimate(0.1, 0.2, 0.01, 0.02, trials=100)
+        assert (est.value(), est.stderr()) == (0.1, 0.01)
+        assert (est.value("per-sequence"), est.stderr("per-sequence")) == (0.2, 0.02)
+        with pytest.raises(ValueError):
+            est.stderr("nope")
 
     def test_csv_format(self):
         pm = make_pm([[0.123456789, 0.2], [0.3, 0.000012345678]])

@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from byzfusion.bits import pack_bits
+from byzfusion.fusion import BatchFuser, FusionAssumption
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
-    bounded_k_max,
     crossover_delta,
     mix64,
+    placement_law,
     sample_placements_batch,
     sample_reports_batch,
     sample_states_batch,
-    validate_model,
 )
+from byzfusion.oracle import enumerate_placements
 
 
 class TestCrossover:
@@ -39,9 +42,9 @@ class TestCrossover:
 
 class TestModels:
     def test_validation(self):
-        validate_model(FixedCount(5), 5)
+        assert placement_law(FixedCount(5), 5) == (None, (5, 5))
         with pytest.raises(ValueError):
-            validate_model(FixedCount(6), 5)
+            placement_law(FixedCount(6), 5)
         with pytest.raises(ValueError):
             FixedCount(-1)
         with pytest.raises(ValueError):
@@ -49,15 +52,27 @@ class TestModels:
         with pytest.raises(ValueError):
             BoundedBelowHalf(-2)
         with pytest.raises(ValueError):
-            validate_model(BoundedBelowHalf(9), 8)
+            placement_law(BoundedBelowHalf(9), 8)
+        with pytest.raises(ValueError):
+            placement_law(UnconstrainedMaxEntropy(), 0)
+        with pytest.raises(TypeError):
+            placement_law("fixed:2", 5)
+
+    def test_independent_laws(self):
+        assert placement_law(UnconstrainedMaxEntropy(), 7) == (0.5, None)
+        assert placement_law(IndependentAlpha(0.3), 7) == (0.3, None)
 
     def test_bounded_cap(self):
-        assert bounded_k_max(BoundedBelowHalf(), 20) == 9
-        assert bounded_k_max(BoundedBelowHalf(), 21) == 10
-        assert bounded_k_max(BoundedBelowHalf(), 2) == 0
-        assert bounded_k_max(BoundedBelowHalf(k_max=4), 20) == 4
-        # cap never exceeds the network size
-        assert bounded_k_max(BoundedBelowHalf(k_max=30), 10) == 10
+        assert placement_law(BoundedBelowHalf(), 20) == (None, (0, 9))
+        assert placement_law(BoundedBelowHalf(), 21) == (None, (0, 10))
+        assert placement_law(BoundedBelowHalf(), 2) == (None, (0, 0))
+        assert placement_law(BoundedBelowHalf(k_max=4), 20) == (None, (0, 4))
+        assert placement_law(BoundedBelowHalf(k_max=10), 10) == (None, (0, 10))
+        # a cap above the network size is rejected, not clamped, here and in the decoder
+        with pytest.raises(ValueError):
+            placement_law(BoundedBelowHalf(k_max=30), 10)
+        with pytest.raises(ValueError):
+            BatchFuser(FusionAssumption(BoundedBelowHalf(k_max=30), 0.1, 0.5), 10, 2)
 
 
 class TestMix64:
@@ -127,6 +142,59 @@ class TestSamplers:
         freq = counts / counts.sum()
         p = 1 / n_admissible
         assert np.abs(freq - p).max() < 3 * math.sqrt(p * (1 - p) / 100_000) + 1e-9
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (BoundedBelowHalf(), 4),
+            (BoundedBelowHalf(), 5),
+            (BoundedBelowHalf(), 6),
+            (BoundedBelowHalf(2), 3),
+            (BoundedBelowHalf(2), 6),
+            (FixedCount(2), 4),
+            (FixedCount(2), 6),
+        ],
+        ids=str,
+    )
+    def test_count_range_matches_enumeration(self, model, n):
+        # chi-square of the drawn placements against the oracle's exact law
+        masks, weights = enumerate_placements(model, n)
+        codes = pack_bits(masks)
+        rng = np.random.default_rng(10 + n)
+        draws = pack_bits(sample_placements_batch(rng, model, n, 40_000))
+        assert np.isin(draws, codes).all()
+        observed = np.array([(draws == c).sum() for c in codes])
+        assert chisquare(observed, weights * len(draws)).pvalue > 1e-4
+
+    def test_tight_caps_draw_directly(self):
+        # caps whose acceptance under rejection from the unconstrained law is
+        # 2**-20 and 21 * 2**-20
+        rng = np.random.default_rng(11)
+        flags = sample_placements_batch(rng, BoundedBelowHalf(0), 20, 1000)
+        assert flags.shape == (1000, 20)
+        np.testing.assert_array_equal(flags, 0)
+        flags = sample_placements_batch(rng, BoundedBelowHalf(1), 20, 1000)
+        counts = flags.sum(axis=1)
+        assert counts.max() <= 1
+        # P(k = 0) = 1/21
+        assert abs((counts == 0).mean() - 1 / 21) < 4 * math.sqrt(20 / 21**2 / 1000)
+
+    @pytest.mark.parametrize("n_b", [0, 1, 6, 20])
+    def test_fixed_count_pinned_draw(self, n_b):
+        # the n_b smallest of one row of n uniforms mark the Byzantines
+        u = np.random.default_rng(12).random((500, 20))
+        expect = np.zeros((500, 20), dtype=np.uint8)
+        np.put_along_axis(expect, np.argsort(u, axis=1)[:, :n_b], 1, axis=1)
+        flags = sample_placements_batch(np.random.default_rng(12), FixedCount(n_b), 20, 500)
+        np.testing.assert_array_equal(flags, expect)
+
+    @pytest.mark.parametrize(
+        "model, alpha", [(UnconstrainedMaxEntropy(), 0.5), (IndependentAlpha(0.3), 0.3)], ids=str
+    )
+    def test_independent_pinned_draw(self, model, alpha):
+        expect = (np.random.default_rng(13).random((500, 20)) < alpha).astype(np.uint8)
+        flags = sample_placements_batch(np.random.default_rng(13), model, 20, 500)
+        np.testing.assert_array_equal(flags, expect)
 
     def test_bounded_k_max_override(self):
         rng = np.random.default_rng(7)
