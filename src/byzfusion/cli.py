@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from . import __version__
 from .game import (
     METRICS,
+    NOISE_SIGMAS,
     Scenario,
     StrategyGrid,
     dominance_report,
@@ -38,6 +39,7 @@ from .game import (
     load_payoff_csv,
     saddle_points_within_noise,
     solve_mixed,
+    _fmt,
 )
 from .fusion import BatchFuser
 from .model import (
@@ -295,18 +297,14 @@ def run_payoff(cfg):
 
 def _format_profile(grid_b, grid_fc, rc):
     r, c = rc
-    return f"(pmal_b={_g(grid_b[r])}, pmal_fc={_g(grid_fc[c])})"
-
-
-def _g(v):
-    return f"{v:.6g}"
+    return f"(pmal_b={_fmt(grid_b[r])}, pmal_fc={_fmt(grid_fc[c])})"
 
 
 def _mixture_lines(label, grid, weights):
     lines = [f"{label}:"]
     for value, w in zip(grid.values, weights):
         if w > 1e-12:
-            lines.append(f"  - {_g(value)} with probability {_g(w)}")
+            lines.append(f"  - {_fmt(value)} with probability {_fmt(w)}")
     return lines
 
 
@@ -332,15 +330,15 @@ def run_equilibrium(cfg):
         lines.append("No dominant row.")
     else:
         lines.append(
-            f"Row pmal_b={_g(pm.grid_b[report.row])} is {report.level}ly dominant "
-            f"(margin {_g(report.margin_sigmas)} standard errors, "
+            f"Row pmal_b={_fmt(pm.grid_b[report.row])} is {report.level}ly dominant "
+            f"(margin {_fmt(report.margin_sigmas)} standard errors, "
             f"separated: {'yes' if report.separated else 'no'})."
         )
     lines += [
         "",
         f"Iterated strict dominance keeps rows "
-        f"{[_g(pm.grid_b[i]) for i in kept_rows]} and columns "
-        f"{[_g(pm.grid_fc[j]) for j in kept_cols]}.",
+        f"{[_fmt(pm.grid_b[i]) for i in kept_rows]} and columns "
+        f"{[_fmt(pm.grid_fc[j]) for j in kept_cols]}.",
         "",
         "## Pure equilibria",
         "",
@@ -348,13 +346,13 @@ def run_equilibrium(cfg):
     if saddles:
         for rc in saddles:
             lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)} "
-                         f"with value {_g(pm.pe[rc])}")
+                         f"with value {_fmt(pm.pe[rc])}")
     else:
         lines.append("None.")
     # estimated entries carry sampling noise, so also list the cells that are
-    # saddle points up to three combined standard errors
+    # saddle points up to NOISE_SIGMAS combined standard errors
     noisy = saddle_points_within_noise(pm)
-    lines += ["", "## Saddle points within noise (3 standard errors)", ""]
+    lines += ["", f"## Saddle points within noise ({_fmt(NOISE_SIGMAS)} standard errors)", ""]
     if noisy:
         for rc in noisy:
             lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)}")
@@ -366,12 +364,12 @@ def run_equilibrium(cfg):
     else:
         lines += _mixture_lines("Byzantine mixture over pmal_b", pm.grid_b, eq.p)
         lines += _mixture_lines("Fusion center mixture over pmal_fc", pm.grid_fc, eq.q)
-    lines.append(f"Game value: {_g(eq.value)}")
+    lines.append(f"Game value: {_fmt(eq.value)}")
     lines.append("")
     os.makedirs(cfg.out, exist_ok=True)
     _write(os.path.join(cfg.out, "equilibrium.md"), "\n".join(lines))
     _write_meta(cfg, "equilibrium")
-    print(f"equilibrium: value {_g(eq.value)}, "
+    print(f"equilibrium: value {_fmt(eq.value)}, "
           f"{'pure' if eq.pure is not None else 'mixed'}; wrote {cfg.out}/equilibrium.md")
 
 
@@ -393,9 +391,9 @@ def run_compare(cfg):
         "",
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",
-        f"| majority vote (worst pmal_b = {_g(maj_pb)}) | {_g(maj.value(cfg.metric))} | "
-        f"{_g(maj.stderr(cfg.metric))} |",
-        f"| optimum fusion (equilibrium) | {_g(opt)} | |",
+        f"| majority vote (worst pmal_b = {_fmt(maj_pb)}) | {_fmt(maj.value(cfg.metric))} | "
+        f"{_fmt(maj.stderr(cfg.metric))} |",
+        f"| optimum fusion (equilibrium) | {_fmt(opt)} | |",
         "",
     ]
     if eq.pure is not None:
@@ -408,7 +406,7 @@ def run_compare(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     _write(os.path.join(cfg.out, "compare.md"), "\n".join(lines))
     _write_meta(cfg, "compare")
-    print(f"compare: majority {_g(maj.value(cfg.metric))} vs optimum {_g(opt)}; "
+    print(f"compare: majority {_fmt(maj.value(cfg.metric))} vs optimum {_fmt(opt)}; "
           f"wrote {cfg.out}/compare.md")
 
 
@@ -444,8 +442,8 @@ def run_oracle_check(cfg):
         se = float(pm.se[0, 0])
         ok = abs(mc - exact) <= 4.0 * se + 1e-12
         all_ok &= ok
-        print(f"oracle-check: {model_text} n={n} m={m} eps={_g(eps)} "
-              f"pmal_b={_g(pmal_b)} pmal_fc={_g(pmal_fc)}: "
+        print(f"oracle-check: {model_text} n={n} m={m} eps={_fmt(eps)} "
+              f"pmal_b={_fmt(pmal_b)} pmal_fc={_fmt(pmal_fc)}: "
               f"exact={exact:.6g} mc={mc:.6g} se={se:.2g} "
               f"{'PASS' if ok else 'FAIL'}")
     if not all_ok:

@@ -14,6 +14,7 @@ What P(r | s) looks like depends on the Byzantine model the center assumes:
 
 Ties are broken toward the lexicographically smallest sequence: any
 hypothesis scoring within ``SCORE_TIE_TOL`` of the maximum counts as tied.
+:func:`argmax_lex` is that rule, for the decoder and the references alike.
 The tolerance makes exact mathematical ties (a fully blinded center,
 perfectly balanced reports) deterministic across this decoder and the
 exhaustive reference implementations, which may round differently.
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 SCORE_TIE_TOL = 1e-9
+# trials per TypeClasses build are capped so that trials * n * 2**m, the size
+# of its per-node count table when every cell is its own type, stays below this
+_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,19 @@ def _independent_mix_weights(alpha, eps, delta_fc, m):
     return np.logaddexp(lna + honest_log_weights(eps, m), la + byzantine_log_weights(delta_fc, m))
 
 
-def argmax_lex(scores, tol=SCORE_TIE_TOL):
-    """Index of the first entry within tol of the maximum."""
+def argmax_lex(scores):
+    """Index of the first entry within SCORE_TIE_TOL of the maximum, along the last axis.
+
+    A row whose entries are all -inf picks index 0.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] == 0:
-        raise ValueError("scores must be a nonempty 1-d array")
-    best = scores.max()
-    if math.isinf(best) and best < 0:
-        return 0
-    return int(np.argmax(scores >= best - tol))
+    if scores.ndim == 0 or scores.shape[-1] == 0:
+        raise ValueError("scores must be a nonempty array")
+    best = scores.max(axis=-1, keepdims=True)
+    return np.argmax(scores >= best - SCORE_TIE_TOL, axis=-1)
 
 
-def fuse(reports, assumption, tie_tol=SCORE_TIE_TOL):
+def fuse(reports, assumption):
     """MAP state sequence for one report matrix (n, m), shape (m,) uint8.
 
     The batch decoder applied to a batch of one, so m is capped at
@@ -114,7 +119,7 @@ def fuse(reports, assumption, tie_tol=SCORE_TIE_TOL):
     if reports.ndim != 2:
         raise ValueError("reports must be (n, m)")
     n, m = reports.shape
-    return BatchFuser(assumption, n, m, tie_tol).decide(reports[None])[0]
+    return BatchFuser(assumption, n, m).decide(reports[None])[0]
 
 
 def fuse_majority(reports):
@@ -219,7 +224,7 @@ class BatchFuser:
 
     MAX_M = 12
 
-    def __init__(self, assumption, n, m, tie_tol=SCORE_TIE_TOL, chunk_cells=1 << 22):
+    def __init__(self, assumption, n, m):
         if m > self.MAX_M:
             raise ValueError(f"m={m} exceeds the BatchFuser cap {self.MAX_M}")
         # the admissible Byzantine counts (k_lo, k_hi); None for independent priors
@@ -227,11 +232,7 @@ class BatchFuser:
         self.assumption = assumption
         self.n = n
         self.m = m
-        self.tie_tol = float(tie_tol)
         self.n_hyp = 2**m
-        # trials per TypeClasses build: chunk_cells bounds trials * n * 2**m,
-        # the size of its per-node count table when every cell is its own type
-        self.rows_per_chunk = max(1, chunk_cells // (n * self.n_hyp))
         eps = assumption.eps
         delta = assumption.delta_fc
         if self._k_range is None:
@@ -260,8 +261,7 @@ class BatchFuser:
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
         report_ints = self._check(report_ints)
         out = np.empty((report_ints.shape[0], self.n_hyp))
-        step = self.rows_per_chunk
-        for rows, _, classes in _typed_chunks(report_ints, self.n, self.m, step):
+        for rows, _, classes in _typed_chunks(report_ints, self.n, self.m):
             out[rows] = self._type_scores(classes)[classes.inverse]
         if self._k_range is not None:
             k_lo, k_hi = self._k_range
@@ -278,8 +278,7 @@ class BatchFuser:
         report_ints = self._check(report_ints)
         if classes is None:
             out = np.empty(report_ints.shape[0], dtype=np.int64)
-            step = self.rows_per_chunk
-            for rows, _, chunk_classes in _typed_chunks(report_ints, self.n, self.m, step):
+            for rows, _, chunk_classes in _typed_chunks(report_ints, self.n, self.m):
                 out[rows] = self._decide(chunk_classes)
             return out
         if (classes.n, classes.m, classes.inverse.shape[0]) != (self.n, self.m, len(report_ints)):
@@ -287,9 +286,7 @@ class BatchFuser:
         return self._decide(classes)
 
     def _decide(self, classes):
-        sc = self._type_scores(classes)[classes.inverse]
-        best = sc.max(axis=1, keepdims=True)
-        return np.argmax(sc >= best - self.tie_tol, axis=1).astype(np.int64, copy=False)
+        return argmax_lex(self._type_scores(classes)[classes.inverse]).astype(np.int64, copy=False)
 
     def decide(self, reports):
         """Convenience wrapper taking (T, n, m) bit arrays, returning (T, m) bits."""
@@ -311,15 +308,15 @@ def decide_columns(fusers, report_ints):
         raise ValueError("fusers must share n and m")
     report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
     out = np.empty((len(fusers), report_ints.shape[0]), dtype=np.int64)
-    step = min(f.rows_per_chunk for f in fusers)
-    for rows, chunk, classes in _typed_chunks(report_ints, n, m, step):
+    for rows, chunk, classes in _typed_chunks(report_ints, n, m):
         for j, fuser in enumerate(fusers):
             out[j, rows] = fuser.decide_ints(chunk, classes)
     return out
 
 
-def _typed_chunks(report_ints, n, m, step):
-    # (rows, chunk, TypeClasses of the chunk) for consecutive chunks of `step` trials
+def _typed_chunks(report_ints, n, m):
+    # (rows, chunk, TypeClasses of the chunk) for consecutive chunks of trials
+    step = max(1, _CHUNK_CELLS // (n * 2**m))
     for start in range(0, report_ints.shape[0], step):
         chunk = report_ints[start : start + step]
         yield slice(start, start + chunk.shape[0]), chunk, TypeClasses(chunk, n, m)

@@ -34,6 +34,7 @@ from .model import (
 
 __all__ = [
     "DEFAULT_GRID",
+    "NOISE_SIGMAS",
     "StrategyGrid",
     "Scenario",
     "PayoffMatrix",
@@ -59,6 +60,11 @@ DEFAULT_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 _MAJORITY_STREAM_TAG = 0x4D414A  # disjoint from payoff row indices
 
 METRICS = ("per-component", "per-sequence")
+
+# estimated entries closer than this many combined standard errors count as tied
+NOISE_SIGMAS = 3.0
+_DUALITY_TOL = 1e-9  # largest LP duality gap solve_mixed accepts
+_ENUM_TOL = 1e-8  # slack of the support checks in solve_mixed_enum
 
 
 def _by_metric(metric, component, sequence):
@@ -383,12 +389,12 @@ class DominanceReport:
     separated: bool
 
 
-def dominance_report(pm, sigmas=3.0):
+def dominance_report(pm):
     """Judge row dominance against the estimation noise of a PayoffMatrix.
 
     margin_sigmas is the smallest gap between the candidate row and any
     rival cell in units of the combined standard error; `separated` means
-    every gap clears `sigmas`.
+    every gap clears NOISE_SIGMAS.
     """
     if not isinstance(pm, PayoffMatrix):
         raise TypeError("dominance_report needs a PayoffMatrix with standard errors")
@@ -406,48 +412,45 @@ def dominance_report(pm, sigmas=3.0):
             ses > 0, gaps / ses, np.where(gaps > 0, np.inf, np.where(gaps < 0, -np.inf, 0.0))
         )
     margin = float(ratio.min()) if ratio.size else np.inf
-    return DominanceReport(row=row, level=level, margin_sigmas=margin, separated=margin > sigmas)
+    return DominanceReport(row, level, margin, separated=margin > NOISE_SIGMAS)
+
+
+def _saddle_points(a, se):
+    # cells (r, c), row-major, that no a[i, c] exceeds and no a[r, j]
+    # undercuts by more than NOISE_SIGMAS * hypot(se[r, c], se of the rival)
+    margin = NOISE_SIGMAS * np.hypot(se[:, None, :], se[None, :, :])  # [r, i, c]
+    beaten_in_column = (a[None, :, :] > a[:, None, :] + margin).any(axis=1)
+    margin = NOISE_SIGMAS * np.hypot(se[:, :, None], se[:, None, :])  # [r, c, j]
+    beaten_in_row = (a[:, None, :] < a[:, :, None] - margin).any(axis=2)
+    return [(int(r), int(c)) for r, c in np.argwhere(~beaten_in_column & ~beaten_in_row)]
 
 
 def find_pure_equilibria(pm):
     """All saddle points (row max of its column, column min of its row).
 
-    Exact entry comparisons, row-major order.
+    Exact entry comparisons, row-major order: the rule of
+    saddle_points_within_noise with zero standard errors.
     """
     a = _entries(pm)
-    col_max = a.max(axis=0)
-    row_min = a.min(axis=1)
-    hits = (a == col_max[None, :]) & (a == row_min[:, None])
-    return [(int(r), int(c)) for r, c in np.argwhere(hits)]
+    return _saddle_points(a, np.zeros_like(a))
 
 
-def saddle_points_within_noise(pm, sigmas=3.0):
+def saddle_points_within_noise(pm):
     """Saddle points of an estimated matrix, up to sampling noise.
 
     A cell counts as a saddle when no same-column rival exceeds it and no
-    same-row rival undercuts it by more than `sigmas` combined standard
-    errors. With zero standard errors this reduces to find_pure_equilibria.
+    same-row rival undercuts it by more than NOISE_SIGMAS combined standard
+    errors. With zero standard errors this is find_pure_equilibria.
     Only meaningful on a PayoffMatrix carrying standard errors.
     """
     a = np.asarray(pm.pe, dtype=np.float64)
     se = np.asarray(pm.se, dtype=np.float64)
     if not (np.isfinite(a).all() and np.isfinite(se).all()):
         raise ValueError("payoff entries and standard errors must be finite")
-    nr, nc = a.shape
-    hits = []
-    for r in range(nr):
-        for c in range(nc):
-            margin = sigmas * np.hypot(se[r, c], se[:, c])
-            if np.any(a[:, c] > a[r, c] + margin):
-                continue
-            margin = sigmas * np.hypot(se[r, c], se[r, :])
-            if np.any(a[r, :] < a[r, c] - margin):
-                continue
-            hits.append((r, c))
-    return hits
+    return _saddle_points(a, se)
 
 
-def solve_lp_pair(a, method="highs"):
+def solve_lp_pair(a):
     """Maximin and minimax linear programs; returns (p, v_row, q, v_col).
 
     Entries are shifted to be positive before solving (pure conditioning,
@@ -468,7 +471,7 @@ def solve_lp_pair(a, method="highs"):
         A_eq=np.concatenate([np.ones(nr), [0.0]])[None, :],
         b_eq=[1.0],
         bounds=[(0.0, 1.0)] * nr + [(None, None)],
-        method=method,
+        method="highs",
     )
     if not res_p.success:
         raise RuntimeError(f"maximin LP failed: {res_p.message}")
@@ -483,7 +486,7 @@ def solve_lp_pair(a, method="highs"):
         A_eq=np.concatenate([np.ones(nc), [0.0]])[None, :],
         b_eq=[1.0],
         bounds=[(0.0, 1.0)] * nc + [(None, None)],
-        method=method,
+        method="highs",
     )
     if not res_q.success:
         raise RuntimeError(f"minimax LP failed: {res_q.message}")
@@ -502,19 +505,17 @@ class Equilibrium:
     q: np.ndarray
     value: float
     pure: tuple | None
-    dominant_row: int | None
 
 
-def solve_mixed(pm, tol=1e-9):
+def solve_mixed(pm):
     """Equilibrium of the zero-sum game given by the payoff matrix.
 
     A saddle point short-circuits to the degenerate mixture on its profile
     (value taken exactly from the entry). Otherwise the LP pair is solved
-    and must agree within tol; support enumeration backs it up on small
-    matrices if it does not.
+    and must agree within _DUALITY_TOL; support enumeration backs it up on
+    small matrices if it does not.
     """
     a = _entries(pm)
-    dominant = find_dominant_row(a, strict=True)
     saddles = find_pure_equilibria(a)
     if saddles:
         r, c = saddles[0]
@@ -522,21 +523,21 @@ def solve_mixed(pm, tol=1e-9):
         q = np.zeros(a.shape[1])
         p[r] = 1.0
         q[c] = 1.0
-        return Equilibrium(p=p, q=q, value=float(a[r, c]), pure=(r, c), dominant_row=dominant)
+        return Equilibrium(p=p, q=q, value=float(a[r, c]), pure=(r, c))
     p, v_row, q, v_col = solve_lp_pair(a)
-    if abs(v_row - v_col) > tol:
+    if abs(v_row - v_col) > _DUALITY_TOL:
         fallback = solve_mixed_enum(a) if max(a.shape) <= 10 else None
         if fallback is None:
             raise RuntimeError(
                 f"LP duality gap {abs(v_row - v_col):.3e} exceeds tol and no fallback applies"
             )
         p, q, value = fallback
-        return Equilibrium(p=p, q=q, value=value, pure=None, dominant_row=dominant)
+        return Equilibrium(p=p, q=q, value=value, pure=None)
     value = 0.5 * (v_row + v_col)
-    return Equilibrium(p=p, q=q, value=float(value), pure=None, dominant_row=dominant)
+    return Equilibrium(p=p, q=q, value=float(value), pure=None)
 
 
-def solve_mixed_enum(a, tol=1e-8):
+def solve_mixed_enum(a):
     """Support enumeration over square supports; independent of the LP route.
 
     Returns (p, q, value) or None if no square support passes the checks.
@@ -556,9 +557,9 @@ def solve_mixed_enum(a, tol=1e-8):
                     p_sub, v2 = _support_solve(sub.T)
                 except np.linalg.LinAlgError:
                     continue
-                if abs(v - v2) > tol * scale:
+                if abs(v - v2) > _ENUM_TOL * scale:
                     continue
-                if (q_sub < -tol).any() or (p_sub < -tol).any():
+                if (q_sub < -_ENUM_TOL).any() or (p_sub < -_ENUM_TOL).any():
                     continue
                 p = np.zeros(nr)
                 q = np.zeros(nc)
@@ -566,9 +567,9 @@ def solve_mixed_enum(a, tol=1e-8):
                 q[list(cols)] = np.clip(q_sub, 0.0, None)
                 p /= p.sum()
                 q /= q.sum()
-                if (a @ q > v + tol * scale).any():
+                if (a @ q > v + _ENUM_TOL * scale).any():
                     continue
-                if (p @ a < v - tol * scale).any():
+                if (p @ a < v - _ENUM_TOL * scale).any():
                     continue
                 return p, q, float(v)
     return None

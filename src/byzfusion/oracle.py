@@ -7,6 +7,10 @@ type-class scoring of :mod:`byzfusion.fusion` is checked against. Error
 probabilities decode every report matrix with that decoder (one
 ``BatchFuser`` call) and weight each decision exactly, which validates the
 Monte Carlo estimates on instances small enough to enumerate.
+
+All three rest on one placement sum over rows of per-node mismatch counts.
+Every prior is symmetric in the nodes, so error probabilities sum placements
+once per multiset of those counts.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import all_bit_vectors, pack_bits, popcount, unpack_bits
-from .fusion import SCORE_TIE_TOL, BatchFuser, FusionAssumption, argmax_lex
+from .fusion import BatchFuser, FusionAssumption, argmax_lex
 from .game import METRICS
 from .model import crossover_delta, placement_law
 
@@ -80,47 +84,50 @@ def enumerate_placements(model, n):
     return masks, np.full(len(masks), 1.0 / len(masks))
 
 
-def _channel_tables(eps, delta, m):
-    # probability of d mismatches out of m for the honest and flipped channels
+def _placement_sum(mism, model, eps, delta, m):
+    """P(r | s) for each row of per-node mismatch counts mism (rows, n), linear domain.
+
+    Node i's report differs from the states in mism[t, i] of the m bits.
+    """
+    n = mism.shape[1]
+    # a node's report probability through the honest and the flipped channel
     d = np.arange(m + 1, dtype=np.float64)
-    honest = (1.0 - eps) ** (m - d) * eps**d
-    flipped = (1.0 - delta) ** (m - d) * delta**d
-    return honest, flipped
+    ph = ((1.0 - eps) ** (m - d) * eps**d)[mism]
+    pb = ((1.0 - delta) ** (m - d) * delta**d)[mism]
+    alpha, k_range = placement_law(model, n)
+    if k_range is None and n > MAX_ENUM_NODES:
+        return ((1.0 - alpha) * ph + alpha * pb).prod(axis=1)
+    masks, weights = enumerate_placements(model, n)
+    probs = np.ones((len(mism), len(masks)))
+    for i, byzantine in enumerate(masks.T == 1):
+        probs *= np.where(byzantine, pb[:, i, None], ph[:, i, None])
+    return probs @ weights
 
 
 def exact_likelihood(reports, states, model, eps, delta):
     """P(r | s) by direct summation over placements, linear domain.
 
-    Independent-placement models with more than MAX_ENUM_NODES nodes use the
-    per-node product form instead of enumerating.
+    Independent priors on more than MAX_ENUM_NODES nodes use the product form.
     """
     reports = np.asarray(reports, dtype=np.uint8)
     states = np.asarray(states, dtype=np.uint8)
     if reports.ndim != 2 or states.ndim != 1 or reports.shape[1] != states.shape[0]:
         raise ValueError("reports must be (n, m) and states (m,)")
-    n, m = reports.shape
-    mism = (reports != states[None, :]).sum(axis=1)
-    honest_t, flipped_t = _channel_tables(eps, delta, m)
-    ph = honest_t[mism]
-    pb = flipped_t[mism]
-    alpha, k_range = placement_law(model, n)
-    if k_range is None and n > MAX_ENUM_NODES:
-        return float(np.prod((1.0 - alpha) * ph + alpha * pb))
-    masks, weights = enumerate_placements(model, n)
-    per_node = np.where(masks == 1, pb[None, :], ph[None, :])
-    return float((weights * per_node.prod(axis=1)).sum())
+    mism = (reports != states).sum(axis=1)
+    return float(_placement_sum(mism[None], model, eps, delta, reports.shape[1])[0])
 
 
-def exact_map_decision(reports, model, eps, delta, tie_tol=SCORE_TIE_TOL):
+def exact_map_decision(reports, model, eps, delta):
     """Arg-max of exact_likelihood over all state hypotheses, same tie rule as fuse."""
     reports = np.asarray(reports, dtype=np.uint8)
+    if reports.ndim != 2:
+        raise ValueError("reports must be (n, m)")
     m = reports.shape[1]
     hypotheses = all_bit_vectors(m)
-    likes = np.array(
-        [exact_likelihood(reports, hypotheses[i], model, eps, delta) for i in range(2**m)]
-    )
+    mism = (reports[None] != hypotheses[:, None]).sum(axis=2)
     with np.errstate(divide="ignore"):
-        return hypotheses[argmax_lex(np.log(likes), tie_tol)].copy()
+        likes = np.log(_placement_sum(mism, model, eps, delta, m))
+    return hypotheses[argmax_lex(likes)].copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,8 +142,9 @@ def _all_report_rows(n, m):
 def exact_error_probability(scenario, metric="per-component"):
     """Exact expected decision error of the MAP rule, no sampling.
 
-    Enumerates placements, state sequences and report matrices, so n*m is
-    capped at MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M. `metric`
+    Enumerates state sequences and report matrices, so n*m is capped at
+    MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M; placements are summed
+    once per state and multiset of per-node mismatch counts. `metric`
     selects the per-component bit error rate or the whole-sequence error rate.
     """
     if metric not in METRICS:
@@ -147,21 +155,15 @@ def exact_error_probability(scenario, metric="per-component"):
     fuser = BatchFuser(scenario.assumption, n, m)
     rows = _all_report_rows(n, m)
     decisions = fuser.decide_ints(rows)
-    masks, weights = enumerate_placements(scenario.true_model, n)
-    honest_t, flipped_t = _channel_tables(scenario.eps, scenario.delta_b, m)
     total = 0.0
-    state_prior = 0.5**m
     for state_int in range(2**m):
         if metric == "per-component":
             err = popcount(decisions ^ state_int) / m
         else:
             err = (decisions != state_int).astype(np.float64)
         mism = popcount(rows ^ state_int)
-        ph = honest_t[mism]
-        pb = flipped_t[mism]
-        for mask, w in zip(masks.astype(bool), weights):
-            if w == 0.0:
-                continue
-            probs = np.where(mask[None, :], pb, ph).prod(axis=1)
-            total += state_prior * w * float(probs @ err)
+        key = ((n + 1) ** mism).sum(axis=1)  # count histogram, base n + 1 digits (each <= n)
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        like = _placement_sum(mism[first], scenario.true_model, scenario.eps, scenario.delta_b, m)
+        total += 0.5**m * float(like[group] @ err)
     return total

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from byzfusion import fusion
 from byzfusion.bits import all_bit_vectors, pack_bits
 from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
 from byzfusion.fusion import (
@@ -70,6 +71,23 @@ def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
         ks = range(k_range[0], k_range[1] + 1)
         scores[h] = np.logaddexp.reduce([subset_sum(w, k) for k in ks])
     return hyps[argmax_lex(scores)]
+
+
+def count_type_class_builds(monkeypatch, chunk_cells):
+    """Shrink the decoder's chunks to `chunk_cells` cells.
+
+    The returned list gains the trial count of each TypeClasses build.
+    """
+    builds = []
+
+    class Counted(TypeClasses):
+        def __init__(self, report_ints, n, m):
+            builds.append(len(report_ints))
+            super().__init__(report_ints, n, m)
+
+    monkeypatch.setattr(fusion, "_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(fusion, "TypeClasses", Counted)
+    return builds
 
 
 def score(reports, states, asm):
@@ -166,6 +184,10 @@ class TestArgmaxLex:
 
     def test_all_neg_inf(self):
         assert argmax_lex(np.full(4, -np.inf)) == 0
+
+    def test_last_axis_row_by_row(self):
+        scores = np.array([[-np.inf, -np.inf], [1.0, 2.0], [5.0, 5.0 + 1e-12]])
+        np.testing.assert_array_equal(argmax_lex(scores), [0, 1, 0])
 
 
 class TestFuse:
@@ -315,27 +337,30 @@ class TestBatchFuser:
         with pytest.raises(ValueError):
             fuser.decide_ints(np.zeros((5, 3), dtype=np.int64))
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         asm = FusionAssumption(FixedCount(2), 0.1, 0.9)
         rng = np.random.default_rng(5)
         reports = rng.integers(0, 2, size=(301, 6, 3), dtype=np.uint8)
         ints = pack_bits(reports)
         a = BatchFuser(asm, 6, 3).decide_ints(ints)
-        b = BatchFuser(asm, 6, 3, chunk_cells=64).decide_ints(ints)
+        builds = count_type_class_builds(monkeypatch, chunk_cells=64)
+        b = BatchFuser(asm, 6, 3).decide_ints(ints)
+        assert len(builds) == 301
         np.testing.assert_array_equal(a, b)
 
-    def test_decide_columns_across_chunks_matches_fresh_decodes(self):
+    def test_decide_columns_across_chunks_matches_fresh_decodes(self, monkeypatch):
         # one TypeClasses per chunk shared by fusers of every prior, against
         # one fresh single-column decode per fuser
         rng = np.random.default_rng(15)
         ints = pack_bits(rng.integers(0, 2, size=(301, 6, 3), dtype=np.uint8))
-        fusers = [BatchFuser(FusionAssumption(model, 0.1, pfc), 6, 3, chunk_cells=200)
+        fusers = [BatchFuser(FusionAssumption(model, 0.1, pfc), 6, 3)
                   for model in MODELS for pfc in (0.6, 1.0)]
-        assert fusers[0].rows_per_chunk < 301 // 10
+        fresh = [BatchFuser(fuser.assumption, 6, 3).decide_ints(ints) for fuser in fusers]
+        builds = count_type_class_builds(monkeypatch, chunk_cells=200)
         got = decide_columns(fusers, ints)
-        for fuser, row in zip(fusers, got):
-            fresh = BatchFuser(fuser.assumption, 6, 3).decide_ints(ints)
-            np.testing.assert_array_equal(row, fresh)
+        assert len(builds) > 10
+        for want, row in zip(fresh, got):
+            np.testing.assert_array_equal(row, want)
 
     def test_decide_ints_rejects_classes_of_another_batch(self):
         fuser = BatchFuser(FusionAssumption(FixedCount(1), 0.1, 0.9), 3, 2)

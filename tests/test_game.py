@@ -275,7 +275,7 @@ class TestSolvers:
         assert eq.pure == (0, 0)
         assert eq.value == 3.0
         np.testing.assert_array_equal(eq.p, [1.0, 0.0])
-        assert eq.dominant_row == 0
+        assert find_dominant_row(a) == 0
 
     def test_known_2x2_mixture(self):
         # [[a,b],[c,d]] without saddle: p = ((d-c)/(a-b-c+d), ...)

@@ -1,9 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+defaulted parameter of the package is set by some call."""
 
 import ast
+import math
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "byzfusion"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "byzfusion"
+PERFBENCH = ROOT / "perfbench"
+# the command-line entry point takes argv from the interpreter, not from a call
+KNOB_EXEMPT = {"main(argv)"}
 
 
 def unused_imports(path):
@@ -55,3 +61,90 @@ def test_scan_flags_an_unused_name(tmp_path):
         "    return os.path.join(np.pi)\n"
     )
     assert unused_imports(path) == [(4, "placement_law")]
+
+
+def defaulted_parameters(tree):
+    """(callee, parameter, position) of each defaulted parameter defined in `tree`.
+
+    The callee is the name a call spells: the function or method name, or the
+    class name for ``__init__`` and for a dataclass field. The position is
+    where a call passes the parameter positionally (``self`` not counted),
+    or None for a keyword-only parameter.
+    """
+    out = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        is_class = isinstance(scope, ast.ClassDef)
+        for node in scope.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            callee = scope.name if node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            out += [(callee, a.arg, i - is_class) for i, a in enumerate(positional) if i >= first]
+            out += [
+                (callee, a.arg, None)
+                for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None
+            ]
+        decorators = getattr(scope, "decorator_list", [])
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in decorators]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            fields = [n for n in scope.body if isinstance(n, ast.AnnAssign)]
+            out += [(scope.name, f.target.id, i) for i, f in enumerate(fields) if f.value]
+    return out
+
+
+def unset_knobs(defining, calling):
+    """callee(parameter) of each defaulted parameter in `defining` that no call in `calling` passes.
+
+    Calls match by the name they spell. A starred argument passes every
+    position, a ``**`` argument every keyword.
+    """
+    most_positional, keywords = {}, {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                npos = math.inf if starred else len(node.args)
+                most_positional[callee] = max(most_positional.get(callee, 0), npos)
+                keywords.setdefault(callee, set()).update(k.arg or "**" for k in node.keywords)
+    unset = []
+    for path in defining:
+        for callee, param, pos in defaulted_parameters(ast.parse(path.read_text(), str(path))):
+            names = keywords.get(callee, set())
+            if param in names or "**" in names:
+                continue
+            if pos is None or pos >= most_positional.get(callee, 0):
+                unset.append(f"{callee}({param})")
+    return [knob for knob in unset if knob not in KNOB_EXEMPT]
+
+
+def test_no_unset_knobs():
+    # a defaulted parameter that no call sets is a constant in disguise
+    package = sorted(SRC.glob("*.py"))
+    assert package
+    assert unset_knobs(package, package + sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def test_knob_scan_flags_a_never_passed_default(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return a + b + c + d\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        self.z = f(x, y, d=x)\n"
+        "    def g(self, w=None):\n"
+        "        return w\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    p: int\n"
+        "    q: int = 0\n"
+        "    r: int = 1\n"
+        "def main(argv=None):\n"
+        "    return K(1).g(), D(1, 2), f(*argv)\n"
+    )
+    # main(argv) is exempt, and f(*argv) passes every position
+    assert unset_knobs([path], [path]) == ["K(y)", "g(w)", "D(r)"]

@@ -144,11 +144,30 @@ class TestExactErrorProbability:
         assert bit <= seq <= 1.0
 
     def test_blinded_center_is_coin_flip(self):
-        sc = ExactScenario(
-            n=4, m=1, eps=0.1, pmal_b=1.0, pmal_fc=1.0,
-            true_model=UnconstrainedMaxEntropy(), fc_model=UnconstrainedMaxEntropy(),
-        )
-        assert exact_error_probability(sc) == pytest.approx(0.5, abs=1e-12)
+        # n=16 sums 2**16 placements for each of 2**16 report matrices
+        for n in (4, 16):
+            sc = ExactScenario(
+                n=n, m=1, eps=0.1, pmal_b=1.0, pmal_fc=1.0,
+                true_model=UnconstrainedMaxEntropy(), fc_model=UnconstrainedMaxEntropy(),
+            )
+            assert exact_error_probability(sc) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(6, 1), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_matches_brute_force(self, n, m, model):
+        # every (report matrix, state) pair weighted by its own exact_likelihood,
+        # no grouping by mismatch multiset
+        sc = ExactScenario(n=n, m=m, eps=0.1, pmal_b=0.9, pmal_fc=0.7,
+                           true_model=model, fc_model=model)
+        want = {"per-component": 0.0, "per-sequence": 0.0}
+        for r in all_bit_vectors(n * m).reshape(-1, n, m):
+            decision = fuse(r, sc.assumption)
+            for s in all_bit_vectors(m):
+                p = 0.5**m * exact_likelihood(r, s, model, sc.eps, sc.delta_b)
+                want["per-component"] += p * (decision != s).mean()
+                want["per-sequence"] += p * (decision != s).any()
+        for metric, value in want.items():
+            assert exact_error_probability(sc, metric) == pytest.approx(value, rel=1e-12)
 
     def test_no_byzantines_matches_repetition_code(self):
         # fixed count zero: n independent looks at each bit, MAP is majority
