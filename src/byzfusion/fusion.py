@@ -25,6 +25,17 @@ by type class: each distinct histogram of a batch is scored once
 ``decide_columns`` builds them once per chunk of trials for several fusers;
 the Monte Carlo game engine decodes every column of a row that way.
 ``fuse`` is the same decoder applied to one report matrix.
+
+``TypeClasses`` groups cells by one of two routes, picked from n and m alone
+(``_dense_keys``). When 2**m <= n and (n + 1)**m <= ``_CHUNK_CELLS``, each
+trial's node rows are counted once per row value, a cell's histogram is read
+as a base-(n + 1) number from one product with a fixed place table, and equal
+numbers are ranked through a presence map over the (n + 1)**m range, with no
+sort. Otherwise every node adds its packed-bit digits to each cell's key and
+``np.unique`` sorts the keys. Both give the same types, in the same order
+wherever the packed key fits one int64 word. Cells are stored
+hypothesis-major, (2**m, T), so the per-trial argmax reduces across
+contiguous rows of trials.
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ __all__ = [
     "SCORE_TIE_TOL",
     "FusionAssumption",
     "honest_log_weights",
-    "byzantine_log_weights",
     "argmax_lex",
     "fuse",
     "fuse_majority",
@@ -79,14 +89,12 @@ class FusionAssumption:
 
 
 def honest_log_weights(eps, m):
-    """log[(1-eps)^c * eps^(m-c)] for c = 0..m; xlogy keeps 0*log(0) = 0."""
+    """log[(1-eps)^c * eps^(m-c)] for c = 0..m; xlogy keeps 0*log(0) = 0.
+
+    With eps set to a crossover delta, the same table is a flipping node's.
+    """
     c = np.arange(m + 1, dtype=np.float64)
     return xlogy(c, 1.0 - eps) + xlogy(m - c, eps)
-
-
-def byzantine_log_weights(delta, m):
-    """Same table for the flipped channel with crossover delta."""
-    return honest_log_weights(delta, m)
 
 
 def _independent_mix_weights(alpha, eps, delta_fc, m):
@@ -94,7 +102,7 @@ def _independent_mix_weights(alpha, eps, delta_fc, m):
     with np.errstate(divide="ignore"):
         la = np.log(alpha)
         lna = np.log1p(-alpha) if alpha < 1.0 else -np.inf
-    return np.logaddexp(lna + honest_log_weights(eps, m), la + byzantine_log_weights(delta_fc, m))
+    return np.logaddexp(lna + honest_log_weights(eps, m), la + honest_log_weights(delta_fc, m))
 
 
 def argmax_lex(scores):
@@ -132,6 +140,33 @@ def fuse_majority(reports):
     return (2 * ones > n).astype(np.uint8)
 
 
+def _dense_keys(n, m):
+    """Whether TypeClasses takes the dense route at this n and m (see the module docstring).
+
+    Counting rows pays when there are no more row values than nodes, and the
+    presence map stays below _CHUNK_CELLS entries; every key is then below
+    2**22 and so exact in float64.
+    """
+    return 2**m <= n and (n + 1) ** m <= _CHUNK_CELLS
+
+
+def _match_counts(m):
+    # matches[x] = m - popcount(x): agreements of a row and a hypothesis whose XOR is x
+    return m - popcount(np.arange(2**m))
+
+
+@functools.lru_cache(maxsize=2)
+def _place_table(n, m):
+    # place[h, v] is what one node reporting v adds to a cell's base-(n + 1)
+    # key under hypothesis h: digit c - 1 counts the nodes with c matches,
+    # and nodes with no match add nothing (H[0] is n minus the rest)
+    places = np.concatenate(([0.0], float(n + 1) ** np.arange(m)))
+    hyps = np.arange(2**m)
+    table = places[_match_counts(m)[hyps[:, None] ^ hyps]]
+    table.setflags(write=False)
+    return table
+
+
 @functools.lru_cache(maxsize=2)
 def _key_tables(n, m):
     # A cell's key holds H[1..m] as digits of `bits` bits each (H[0] is n
@@ -146,7 +181,7 @@ def _key_tables(n, m):
         word, digit = divmod(c - 1, per_word)
         places[word, c] = 1 << (bits * digit)
     hyps = np.arange(2**m)
-    matches = m - popcount(hyps)
+    matches = _match_counts(m)
     table = np.empty((places.shape[0], 2**m, 2**m), dtype=np.int64)
     for v in range(2**m):
         table[:, v] = places[:, matches[v ^ hyps]]
@@ -170,8 +205,13 @@ class TypeClasses:
     here is symmetric in the nodes, so two cells of one type score the same
     under any assumption (the method of types). ``hist`` has one row per
     distinct type, shape (types, m + 1); ``inverse`` maps each cell to its
-    type, shape (T, 2**m). One instance can be shared by every BatchFuser
-    that decodes the same batch.
+    type, hypothesis-major, shape (2**m, T). One instance can be shared by
+    every BatchFuser that decodes the same batch.
+
+    Where ``_dense_keys(n, m)`` holds, the keys are base-(n + 1) numbers
+    built from each trial's counts of node-row values and ranked through a
+    presence map; elsewhere they are packed-bit words grouped by
+    ``np.unique``.
     """
 
     def __init__(self, report_ints, n, m):
@@ -180,24 +220,51 @@ class TypeClasses:
             raise ValueError("report_ints must be (trials, n)")
         self.n = n
         self.m = m
+        group = self._dense_group if _dense_keys(n, m) else self._sorted_group
+        hist, inverse = group(report_ints)
+        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
+        self.hist = hist
+        self.inverse = inverse.reshape(2**m, report_ints.shape[0])
+
+    def _dense_group(self, report_ints):
+        # row-value counts N[v, t] from one bincount and keys = place @ N;
+        # the distinct keys come out ascending, each cell gets its key's rank,
+        # and only the distinct keys are split into digits H[1..m]
+        n, m = self.n, self.m
+        trials = report_ints.shape[0]
+        flat = report_ints * trials
+        flat += np.arange(trials)[:, None]
+        row_counts = np.bincount(flat.ravel(), minlength=2**m * trials).reshape(2**m, trials)
+        keys = (_place_table(n, m) @ row_counts.astype(np.float64)).astype(np.intp).ravel()
+        present = np.zeros((n + 1) ** m, dtype=bool)
+        present[keys] = True
+        uniq = np.flatnonzero(present)
+        rank = np.empty(present.shape[0], dtype=np.intp)
+        rank[uniq] = np.arange(uniq.shape[0])
+        hist = np.empty((uniq.shape[0], m + 1), dtype=np.int64)
+        for c in range(1, m + 1):
+            uniq, hist[:, c] = np.divmod(uniq, n + 1)
+        return hist, rank[keys]
+
+    def _sorted_group(self, report_ints):
+        # per-node gather-add of packed-bit key words, grouped by np.unique
+        n, m = self.n, self.m
         bits, per_word, table = _key_tables(n, m)
         keys = np.zeros((table.shape[0], report_ints.shape[0], 2**m), dtype=np.int64)
         for r_i in report_ints.T:
             for word, word_table in zip(keys, table):
                 word += word_table[r_i]
+        keys = keys.transpose(0, 2, 1).reshape(table.shape[0], -1)
         if len(keys) == 1:
-            uniq, inverse = np.unique(keys[0].ravel(), return_inverse=True)
+            uniq, inverse = np.unique(keys[0], return_inverse=True)
             uniq = uniq[:, None]
         else:
-            flat = keys.reshape(len(keys), -1).T
-            uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(report_ints.shape[0], 2**m)
+            uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
         hist = np.empty((uniq.shape[0], m + 1), dtype=np.int64)
         for c in range(1, m + 1):
             word, digit = divmod(c - 1, per_word)
             hist[:, c] = (uniq[:, word] >> (bits * digit)) & ((1 << bits) - 1)
-        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
-        self.hist = hist
+        return hist, inverse
 
     @functools.cached_property
     def counts(self):
@@ -239,7 +306,7 @@ class BatchFuser:
             self._weights = _independent_mix_weights(alpha, eps, delta, m)
             return
         self._logh = honest_log_weights(eps, m)
-        self._logb = byzantine_log_weights(delta, m)
+        self._logb = honest_log_weights(delta, m)
 
     def _check(self, report_ints):
         report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
@@ -262,7 +329,7 @@ class BatchFuser:
         report_ints = self._check(report_ints)
         out = np.empty((report_ints.shape[0], self.n_hyp))
         for rows, _, classes in _typed_chunks(report_ints, self.n, self.m):
-            out[rows] = self._type_scores(classes)[classes.inverse]
+            out[rows] = self._type_scores(classes)[classes.inverse].T
         if self._k_range is not None:
             k_lo, k_hi = self._k_range
             out -= math.log(sum(math.comb(self.n, k) for k in range(k_lo, k_hi + 1)))
@@ -281,12 +348,13 @@ class BatchFuser:
             for rows, _, chunk_classes in _typed_chunks(report_ints, self.n, self.m):
                 out[rows] = self._decide(chunk_classes)
             return out
-        if (classes.n, classes.m, classes.inverse.shape[0]) != (self.n, self.m, len(report_ints)):
+        if (classes.n, classes.m, classes.inverse.shape[1]) != (self.n, self.m, len(report_ints)):
             raise ValueError("classes were built from a different report batch")
         return self._decide(classes)
 
     def _decide(self, classes):
-        return argmax_lex(self._type_scores(classes)[classes.inverse]).astype(np.int64, copy=False)
+        scores = self._type_scores(classes)[classes.inverse]
+        return argmax_lex(scores.T).astype(np.int64, copy=False)
 
     def decide(self, reports):
         """Convenience wrapper taking (T, n, m) bit arrays, returning (T, m) bits."""

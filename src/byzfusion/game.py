@@ -151,11 +151,6 @@ class PayoffMatrix:
     def se(self):
         return _by_metric(self.metric, self.se_component, self.se_sequence)
 
-    def with_metric(self, metric):
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        return replace(self, metric=metric)
-
     def to_csv(self, comments=None):
         """Render the selected metric as CSV text, 6 significant digits.
 

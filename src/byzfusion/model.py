@@ -202,8 +202,11 @@ def sample_reports_batch(rng, states, placements, eps, pmal_b):
         raise ValueError("states and placements must be 2-d with matching first axis")
     count, m = states.shape
     n = placements.shape[1]
-    local_noise = rng.random((count, n, m)) < eps
-    flip_noise = rng.random((count, n, m)) < pmal_b
-    flips = flip_noise & (placements[:, :, None] == 1)
-    reports = states[:, None, :] ^ local_noise.astype(np.uint8) ^ flips.astype(np.uint8)
-    return reports.astype(np.uint8)
+    noise = rng.random((count, n, m)) < eps
+    flips = rng.random((count, n, m)) < pmal_b
+    # node flags and state bits are spread to (count, n, m) by whole-array
+    # copies; a broadcast over an inner axis of only m entries is slower
+    flips &= np.repeat(placements == 1, m, axis=1).reshape(count, n, m)
+    noise ^= flips
+    noise ^= np.tile(states == 1, n).reshape(count, n, m)
+    return noise.view(np.uint8)

@@ -143,9 +143,11 @@ def exact_error_probability(scenario, metric="per-component"):
     """Exact expected decision error of the MAP rule, no sampling.
 
     Enumerates state sequences and report matrices, so n*m is capped at
-    MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M; placements are summed
-    once per state and multiset of per-node mismatch counts. `metric`
-    selects the per-component bit error rate or the whole-sequence error rate.
+    MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M. Every prior gives
+    P(r | s) = P(r xor s | 0), so placements are summed once per multiset of
+    per-node mismatch counts at state 0, and each state reads its
+    likelihoods from those by index. `metric` selects the per-component bit
+    error rate or the whole-sequence error rate.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -155,15 +157,20 @@ def exact_error_probability(scenario, metric="per-component"):
     fuser = BatchFuser(scenario.assumption, n, m)
     rows = _all_report_rows(n, m)
     decisions = fuser.decide_ints(rows)
+    mism = popcount(rows)
+    key = ((n + 1) ** mism).sum(axis=1)  # count histogram, base n + 1 digits (each <= n)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    like0 = _placement_sum(mism[first], scenario.true_model, scenario.eps, scenario.delta_b, m)
+    like0 = like0[group]
+    # matrix index i packs its n node rows as m-bit fields, so XOR-ing every
+    # row with the state s XORs the index with s * rep
+    rep = sum(1 << (m * i) for i in range(n))
+    index = np.arange(len(rows))
     total = 0.0
     for state_int in range(2**m):
         if metric == "per-component":
             err = popcount(decisions ^ state_int) / m
         else:
             err = (decisions != state_int).astype(np.float64)
-        mism = popcount(rows ^ state_int)
-        key = ((n + 1) ** mism).sum(axis=1)  # count histogram, base n + 1 digits (each <= n)
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        like = _placement_sum(mism[first], scenario.true_model, scenario.eps, scenario.delta_b, m)
-        total += 0.5**m * float(like[group] @ err)
+        total += 0.5**m * float(like0[index ^ (state_int * rep)] @ err)
     return total

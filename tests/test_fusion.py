@@ -1,11 +1,13 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzfusion import fusion
-from byzfusion.bits import all_bit_vectors, pack_bits
+from byzfusion.bits import all_bit_vectors, pack_bits, popcount
 from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
 from byzfusion.fusion import (
     SCORE_TIE_TOL,
@@ -14,7 +16,6 @@ from byzfusion.fusion import (
     TypeClasses,
     _key_tables,
     argmax_lex,
-    byzantine_log_weights,
     decide_columns,
     fuse,
     fuse_majority,
@@ -57,7 +58,7 @@ def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
     n, m = reports.shape
     alpha, k_range = placement_law(asm.model, n)
     lh = honest_log_weights(asm.eps, m)
-    lb = byzantine_log_weights(asm.delta_fc, m)
+    lb = honest_log_weights(asm.delta_fc, m)
     hyps = all_bit_vectors(m)
     scores = np.empty(len(hyps))
     for h, states in enumerate(hyps):
@@ -262,7 +263,7 @@ class TestBatchFuser:
     def test_log_domain_on_overflowing_ratios_matches_scalar(self):
         # finite weights whose likelihood ratios would overflow the ratio domain
         asm = FusionAssumption(FixedCount(4), 1e-30, 0.9)
-        log_ratios = byzantine_log_weights(asm.delta_fc, 6) - honest_log_weights(1e-30, 6)
+        log_ratios = honest_log_weights(asm.delta_fc, 6) - honest_log_weights(1e-30, 6)
         assert np.isfinite(log_ratios).all()
         assert 4 * log_ratios.max() > np.log(np.finfo(np.float64).max)
         fuser = BatchFuser(asm, 8, 6)
@@ -374,6 +375,65 @@ class TestBatchFuser:
         reports = rng.integers(0, 2, size=(50, 4, 1), dtype=np.uint8)
         decisions = BatchFuser(asm, 4, 1).decide_ints(pack_bits(reports))
         np.testing.assert_array_equal(decisions, 0)
+
+
+def typed_cells(ints, n, m):
+    """hist[inverse] of every chunk, joined along the trial axis: (2**m, T, m + 1)."""
+    return np.concatenate([c.hist[c.inverse] for _, _, c in fusion._typed_chunks(ints, n, m)],
+                          axis=1)
+
+
+def brute_histograms(ints, m):
+    """H[c] of every (hypothesis, trial) cell by comparing each node row directly."""
+    matches = m - popcount(ints[None] ^ np.arange(2**m)[:, None, None])
+    return (matches[..., None] == np.arange(m + 1)).sum(axis=2)
+
+
+class TestTypeClassRoutes:
+    """The dense and the sorted grouping give every cell the same histogram."""
+
+    # (20, 4), (4, 2) and (44, 4) are dense; (20, 5) has more row values than
+    # nodes, and (64, 6) and (45, 4) have too many keys for the presence map
+    SHAPES = [(20, 4), (20, 5), (4, 2), (64, 6), (44, 4), (45, 4)]
+
+    def test_predicate_edges(self):
+        dense = {shape: fusion._dense_keys(*shape) for shape in self.SHAPES + [(3, 2)]}
+        assert dense == {(20, 4): True, (20, 5): False, (4, 2): True, (64, 6): False,
+                         (44, 4): True, (45, 4): False, (3, 2): False}
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_routes_agree(self, monkeypatch, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        ints = rng.integers(0, 2**m, size=(40, n))
+        ints[:10] = ints[:10, :1]  # unanimous trials
+        want = brute_histograms(ints, m)
+        native = TypeClasses(ints, n, m)
+        np.testing.assert_array_equal(native.hist[native.inverse], want)
+        dense = fusion._dense_keys(n, m)
+        if not dense and (n + 1) ** m >= 1 << 23:
+            return  # a presence map of 65**6 entries is too large to force
+        monkeypatch.setattr(fusion, "_dense_keys", lambda n, m: not dense)
+        forced = TypeClasses(ints, n, m)
+        np.testing.assert_array_equal(forced.hist, native.hist)
+        np.testing.assert_array_equal(forced.inverse, native.inverse)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_routes_agree_across_chunks(self, monkeypatch, dense):
+        n, m = 20, 4
+        ints = np.random.default_rng(16).integers(0, 2**m, size=(45, n))
+        builds = count_type_class_builds(monkeypatch, chunk_cells=7 * n * 2**m)
+        monkeypatch.setattr(fusion, "_dense_keys", lambda n, m: dense)
+        np.testing.assert_array_equal(typed_cells(ints, n, m), brute_histograms(ints, m))
+        assert builds == [7] * 6 + [3]
+
+    def test_benchmark_covers_both_routes(self):
+        # perfbench/workloads.py imports nothing of byzfusion, so it loads bare
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        sides = {fusion._dense_keys(workloads.N, m) for _, m, *_ in workloads.PAYOFF.values()}
+        assert sides == {True, False}
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,10 +60,10 @@ class TestGridAndMatrix:
     def test_metric_selection(self):
         pm = make_pm([[0.1, 0.2], [0.3, 0.4]])
         assert pm.pe[0, 0] == 0.1
-        seq = pm.with_metric("per-sequence")
+        seq = replace(pm, metric="per-sequence")
         assert seq.pe[0, 0] == 0.2
         with pytest.raises(ValueError):
-            pm.with_metric("nope")
+            replace(pm, metric="nope")
         est = ErrorEstimate(0.1, 0.2, 0.01, 0.02, trials=100)
         assert (est.value(), est.stderr()) == (0.1, 0.01)
         assert (est.value("per-sequence"), est.stderr("per-sequence")) == (0.2, 0.02)

@@ -238,6 +238,22 @@ class TestSamplers:
         expect = np.broadcast_to(1 - states[:, None, :], r0.shape)
         np.testing.assert_array_equal(r0, expect)
 
+    def test_reports_pinned_draw(self):
+        # local noise for every triple, then flip noise for every triple, kept
+        # only at Byzantine nodes; the generators must end in the same state
+        rng = np.random.default_rng(18)
+        states = sample_states_batch(rng, 3, 400)
+        placements = sample_placements_batch(rng, FixedCount(2), 5, 400)
+        u = np.random.default_rng(19)
+        local = (u.random((400, 5, 3)) < 0.2).astype(np.uint8)
+        flips = (u.random((400, 5, 3)) < 0.7).astype(np.uint8) * placements[:, :, None]
+        expect = states[:, None, :] ^ local ^ flips
+        drawn = np.random.default_rng(19)
+        reports = sample_reports_batch(drawn, states, placements, eps=0.2, pmal_b=0.7)
+        assert reports.dtype == np.uint8
+        np.testing.assert_array_equal(reports, expect)
+        assert drawn.random() == u.random()
+
     def test_determinism(self):
         s1 = sample_placements_batch(np.random.default_rng(17), BoundedBelowHalf(), 20, 100)
         s2 = sample_placements_batch(np.random.default_rng(17), BoundedBelowHalf(), 20, 100)
