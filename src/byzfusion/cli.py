@@ -239,6 +239,12 @@ def load_config(config_path=None, overrides=None):
     workers = int(raw["workers"])
     if trials < 1 or workers < 1:
         raise ConfigError("trials and workers must be positive")
+    if raw["payoff_file"] is not None:
+        try:
+            with open(raw["payoff_file"], "rb"):
+                pass
+        except OSError as exc:
+            raise ConfigError(f"cannot read payoff_file {raw['payoff_file']}: {exc}") from exc
     return ExperimentConfig(
         scenario=scenario,
         grid_b=grid_b,

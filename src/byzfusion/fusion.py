@@ -26,16 +26,17 @@ by type class: each distinct histogram of a batch is scored once
 the Monte Carlo game engine decodes every column of a row that way.
 ``fuse`` is the same decoder applied to one report matrix.
 
-``TypeClasses`` groups cells by one of two routes, picked from n and m alone
-(``_dense_keys``). When 2**m <= n and (n + 1)**m <= ``_CHUNK_CELLS``, each
-trial's node rows are counted once per row value, a cell's histogram is read
-as a base-(n + 1) number from one product with a fixed place table, and equal
-numbers are ranked through a presence map over the (n + 1)**m range, with no
-sort. Otherwise every node adds its packed-bit digits to each cell's key and
-``np.unique`` sorts the keys. Both give the same types, in the same order
-wherever the packed key fits one int64 word. Cells are stored
-hypothesis-major, (2**m, T), so the per-trial argmax reduces across
-contiguous rows of trials.
+``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
+number, from one cached place table (``_key_table``), and equal keys form a
+type. Two choices are made from the batch's shape alone. Where 2**m <= n
+and the keys are exact in float64, they are one product of each trial's
+counts of node-row values with the table; elsewhere every node adds its
+table row (``_keys_from_row_counts``). Where the (n + 1)**m key range fits
+``_CHUNK_CELLS`` and the batch has a cell per ``_MAP_ENTRIES_PER_CELL`` key
+values, the keys are ranked through a presence map over that range, with
+no sort; elsewhere ``np.unique`` sorts them (``_ranks_from_map``). Cells
+are stored hypothesis-major, (2**m, T), so the per-trial argmax reduces
+across contiguous rows of trials.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ SCORE_TIE_TOL = 1e-9
 # trials per TypeClasses build are capped so that trials * n * 2**m, the size
 # of its per-node count table when every cell is its own type, stays below this
 _CHUNK_CELLS = 1 << 22
+# a presence map over the key range is used only where it has at most this
+# many entries per (trial, hypothesis) cell; sorting was measured faster from
+# about 125 to 250 entries per cell up, at m = 4 and 5
+_MAP_ENTRIES_PER_CELL = 64
 
 
 @dataclass(frozen=True)
@@ -140,53 +145,49 @@ def fuse_majority(reports):
     return (2 * ones > n).astype(np.uint8)
 
 
-def _dense_keys(n, m):
-    """Whether TypeClasses takes the dense route at this n and m (see the module docstring).
+def _keys_from_row_counts(n, m):
+    """Whether TypeClasses builds keys from each trial's counts of node-row values.
 
-    Counting rows pays when there are no more row values than nodes, and the
-    presence map stays below _CHUNK_CELLS entries; every key is then below
-    2**22 and so exact in float64.
+    Counting pays when there are no more row values than nodes; elsewhere each
+    node adds its table row. The float64 product is exact while every key is
+    below 2**53.
     """
-    return 2**m <= n and (n + 1) ** m <= _CHUNK_CELLS
+    return 2**m <= n and (n + 1) ** m <= 2**53
 
 
-def _match_counts(m):
-    # matches[x] = m - popcount(x): agreements of a row and a hypothesis whose XOR is x
-    return m - popcount(np.arange(2**m))
+def _ranks_from_map(n, m, trials):
+    """Whether TypeClasses ranks the keys of `trials` trials through a presence map.
 
-
-@functools.lru_cache(maxsize=2)
-def _place_table(n, m):
-    # place[h, v] is what one node reporting v adds to a cell's base-(n + 1)
-    # key under hypothesis h: digit c - 1 counts the nodes with c matches,
-    # and nodes with no match add nothing (H[0] is n minus the rest)
-    places = np.concatenate(([0.0], float(n + 1) ** np.arange(m)))
-    hyps = np.arange(2**m)
-    table = places[_match_counts(m)[hyps[:, None] ^ hyps]]
-    table.setflags(write=False)
-    return table
+    The map has one entry per key value, (n + 1)**m, and is kept within
+    _CHUNK_CELLS, so the key is one word. It pays only against sorting at
+    least one cell per _MAP_ENTRIES_PER_CELL entries; smaller batches, and
+    wider key ranges, sort with ``np.unique``.
+    """
+    return (n + 1) ** m <= min(_CHUNK_CELLS, _MAP_ENTRIES_PER_CELL * trials * 2**m)
 
 
 @functools.lru_cache(maxsize=2)
-def _key_tables(n, m):
-    # A cell's key holds H[1..m] as digits of `bits` bits each (H[0] is n
-    # minus the rest), packed into as few int64 words as keep every word
+def _key_table(n, m):
+    # A cell's key holds H[1..m] as base-(n + 1) digits (H[0] is n minus the
+    # rest), `per_word` digits to an int64 word, as many as keep every word
     # below 2**63. table[w, v, h] is what one node reporting v adds to word w
-    # under hypothesis h, so building a key takes one row gather per node
-    # and word.
-    bits = n.bit_length()
-    per_word = 63 // bits
-    places = np.zeros((max(1, -(-m // per_word)), m + 1), dtype=np.int64)
+    # under hypothesis h: digit c - 1 counts the nodes with c matches, and
+    # nodes with no match add nothing.
+    per_word = 1
+    while (n + 1) ** (per_word + 1) <= 2**63:
+        per_word += 1
+    places = np.zeros((-(-m // per_word), m + 1), dtype=np.int64)
     for c in range(1, m + 1):
         word, digit = divmod(c - 1, per_word)
-        places[word, c] = 1 << (bits * digit)
+        places[word, c] = (n + 1) ** digit
     hyps = np.arange(2**m)
-    matches = _match_counts(m)
+    # matches[x]: agreements of a row and a hypothesis whose XOR is x
+    matches = m - popcount(hyps)
     table = np.empty((places.shape[0], 2**m, 2**m), dtype=np.int64)
     for v in range(2**m):
         table[:, v] = places[:, matches[v ^ hyps]]
     table.setflags(write=False)
-    return bits, per_word, table
+    return per_word, table
 
 
 def _hist_dot(hist, w):
@@ -208,10 +209,10 @@ class TypeClasses:
     type, hypothesis-major, shape (2**m, T). One instance can be shared by
     every BatchFuser that decodes the same batch.
 
-    Where ``_dense_keys(n, m)`` holds, the keys are base-(n + 1) numbers
-    built from each trial's counts of node-row values and ranked through a
-    presence map; elsewhere they are packed-bit words grouped by
-    ``np.unique``.
+    Keys are built from :func:`_key_table` by row counts or node by node
+    (``_keys_from_row_counts``) and ranked through a presence map or by
+    ``np.unique`` (``_ranks_from_map``). Either way a one-word key ranks in
+    ascending order, lexicographic on (H[m], ..., H[1]).
     """
 
     def __init__(self, report_ints, n, m):
@@ -220,51 +221,43 @@ class TypeClasses:
             raise ValueError("report_ints must be (trials, n)")
         self.n = n
         self.m = m
-        group = self._dense_group if _dense_keys(n, m) else self._sorted_group
-        hist, inverse = group(report_ints)
-        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
-        self.hist = hist
-        self.inverse = inverse.reshape(2**m, report_ints.shape[0])
-
-    def _dense_group(self, report_ints):
-        # row-value counts N[v, t] from one bincount and keys = place @ N;
-        # the distinct keys come out ascending, each cell gets its key's rank,
-        # and only the distinct keys are split into digits H[1..m]
-        n, m = self.n, self.m
+        per_word, table = _key_table(n, m)
         trials = report_ints.shape[0]
-        flat = report_ints * trials
-        flat += np.arange(trials)[:, None]
-        row_counts = np.bincount(flat.ravel(), minlength=2**m * trials).reshape(2**m, trials)
-        keys = (_place_table(n, m) @ row_counts.astype(np.float64)).astype(np.intp).ravel()
-        present = np.zeros((n + 1) ** m, dtype=bool)
-        present[keys] = True
-        uniq = np.flatnonzero(present)
-        rank = np.empty(present.shape[0], dtype=np.intp)
-        rank[uniq] = np.arange(uniq.shape[0])
-        hist = np.empty((uniq.shape[0], m + 1), dtype=np.int64)
-        for c in range(1, m + 1):
-            uniq, hist[:, c] = np.divmod(uniq, n + 1)
-        return hist, rank[keys]
-
-    def _sorted_group(self, report_ints):
-        # per-node gather-add of packed-bit key words, grouped by np.unique
-        n, m = self.n, self.m
-        bits, per_word, table = _key_tables(n, m)
-        keys = np.zeros((table.shape[0], report_ints.shape[0], 2**m), dtype=np.int64)
-        for r_i in report_ints.T:
-            for word, word_table in zip(keys, table):
-                word += word_table[r_i]
-        keys = keys.transpose(0, 2, 1).reshape(table.shape[0], -1)
-        if len(keys) == 1:
+        if _keys_from_row_counts(n, m):
+            # N[v, t] nodes of trial t report v, from one bincount; keys = table.T @ N
+            flat = report_ints * trials
+            flat += np.arange(trials)[:, None]
+            row_counts = np.bincount(flat.ravel(), minlength=2**m * trials).reshape(2**m, trials)
+            keys = table[0].T.astype(np.float64) @ row_counts.astype(np.float64)
+            keys = keys.astype(np.int64).reshape(1, -1)
+        else:
+            # each node adds its table row to every word of its trial's keys
+            keys = np.zeros((table.shape[0], trials, 2**m), dtype=np.int64)
+            for r_i in report_ints.T:
+                for word, word_table in zip(keys, table):
+                    word += word_table[r_i]
+            keys = keys.transpose(0, 2, 1).reshape(table.shape[0], -1)
+        if _ranks_from_map(n, m, trials):
+            present = np.zeros((n + 1) ** m, dtype=bool)
+            present[keys[0]] = True
+            uniq = np.flatnonzero(present)
+            rank = np.empty(present.shape[0], dtype=np.intp)
+            rank[uniq] = np.arange(uniq.shape[0])
+            uniq, inverse = uniq[None], rank[keys[0]]
+        elif keys.shape[0] == 1:
             uniq, inverse = np.unique(keys[0], return_inverse=True)
-            uniq = uniq[:, None]
+            uniq = uniq[None]
         else:
             uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
-        hist = np.empty((uniq.shape[0], m + 1), dtype=np.int64)
+            uniq = uniq.T
+        # only the distinct keys are split into digits H[1..m]
+        hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
         for c in range(1, m + 1):
-            word, digit = divmod(c - 1, per_word)
-            hist[:, c] = (uniq[:, word] >> (bits * digit)) & ((1 << bits) - 1)
-        return hist, inverse
+            word = (c - 1) // per_word
+            uniq[word], hist[:, c] = np.divmod(uniq[word], n + 1)
+        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
+        self.hist = hist
+        self.inverse = inverse.reshape(2**m, trials)
 
     @functools.cached_property
     def counts(self):

@@ -98,9 +98,6 @@ class StrategyGrid:
     def __getitem__(self, i):
         return self.values[i]
 
-    def index(self, value):
-        return self.values.index(float(value))
-
 
 @dataclass(frozen=True)
 class Scenario:

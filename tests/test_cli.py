@@ -230,6 +230,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "trials = -5\n")
         assert main(["payoff", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("subcommand", ["payoff", "equilibrium"])
+    def test_unreadable_payoff_file_is_a_config_error(self, tmp_path, capsys, subcommand):
+        # rejected before any estimate runs, and nothing is written
+        cfg = write_config(tmp_path, TINY + f"payoff_file = {tmp_path / 'absent.csv'}\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        assert "payoff_file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "payoff.csv"
         bad.write_text("pmal_b/pmal_fc,0.5\n")  # header only: malformed

@@ -14,7 +14,7 @@ from byzfusion.fusion import (
     BatchFuser,
     FusionAssumption,
     TypeClasses,
-    _key_tables,
+    _key_table,
     argmax_lex,
     decide_columns,
     fuse,
@@ -303,7 +303,7 @@ class TestBatchFuser:
         # enumerating C(250, 2) subsets per hypothesis is too slow, so the
         # reference scores with the recursion (checked against it in A1)
         n, m = 250, 8
-        assert _key_tables(n, m)[2].shape[0] > 1
+        assert _key_table(n, m)[1].shape[0] > 1
         rng = np.random.default_rng(14)
         for model in (IndependentAlpha(0.3), FixedCount(2)):
             asm = FusionAssumption(model, 0.1, 0.9)
@@ -390,39 +390,81 @@ def brute_histograms(ints, m):
 
 
 class TestTypeClassRoutes:
-    """The dense and the sorted grouping give every cell the same histogram."""
+    """Both key builders and both rankers give every cell the same histogram."""
 
-    # (20, 4), (4, 2) and (44, 4) are dense; (20, 5) has more row values than
-    # nodes, and (64, 6) and (45, 4) have too many keys for the presence map
-    SHAPES = [(20, 4), (20, 5), (4, 2), (64, 6), (44, 4), (45, 4)]
+    # (20, 4), (4, 2), (44, 4), (64, 6) and (45, 4) count rows; (20, 5),
+    # (2, 9), (3, 2), (2, 3) and (20, 8) have more row values than nodes, and
+    # (250, 8) and (256, 8) need two key words, which a float64 product
+    # cannot build exactly. (64, 6), (45, 4) and (20, 8) have too many keys
+    # for the presence map; (20, 4), (20, 5) and (44, 4) have too many for
+    # it at 40 trials, but not at a full chunk.
+    SHAPES = [(20, 4), (20, 5), (4, 2), (64, 6), (44, 4), (45, 4),
+              (2, 9), (3, 2), (2, 3), (20, 8), (250, 8), (256, 8)]
+    MAPPED = [(2, 9), (3, 2), (2, 3), (20, 4)]
 
     def test_predicate_edges(self):
-        dense = {shape: fusion._dense_keys(*shape) for shape in self.SHAPES + [(3, 2)]}
-        assert dense == {(20, 4): True, (20, 5): False, (4, 2): True, (64, 6): False,
-                         (44, 4): True, (45, 4): False, (3, 2): False}
+        def routes(n, m):
+            chunk = fusion._CHUNK_CELLS // (n * 2**m)
+            return (fusion._keys_from_row_counts(n, m), fusion._ranks_from_map(n, m, 40),
+                    fusion._ranks_from_map(n, m, chunk))
+
+        assert {shape: routes(*shape) for shape in self.SHAPES} == {
+            (20, 4): (True, False, True), (20, 5): (False, False, True),
+            (4, 2): (True, True, True), (64, 6): (True, False, False),
+            (44, 4): (True, False, True), (45, 4): (True, False, False),
+            (2, 9): (False, True, True), (3, 2): (False, True, True),
+            (2, 3): (False, True, True), (20, 8): (False, False, False),
+            (250, 8): (False, False, False), (256, 8): (False, False, False),
+        }
+        # the map needs a cell per 64 key values: 21**4 / (64 * 2**4) = 189.9 trials
+        assert not fusion._ranks_from_map(20, 4, 189)
+        assert fusion._ranks_from_map(20, 4, 190)
 
     @pytest.mark.parametrize("n,m", SHAPES)
     def test_routes_agree(self, monkeypatch, n, m):
         rng = np.random.default_rng(10 * n + m)
         ints = rng.integers(0, 2**m, size=(40, n))
         ints[:10] = ints[:10, :1]  # unanimous trials
-        want = brute_histograms(ints, m)
         native = TypeClasses(ints, n, m)
-        np.testing.assert_array_equal(native.hist[native.inverse], want)
-        dense = fusion._dense_keys(n, m)
-        if not dense and (n + 1) ** m >= 1 << 23:
-            return  # a presence map of 65**6 entries is too large to force
-        monkeypatch.setattr(fusion, "_dense_keys", lambda n, m: not dense)
-        forced = TypeClasses(ints, n, m)
-        np.testing.assert_array_equal(forced.hist, native.hist)
-        np.testing.assert_array_equal(forced.inverse, native.inverse)
+        np.testing.assert_array_equal(native.hist[native.inverse], brute_histograms(ints, m))
+        if _key_table(n, m)[1].shape[0] == 1:
+            # one-word keys rank ascending: lexicographic on (H[m], ..., H[1])
+            order = np.lexsort(native.hist[:, 1:].T)
+            np.testing.assert_array_equal(order, np.arange(len(native.hist)))
+        counted = fusion._keys_from_row_counts(n, m)
+        mapped = fusion._ranks_from_map(n, m, len(ints))
+        # the other builder, where its float64 product stays exact
+        if counted or (n + 1) ** m <= 2**53:
+            monkeypatch.setattr(fusion, "_keys_from_row_counts", lambda n, m: not counted)
+            forced = TypeClasses(ints, n, m)
+            np.testing.assert_array_equal(forced.hist, native.hist)
+            np.testing.assert_array_equal(forced.inverse, native.inverse)
+            monkeypatch.undo()
+        # the other ranker, where a presence map over the key range is small
+        if mapped or (n + 1) ** m < 1 << 23:
+            monkeypatch.setattr(fusion, "_ranks_from_map", lambda n, m, trials: not mapped)
+            forced = TypeClasses(ints, n, m)
+            np.testing.assert_array_equal(forced.hist, native.hist)
+            np.testing.assert_array_equal(forced.inverse, native.inverse)
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_routes_agree_across_chunks(self, monkeypatch, dense):
+    @pytest.mark.parametrize("n,m", MAPPED)
+    def test_mapped_shapes_never_sort(self, monkeypatch, n, m):
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called where the key range fits the presence map")
+
+        # 200 trials give every shape here a cell per 64 key values
+        ints = np.random.default_rng(17).integers(0, 2**m, size=(200, n))
+        monkeypatch.setattr(fusion.np, "unique", no_unique)
+        classes = TypeClasses(ints, n, m)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(classes.hist[classes.inverse], brute_histograms(ints, m))
+
+    @pytest.mark.parametrize("counted", [True, False])
+    def test_routes_agree_across_chunks(self, monkeypatch, counted):
         n, m = 20, 4
         ints = np.random.default_rng(16).integers(0, 2**m, size=(45, n))
         builds = count_type_class_builds(monkeypatch, chunk_cells=7 * n * 2**m)
-        monkeypatch.setattr(fusion, "_dense_keys", lambda n, m: dense)
+        monkeypatch.setattr(fusion, "_keys_from_row_counts", lambda n, m: counted)
         np.testing.assert_array_equal(typed_cells(ints, n, m), brute_histograms(ints, m))
         assert builds == [7] * 6 + [3]
 
@@ -432,8 +474,16 @@ class TestTypeClassRoutes:
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        sides = {fusion._dense_keys(workloads.N, m) for _, m, *_ in workloads.PAYOFF.values()}
-        assert sides == {True, False}
+        n = workloads.N
+        counted, mapped = set(), set()
+        for _, m, trials, *_ in workloads.PAYOFF.values():
+            # one row's trials go through decide_columns in chunks of `step`
+            step = fusion._CHUNK_CELLS // (n * 2**m)
+            chunks = {min(step, trials - start) for start in range(0, trials, step)}
+            counted.add(fusion._keys_from_row_counts(n, m))
+            mapped |= {fusion._ranks_from_map(n, m, chunk) for chunk in chunks}
+        assert counted == {True, False}
+        assert mapped == {True, False}
 
 
 @st.composite
