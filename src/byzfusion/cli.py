@@ -147,13 +147,15 @@ class ExperimentConfig:
     workers: int
     out: str
     payoff_file: str | None
+    # SHA-256 of payoff_file's bytes as load_config read them; no file key or flag sets it
+    payoff_sha256: str | None
 
     def canonical_text(self):
         """Normalized experiment description; execution details excluded.
 
         Worker count and output directory do not change results, so they do
-        not participate in the hash. An injected payoff file contributes a
-        digest of its bytes.
+        not participate in the hash. An injected payoff file contributes the
+        digest of its bytes as read when the config was loaded.
         """
         sc = self.scenario
         pairs = [
@@ -168,10 +170,8 @@ class ExperimentConfig:
             ("seed", self.seed),
             ("metric", self.metric),
         ]
-        if self.payoff_file is not None:
-            with open(self.payoff_file, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            pairs.append(("payoff_sha256", digest))
+        if self.payoff_sha256 is not None:
+            pairs.append(("payoff_sha256", self.payoff_sha256))
         return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 
@@ -226,8 +226,8 @@ def load_config(config_path=None, overrides=None):
             n=int(raw["n"]), m=int(raw["m"]), eps=float(raw["eps"]),
             true_model=true_model, fc_model=fc_model,
         )
-        grid_b = StrategyGrid(_parse_grid(raw["grid_b"]) if isinstance(raw["grid_b"], str) else raw["grid_b"])
-        grid_fc = StrategyGrid(_parse_grid(raw["grid_fc"]) if isinstance(raw["grid_fc"], str) else raw["grid_fc"])
+        grid_b = StrategyGrid(_parse_grid(raw["grid_b"]))
+        grid_fc = StrategyGrid(_parse_grid(raw["grid_fc"]))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     if scenario.m > BatchFuser.MAX_M:
@@ -239,10 +239,11 @@ def load_config(config_path=None, overrides=None):
     workers = int(raw["workers"])
     if trials < 1 or workers < 1:
         raise ConfigError("trials and workers must be positive")
+    payoff_sha256 = None
     if raw["payoff_file"] is not None:
         try:
-            with open(raw["payoff_file"], "rb"):
-                pass
+            with open(raw["payoff_file"], "rb") as fh:
+                payoff_sha256 = hashlib.sha256(fh.read()).hexdigest()
         except OSError as exc:
             raise ConfigError(f"cannot read payoff_file {raw['payoff_file']}: {exc}") from exc
     return ExperimentConfig(
@@ -255,6 +256,7 @@ def load_config(config_path=None, overrides=None):
         workers=workers,
         out=str(raw["out"]),
         payoff_file=raw["payoff_file"],
+        payoff_sha256=payoff_sha256,
     )
 
 
@@ -322,7 +324,7 @@ def run_equilibrium(cfg):
     eq = solve_mixed(pm)
     report = dominance_report(pm)
     saddles = find_pure_equilibria(pm)
-    _, kept_rows, kept_cols = eliminate_dominated(pm)
+    kept_rows, kept_cols = eliminate_dominated(pm)
     lines = [
         "# Equilibrium report",
         "",

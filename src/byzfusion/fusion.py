@@ -19,12 +19,13 @@ The tolerance makes exact mathematical ties (a fully blinded center,
 perfectly balanced reports) deterministic across this decoder and the
 exhaustive reference implementations, which may round differently.
 
-``BatchFuser`` fixes the assumption once and decodes packed report batches
-by type class: each distinct histogram of a batch is scored once
-(``TypeClasses``). The histograms do not depend on the assumption, so
-``decide_columns`` builds them once per chunk of trials for several fusers;
-the Monte Carlo game engine decodes every column of a row that way.
-``fuse`` is the same decoder applied to one report matrix.
+``decide_columns`` is the one loop that turns a packed report batch into
+decisions. Chunk by chunk it groups the batch's cells by type
+(``TypeClasses``), and each ``BatchFuser``, which fixes one assumption,
+scores every distinct histogram of the chunk once
+(``BatchFuser.decide_ints``). The histograms do not depend on the
+assumption, so the Monte Carlo game engine decodes every column of a row in
+one call. ``fuse`` and the exact oracle call it with a single fuser.
 
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
 number, from one cached place table (``_key_table``), and equal keys form a
@@ -125,14 +126,15 @@ def argmax_lex(scores):
 def fuse(reports, assumption):
     """MAP state sequence for one report matrix (n, m), shape (m,) uint8.
 
-    The batch decoder applied to a batch of one, so m is capped at
+    :func:`decide_columns` applied to a batch of one, so m is capped at
     BatchFuser.MAX_M.
     """
     reports = np.asarray(reports)
     if reports.ndim != 2:
         raise ValueError("reports must be (n, m)")
     n, m = reports.shape
-    return BatchFuser(assumption, n, m).decide(reports[None])[0]
+    decision = decide_columns([BatchFuser(assumption, n, m)], pack_bits(reports)[None])[0, 0]
+    return unpack_bits(decision, m)
 
 
 def fuse_majority(reports):
@@ -220,7 +222,6 @@ class TypeClasses:
         if report_ints.ndim != 2 or report_ints.shape[1] != n:
             raise ValueError("report_ints must be (trials, n)")
         self.n = n
-        self.m = m
         per_word, table = _key_table(n, m)
         trials = report_ints.shape[0]
         if _keys_from_row_counts(n, m):
@@ -271,8 +272,9 @@ class TypeClasses:
 class BatchFuser:
     """Vectorized MAP decoding of many report matrices under one assumption.
 
-    Reports enter packed: one int per node row (first component = MSB).
-    Decisions come back packed the same way. m is capped at MAX_M.
+    Reports enter packed: one int per node row (first component = MSB), and
+    :func:`decide_columns` returns decisions packed the same way. m is
+    capped at MAX_M.
 
     Decoding goes by type class (see :class:`TypeClasses`): only the distinct
     match-count histograms of a batch are scored, and each (trial,
@@ -301,12 +303,6 @@ class BatchFuser:
         self._logh = honest_log_weights(eps, m)
         self._logb = honest_log_weights(delta, m)
 
-    def _check(self, report_ints):
-        report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
-        if report_ints.ndim != 2 or report_ints.shape[1] != self.n:
-            raise ValueError("report_ints must be (trials, n)")
-        return report_ints
-
     def _type_scores(self, classes):
         """Log score of each type of `classes`, shape (types,).
 
@@ -319,42 +315,23 @@ class BatchFuser:
 
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
-        report_ints = self._check(report_ints)
+        report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
         out = np.empty((report_ints.shape[0], self.n_hyp))
-        for rows, _, classes in _typed_chunks(report_ints, self.n, self.m):
+        for rows, classes in _typed_chunks(report_ints, self.n, self.m):
             out[rows] = self._type_scores(classes)[classes.inverse].T
         if self._k_range is not None:
             k_lo, k_hi = self._k_range
             out -= math.log(sum(math.comb(self.n, k) for k in range(k_lo, k_hi + 1)))
         return out
 
-    def decide_ints(self, report_ints, classes=None):
-        """Packed MAP decision per trial, shape (T,) int64.
+    def decide_ints(self, classes):
+        """Packed MAP decision for each trial that `classes` groups, shape (T,) int64.
 
-        `classes` is this batch's TypeClasses if the caller already built it
-        (see :func:`decide_columns`); otherwise it is built here, one chunk
-        of trials at a time.
+        :func:`decide_columns` builds `classes` once per chunk of trials and
+        shares it across its fusers.
         """
-        report_ints = self._check(report_ints)
-        if classes is None:
-            out = np.empty(report_ints.shape[0], dtype=np.int64)
-            for rows, _, chunk_classes in _typed_chunks(report_ints, self.n, self.m):
-                out[rows] = self._decide(chunk_classes)
-            return out
-        if (classes.n, classes.m, classes.inverse.shape[1]) != (self.n, self.m, len(report_ints)):
-            raise ValueError("classes were built from a different report batch")
-        return self._decide(classes)
-
-    def _decide(self, classes):
         scores = self._type_scores(classes)[classes.inverse]
         return argmax_lex(scores.T).astype(np.int64, copy=False)
-
-    def decide(self, reports):
-        """Convenience wrapper taking (T, n, m) bit arrays, returning (T, m) bits."""
-        reports = np.asarray(reports)
-        if reports.ndim != 3 or reports.shape[1:] != (self.n, self.m):
-            raise ValueError("reports must be (trials, n, m)")
-        return unpack_bits(self.decide_ints(pack_bits(reports)), self.m)
 
 
 def decide_columns(fusers, report_ints):
@@ -369,15 +346,15 @@ def decide_columns(fusers, report_ints):
         raise ValueError("fusers must share n and m")
     report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
     out = np.empty((len(fusers), report_ints.shape[0]), dtype=np.int64)
-    for rows, chunk, classes in _typed_chunks(report_ints, n, m):
+    for rows, classes in _typed_chunks(report_ints, n, m):
         for j, fuser in enumerate(fusers):
-            out[j, rows] = fuser.decide_ints(chunk, classes)
+            out[j, rows] = fuser.decide_ints(classes)
     return out
 
 
 def _typed_chunks(report_ints, n, m):
-    # (rows, chunk, TypeClasses of the chunk) for consecutive chunks of trials
+    # (rows, TypeClasses of those rows) for consecutive chunks of trials
     step = max(1, _CHUNK_CELLS // (n * 2**m))
     for start in range(0, report_ints.shape[0], step):
-        chunk = report_ints[start : start + step]
-        yield slice(start, start + chunk.shape[0]), chunk, TypeClasses(chunk, n, m)
+        rows = slice(start, start + step)
+        yield rows, TypeClasses(report_ints[rows], n, m)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -171,8 +171,7 @@ class PayoffMatrix:
         meta.update(seed=self.seed, trials=self.trials, metric=self.metric)
         for key, value in meta.items():
             lines.append(f"*{key} = {value}*")
-        if lines:
-            lines.append("")
+        lines.append("")
         header = "| pmal_b \\ pmal_fc | " + " | ".join(_fmt(v) for v in self.grid_fc.values) + " |"
         lines.append(header)
         lines.append("|" + " --- |" * (len(self.grid_fc) + 1))
@@ -581,7 +580,7 @@ def _support_solve(sub):
 
 
 def eliminate_dominated(pm):
-    """Iterated strict dominance; returns (reduced, kept_rows, kept_cols)."""
+    """Iterated strict dominance; returns (kept_rows, kept_cols)."""
     a = _entries(pm)
     rows = list(range(a.shape[0]))
     cols = list(range(a.shape[1]))
@@ -601,21 +600,7 @@ def eliminate_dominated(pm):
                 del cols[j]
                 changed = True
                 sub = a[np.ix_(rows, cols)]
-    kept_rows = np.array(rows, dtype=int)
-    kept_cols = np.array(cols, dtype=int)
-    if isinstance(pm, PayoffMatrix):
-        reduced = replace(
-            pm,
-            grid_b=StrategyGrid(tuple(pm.grid_b.values[i] for i in rows)),
-            grid_fc=StrategyGrid(tuple(pm.grid_fc.values[j] for j in cols)),
-            pe_component=pm.pe_component[np.ix_(rows, cols)],
-            pe_sequence=pm.pe_sequence[np.ix_(rows, cols)],
-            se_component=pm.se_component[np.ix_(rows, cols)],
-            se_sequence=pm.se_sequence[np.ix_(rows, cols)],
-        )
-    else:
-        reduced = a[np.ix_(kept_rows, kept_cols)]
-    return reduced, kept_rows, kept_cols
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
 
 
 def equilibrium_payoff(pm, eq):

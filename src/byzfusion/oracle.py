@@ -5,8 +5,8 @@ correct: they sum placement by placement in the linear domain and share no
 code with the decoder, so they are the independent reference that the
 type-class scoring of :mod:`byzfusion.fusion` is checked against. Error
 probabilities decode every report matrix with that decoder (one
-``BatchFuser`` call) and weight each decision exactly, which validates the
-Monte Carlo estimates on instances small enough to enumerate.
+``decide_columns`` call) and weight each decision exactly, which validates
+the Monte Carlo estimates on instances small enough to enumerate.
 
 All three rest on one placement sum over rows of per-node mismatch counts.
 Every prior is symmetric in the nodes, so error probabilities sum placements
@@ -15,13 +15,12 @@ once per multiset of those counts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import all_bit_vectors, pack_bits, popcount, unpack_bits
-from .fusion import BatchFuser, FusionAssumption, argmax_lex
+from .bits import all_bit_vectors, popcount
+from .fusion import BatchFuser, FusionAssumption, argmax_lex, decide_columns
 from .game import METRICS
 from .model import crossover_delta, placement_law
 
@@ -130,15 +129,6 @@ def exact_map_decision(reports, model, eps, delta):
     return hypotheses[argmax_lex(likes)].copy()
 
 
-@functools.lru_cache(maxsize=8)
-def _all_report_rows(n, m):
-    # packed node rows of every report matrix, shape (2**(n*m), n)
-    bits = unpack_bits(np.arange(2 ** (n * m)), n * m).reshape(-1, n, m)
-    rows = pack_bits(bits)
-    rows.setflags(write=False)
-    return rows
-
-
 def exact_error_probability(scenario, metric="per-component"):
     """Exact expected decision error of the MAP rule, no sampling.
 
@@ -154,16 +144,16 @@ def exact_error_probability(scenario, metric="per-component"):
     n, m = scenario.n, scenario.m
     if n * m > MAX_REPORT_BITS:
         raise ValueError(f"n*m={n*m} exceeds the enumeration cap {MAX_REPORT_BITS}")
-    fuser = BatchFuser(scenario.assumption, n, m)
-    rows = _all_report_rows(n, m)
-    decisions = fuser.decide_ints(rows)
+    # the packed node rows of every report matrix: matrix i holds its n rows
+    # as m-bit fields of i, node 0 in the most significant one
+    rows = (np.arange(2 ** (n * m))[:, None] >> (m * np.arange(n - 1, -1, -1))) & (2**m - 1)
+    decisions = decide_columns([BatchFuser(scenario.assumption, n, m)], rows)[0]
     mism = popcount(rows)
     key = ((n + 1) ** mism).sum(axis=1)  # count histogram, base n + 1 digits (each <= n)
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     like0 = _placement_sum(mism[first], scenario.true_model, scenario.eps, scenario.delta_b, m)
     like0 = like0[group]
-    # matrix index i packs its n node rows as m-bit fields, so XOR-ing every
-    # row with the state s XORs the index with s * rep
+    # XOR-ing every row of matrix i with the state s XORs i with s * rep
     rep = sum(1 << (m * i) for i in range(n))
     index = np.arange(len(rows))
     total = 0.0

@@ -110,6 +110,19 @@ class TestConfigHash:
         cfg2 = load_config(write_config(tmp_path), {"seed": 2})
         assert config_hash(cfg1) != config_hash(cfg2)
 
+    def test_payoff_file_is_read_once(self, tmp_path):
+        # the digest is taken when the config loads; the file is not reopened
+        payoff = tmp_path / "payoff.csv"
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.25\n")
+        cfg = load_config(write_config(tmp_path, TINY + f"payoff_file = {payoff}\n"), {})
+        digest = config_hash(cfg)
+        payoff.unlink()
+        assert config_hash(cfg) == digest
+        assert "payoff_sha256" in cfg.canonical_text()
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.75\n")
+        other = load_config(write_config(tmp_path, TINY + f"payoff_file = {payoff}\n"), {})
+        assert config_hash(other) != digest
+
 
 class TestMainPayoff:
     def test_end_to_end_and_reproducible(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzfusion import fusion
-from byzfusion.bits import all_bit_vectors, pack_bits, popcount
+from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
 from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
 from byzfusion.fusion import (
     SCORE_TIE_TOL,
@@ -28,7 +28,13 @@ from byzfusion.model import (
     UnconstrainedMaxEntropy,
     placement_law,
 )
-from byzfusion.oracle import exact_likelihood, exact_map_decision
+from byzfusion.game import Scenario, StrategyGrid, estimate_payoff_matrix
+from byzfusion.oracle import (
+    ExactScenario,
+    exact_error_probability,
+    exact_likelihood,
+    exact_map_decision,
+)
 
 MODELS = [
     UnconstrainedMaxEntropy(),
@@ -72,6 +78,23 @@ def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
         ks = range(k_range[0], k_range[1] + 1)
         scores[h] = np.logaddexp.reduce([subset_sum(w, k) for k in ks])
     return hyps[argmax_lex(scores)]
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path; the benchmark's modules import nothing of byzfusion."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def decode(fuser, reports):
+    """`fuser`'s decisions through decide_columns: (T, m) bits for (T, n, m) bit
+    reports, packed (T,) ints for packed (T, n) reports."""
+    if reports.ndim == 3:
+        return unpack_bits(decode(fuser, pack_bits(reports)), fuser.m)
+    return decide_columns([fuser], reports)[0]
 
 
 def count_type_class_builds(monkeypatch, chunk_cells):
@@ -242,7 +265,7 @@ class TestBatchFuser:
             pfc = float(rng.uniform(0.5, 1.0))
             asm = FusionAssumption(model, eps, pfc)
             reports = rng.integers(0, 2, size=(64, n, m), dtype=np.uint8)
-            batch = BatchFuser(asm, n, m).decide(reports)
+            batch = decode(BatchFuser(asm, n, m), reports)
             scalar = np.stack([exact_map_decision(r, model, eps, asm.delta_fc) for r in reports])
             np.testing.assert_array_equal(batch, scalar)
             np.testing.assert_array_equal(np.stack([fuse(r, asm) for r in reports[:8]]),
@@ -256,7 +279,7 @@ class TestBatchFuser:
         for model in (FixedCount(2), BoundedBelowHalf()):
             asm = FusionAssumption(model, eps, pfc)
             reports = rng.integers(0, 2, size=(32, 5, 2), dtype=np.uint8)
-            batch = BatchFuser(asm, 5, 2).decide(reports)
+            batch = decode(BatchFuser(asm, 5, 2), reports)
             scalar = np.stack([scalar_decision(r, asm) for r in reports])
             np.testing.assert_array_equal(batch, scalar)
 
@@ -270,7 +293,7 @@ class TestBatchFuser:
         rng = np.random.default_rng(11)
         reports = rng.integers(0, 2, size=(12, 8, 6), dtype=np.uint8)
         scalar = np.stack([scalar_decision(r, asm) for r in reports])
-        np.testing.assert_array_equal(fuser.decide(reports), scalar)
+        np.testing.assert_array_equal(decode(fuser, reports), scalar)
 
     @pytest.mark.parametrize("model", [UnconstrainedMaxEntropy(), IndependentAlpha(0.3)],
                              ids=lambda m: type(m).__name__)
@@ -285,7 +308,7 @@ class TestBatchFuser:
         reports[:8] = reports[:8, :1]  # unanimous rows score finitely
         assert not np.isnan(fuser.scores(pack_bits(reports))).any()
         scalar = np.stack([scalar_decision(r, asm) for r in reports])
-        np.testing.assert_array_equal(fuser.decide(reports), scalar)
+        np.testing.assert_array_equal(decode(fuser, reports), scalar)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_repeated_report_rows_match_scalar(self, model):
@@ -294,7 +317,7 @@ class TestBatchFuser:
         asm = FusionAssumption(model, 0.15, 0.8)
         base = rng.integers(0, 2, size=(3, 7, 3), dtype=np.uint8)
         pick = rng.integers(0, 3, size=500)
-        decisions = BatchFuser(asm, 7, 3).decide(base[pick])
+        decisions = decode(BatchFuser(asm, 7, 3), base[pick])
         scalar = np.stack([exact_map_decision(r, model, 0.15, asm.delta_fc) for r in base])
         np.testing.assert_array_equal(decisions, scalar[pick])
 
@@ -310,7 +333,7 @@ class TestBatchFuser:
             reports = rng.integers(0, 2, size=(2, n, m), dtype=np.uint8)
             reports[0, : n // 2] = reports[0, 0]  # a clear majority
             scalar = np.stack([scalar_decision(r, asm, recursion_subset_sum) for r in reports])
-            np.testing.assert_array_equal(BatchFuser(asm, n, m).decide(reports), scalar)
+            np.testing.assert_array_equal(decode(BatchFuser(asm, n, m), reports), scalar)
 
     def test_scores_match_log_score(self):
         # normalized log P(r | s) against the oracle's placement-by-placement sum
@@ -336,16 +359,21 @@ class TestBatchFuser:
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8)
         fuser = BatchFuser(asm, 4, 2)
         with pytest.raises(ValueError):
-            fuser.decide_ints(np.zeros((5, 3), dtype=np.int64))
+            decide_columns([fuser], np.zeros((5, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            decide_columns([fuser], np.zeros((5, 4, 2), dtype=np.int64))
+        for reports in (np.zeros(4, dtype=np.uint8), np.zeros((1, 4, 2), dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                fuse(reports, asm)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         asm = FusionAssumption(FixedCount(2), 0.1, 0.9)
         rng = np.random.default_rng(5)
         reports = rng.integers(0, 2, size=(301, 6, 3), dtype=np.uint8)
         ints = pack_bits(reports)
-        a = BatchFuser(asm, 6, 3).decide_ints(ints)
+        a = decode(BatchFuser(asm, 6, 3), ints)
         builds = count_type_class_builds(monkeypatch, chunk_cells=64)
-        b = BatchFuser(asm, 6, 3).decide_ints(ints)
+        b = decode(BatchFuser(asm, 6, 3), ints)
         assert len(builds) == 301
         np.testing.assert_array_equal(a, b)
 
@@ -356,30 +384,24 @@ class TestBatchFuser:
         ints = pack_bits(rng.integers(0, 2, size=(301, 6, 3), dtype=np.uint8))
         fusers = [BatchFuser(FusionAssumption(model, 0.1, pfc), 6, 3)
                   for model in MODELS for pfc in (0.6, 1.0)]
-        fresh = [BatchFuser(fuser.assumption, 6, 3).decide_ints(ints) for fuser in fusers]
+        fresh = [decode(BatchFuser(fuser.assumption, 6, 3), ints) for fuser in fusers]
         builds = count_type_class_builds(monkeypatch, chunk_cells=200)
         got = decide_columns(fusers, ints)
         assert len(builds) > 10
         for want, row in zip(fresh, got):
             np.testing.assert_array_equal(row, want)
 
-    def test_decide_ints_rejects_classes_of_another_batch(self):
-        fuser = BatchFuser(FusionAssumption(FixedCount(1), 0.1, 0.9), 3, 2)
-        ints = np.zeros((5, 3), dtype=np.int64)
-        with pytest.raises(ValueError):
-            fuser.decide_ints(ints, TypeClasses(ints[:4], 3, 2))
-
     def test_tie_tol_consistency_on_blinded_center(self):
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 1.0)
         rng = np.random.default_rng(6)
         reports = rng.integers(0, 2, size=(50, 4, 1), dtype=np.uint8)
-        decisions = BatchFuser(asm, 4, 1).decide_ints(pack_bits(reports))
+        decisions = decode(BatchFuser(asm, 4, 1), pack_bits(reports))
         np.testing.assert_array_equal(decisions, 0)
 
 
 def typed_cells(ints, n, m):
     """hist[inverse] of every chunk, joined along the trial axis: (2**m, T, m + 1)."""
-    return np.concatenate([c.hist[c.inverse] for _, _, c in fusion._typed_chunks(ints, n, m)],
+    return np.concatenate([c.hist[c.inverse] for _, c in fusion._typed_chunks(ints, n, m)],
                           axis=1)
 
 
@@ -469,11 +491,7 @@ class TestTypeClassRoutes:
         assert builds == [7] * 6 + [3]
 
     def test_benchmark_covers_both_routes(self):
-        # perfbench/workloads.py imports nothing of byzfusion, so it loads bare
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads")
         n = workloads.N
         counted, mapped = set(), set()
         for _, m, trials, *_ in workloads.PAYOFF.values():
@@ -484,6 +502,22 @@ class TestTypeClassRoutes:
             mapped |= {fusion._ranks_from_map(n, m, chunk) for chunk in chunks}
         assert counted == {True, False}
         assert mapped == {True, False}
+
+
+def test_tracer_counts_every_decoded_trial():
+    # the benchmark's fusion.decode layer wraps BatchFuser.decide_ints and
+    # counts one trial per decision, on the payoff matrices and the oracle alike
+    tracer = load_perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        model = FixedCount(1)
+        grid = StrategyGrid((0.6, 1.0))
+        estimate_payoff_matrix(Scenario(6, 2, 0.1, model, model), grid, grid, trials=50, seed=1)
+        exact_error_probability(ExactScenario(3, 2, 0.1, 0.8, 0.8, model, model))
+    finally:
+        tracer.remove()
+    assert "byzfusion.fusion:BatchFuser.decide_ints" not in tracer.absent
+    assert tracer.counts["fusion.decode_trials"] == 2 * 2 * 50 + 2 ** (3 * 2)
 
 
 @st.composite
@@ -500,14 +534,14 @@ def decoding_cases(draw):
 
 
 class TestDecoderSymmetries:
-    """The symmetries type-class decoding relies on, checked on decide_ints."""
+    """The symmetries type-class decoding relies on, checked on decide_columns."""
 
     @settings(settings.get_profile("byzfusion"), max_examples=60)
     @given(decoding_cases())
     def test_node_permutation_invariance(self, case):
         fuser, ints, rng = case
         perm = rng.permutation(fuser.n)
-        np.testing.assert_array_equal(fuser.decide_ints(ints[:, perm]), fuser.decide_ints(ints))
+        np.testing.assert_array_equal(decode(fuser, ints[:, perm]), decode(fuser, ints))
 
     @settings(settings.get_profile("byzfusion"), max_examples=60)
     @given(decoding_cases())
@@ -519,8 +553,8 @@ class TestDecoderSymmetries:
         mask = int(rng.integers(0, 2**fuser.m))
         ranked = np.sort(fuser.scores(ints), axis=1)
         clear = ranked[:, -1] - ranked[:, -2] > SCORE_TIE_TOL
-        want = fuser.decide_ints(ints) ^ mask
-        np.testing.assert_array_equal(fuser.decide_ints(ints ^ mask)[clear], want[clear])
+        want = decode(fuser, ints) ^ mask
+        np.testing.assert_array_equal(decode(fuser, ints ^ mask)[clear], want[clear])
 
 
 def test_assumption_validation():

@@ -332,28 +332,28 @@ class TestSolvers:
 class TestEliminateDominated:
     def test_reduces_strictly_dominated(self):
         pe = [[0.5, 0.6, 0.55], [0.2, 0.3, 0.25], [0.4, 0.5, 0.45]]
-        reduced, rows, cols = eliminate_dominated(np.array(pe))
+        rows, cols = eliminate_dominated(np.array(pe))
         # row 0 dominates the others (maximizer keeps it); column 0 is minimal
         np.testing.assert_array_equal(rows, [0])
         np.testing.assert_array_equal(cols, [0])
-        assert reduced.shape == (1, 1)
 
     def test_value_preserved(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             a = rng.normal(size=(5, 5))
-            reduced, rows, cols = eliminate_dominated(a)
+            rows, cols = eliminate_dominated(a)
             v_full = solve_mixed(a).value
-            v_red = solve_mixed(reduced).value
+            v_red = solve_mixed(a[np.ix_(rows, cols)]).value
             assert v_red == pytest.approx(v_full, abs=1e-7)
 
     def test_payoff_matrix_slicing(self):
+        # a PayoffMatrix keeps the same rows and columns as its pe array
         pm = make_pm([[0.5, 0.6], [0.2, 0.3]])
-        reduced, rows, cols = eliminate_dominated(pm)
-        assert isinstance(reduced, PayoffMatrix)
-        assert reduced.grid_b.values == (0.5,)
-        assert reduced.grid_fc.values == (0.5,)
-        assert reduced.pe_component.shape == (1, 1)
+        rows, cols = eliminate_dominated(pm)
+        np.testing.assert_array_equal(rows, [0])
+        np.testing.assert_array_equal(cols, [0])
+        for got, want in zip((rows, cols), eliminate_dominated(pm.pe)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_scenario_validation():
