@@ -32,14 +32,13 @@ from .game import (
     StrategyGrid,
     dominance_report,
     eliminate_dominated,
-    equilibrium_payoff,
     estimate_majority_pe,
     estimate_payoff_matrix,
     find_pure_equilibria,
+    fmt,
     load_payoff_csv,
     saddle_points_within_noise,
     solve_mixed,
-    _fmt,
 )
 from .fusion import BatchFuser
 from .model import (
@@ -103,36 +102,21 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
-_CONFIG_KEYS = {
-    "n": int,
-    "m": int,
-    "eps": float,
-    "true_model": str,
-    "fc_model": str,
-    "grid_b": str,
-    "grid_fc": str,
-    "trials": int,
-    "seed": int,
-    "metric": str,
-    "workers": int,
-    "out": str,
-    "payoff_file": str,
-}
-
-_DEFAULTS = {
-    "n": 20,
-    "m": 4,
-    "eps": 0.1,
-    "true_model": "unconstrained",
-    "fc_model": None,  # defaults to true_model
-    "grid_b": "0.5,0.6,0.7,0.8,0.9,1.0",
-    "grid_fc": "0.5,0.6,0.7,0.8,0.9,1.0",
-    "trials": 50_000,
-    "seed": 0,
-    "metric": "per-component",
-    "workers": 1,
-    "out": "out",
-    "payoff_file": None,
+# key -> (type of its value in a config file, default); fc_model defaults to true_model
+_CONFIG = {
+    "n": (int, 20),
+    "m": (int, 4),
+    "eps": (float, 0.1),
+    "true_model": (str, "unconstrained"),
+    "fc_model": (str, None),
+    "grid_b": (str, "0.5,0.6,0.7,0.8,0.9,1.0"),
+    "grid_fc": (str, "0.5,0.6,0.7,0.8,0.9,1.0"),
+    "trials": (int, 50_000),
+    "seed": (int, 0),
+    "metric": (str, "per-component"),
+    "workers": (int, 1),
+    "out": (str, "out"),
+    "payoff_file": (str, None),
 }
 
 
@@ -196,7 +180,7 @@ def _read_config_file(path):
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -206,12 +190,11 @@ def _read_config_file(path):
 
 def load_config(config_path=None, overrides=None):
     """Effective config from defaults, optional file, then CLI overrides."""
-    raw = dict(_DEFAULTS)
+    raw = {key: default for key, (_, default) in _CONFIG.items()}
     if config_path is not None:
-        file_values = _read_config_file(config_path)
-        for key, text in file_values.items():
+        for key, text in _read_config_file(config_path).items():
             try:
-                raw[key] = _CONFIG_KEYS[key](text)
+                raw[key] = _CONFIG[key][0](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {text!r}") from exc
     for key, value in (overrides or {}).items():
@@ -223,8 +206,7 @@ def load_config(config_path=None, overrides=None):
     fc_model = parse_model(raw["fc_model"])
     try:
         scenario = Scenario(
-            n=int(raw["n"]), m=int(raw["m"]), eps=float(raw["eps"]),
-            true_model=true_model, fc_model=fc_model,
+            n=raw["n"], m=raw["m"], eps=raw["eps"], true_model=true_model, fc_model=fc_model
         )
         grid_b = StrategyGrid(_parse_grid(raw["grid_b"]))
         grid_fc = StrategyGrid(_parse_grid(raw["grid_fc"]))
@@ -235,8 +217,8 @@ def load_config(config_path=None, overrides=None):
     metric = raw["metric"]
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
-    trials = int(raw["trials"])
-    workers = int(raw["workers"])
+    trials = raw["trials"]
+    workers = raw["workers"]
     if trials < 1 or workers < 1:
         raise ConfigError("trials and workers must be positive")
     payoff_sha256 = None
@@ -251,10 +233,10 @@ def load_config(config_path=None, overrides=None):
         grid_b=grid_b,
         grid_fc=grid_fc,
         trials=trials,
-        seed=int(raw["seed"]),
+        seed=raw["seed"],
         metric=metric,
         workers=workers,
-        out=str(raw["out"]),
+        out=raw["out"],
         payoff_file=raw["payoff_file"],
         payoff_sha256=payoff_sha256,
     )
@@ -305,14 +287,14 @@ def run_payoff(cfg):
 
 def _format_profile(grid_b, grid_fc, rc):
     r, c = rc
-    return f"(pmal_b={_fmt(grid_b[r])}, pmal_fc={_fmt(grid_fc[c])})"
+    return f"(pmal_b={fmt(grid_b[r])}, pmal_fc={fmt(grid_fc[c])})"
 
 
 def _mixture_lines(label, grid, weights):
     lines = [f"{label}:"]
     for value, w in zip(grid.values, weights):
         if w > 1e-12:
-            lines.append(f"  - {_fmt(value)} with probability {_fmt(w)}")
+            lines.append(f"  - {fmt(value)} with probability {fmt(w)}")
     return lines
 
 
@@ -338,15 +320,15 @@ def run_equilibrium(cfg):
         lines.append("No dominant row.")
     else:
         lines.append(
-            f"Row pmal_b={_fmt(pm.grid_b[report.row])} is {report.level}ly dominant "
-            f"(margin {_fmt(report.margin_sigmas)} standard errors, "
+            f"Row pmal_b={fmt(pm.grid_b[report.row])} is {report.level}ly dominant "
+            f"(margin {fmt(report.margin_sigmas)} standard errors, "
             f"separated: {'yes' if report.separated else 'no'})."
         )
     lines += [
         "",
         f"Iterated strict dominance keeps rows "
-        f"{[_fmt(pm.grid_b[i]) for i in kept_rows]} and columns "
-        f"{[_fmt(pm.grid_fc[j]) for j in kept_cols]}.",
+        f"{[fmt(pm.grid_b[i]) for i in kept_rows]} and columns "
+        f"{[fmt(pm.grid_fc[j]) for j in kept_cols]}.",
         "",
         "## Pure equilibria",
         "",
@@ -354,13 +336,13 @@ def run_equilibrium(cfg):
     if saddles:
         for rc in saddles:
             lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)} "
-                         f"with value {_fmt(pm.pe[rc])}")
+                         f"with value {fmt(pm.pe[rc])}")
     else:
         lines.append("None.")
     # estimated entries carry sampling noise, so also list the cells that are
     # saddle points up to NOISE_SIGMAS combined standard errors
     noisy = saddle_points_within_noise(pm)
-    lines += ["", f"## Saddle points within noise ({_fmt(NOISE_SIGMAS)} standard errors)", ""]
+    lines += ["", f"## Saddle points within noise ({fmt(NOISE_SIGMAS)} standard errors)", ""]
     if noisy:
         for rc in noisy:
             lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)}")
@@ -372,19 +354,18 @@ def run_equilibrium(cfg):
     else:
         lines += _mixture_lines("Byzantine mixture over pmal_b", pm.grid_b, eq.p)
         lines += _mixture_lines("Fusion center mixture over pmal_fc", pm.grid_fc, eq.q)
-    lines.append(f"Game value: {_fmt(eq.value)}")
+    lines.append(f"Game value: {fmt(eq.value)}")
     lines.append("")
     os.makedirs(cfg.out, exist_ok=True)
     _write(os.path.join(cfg.out, "equilibrium.md"), "\n".join(lines))
     _write_meta(cfg, "equilibrium")
-    print(f"equilibrium: value {_fmt(eq.value)}, "
+    print(f"equilibrium: value {fmt(eq.value)}, "
           f"{'pure' if eq.pure is not None else 'mixed'}; wrote {cfg.out}/equilibrium.md")
 
 
 def run_compare(cfg):
     pm = _estimate(cfg)
     eq = solve_mixed(pm)
-    opt = equilibrium_payoff(pm, eq)
     worst = None
     for pmal_b in cfg.grid_b.values:
         est = estimate_majority_pe(cfg.scenario, pmal_b, cfg.trials, cfg.seed)
@@ -399,9 +380,9 @@ def run_compare(cfg):
         "",
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",
-        f"| majority vote (worst pmal_b = {_fmt(maj_pb)}) | {_fmt(maj.value(cfg.metric))} | "
-        f"{_fmt(maj.stderr(cfg.metric))} |",
-        f"| optimum fusion (equilibrium) | {_fmt(opt)} | |",
+        f"| majority vote (worst pmal_b = {fmt(maj_pb)}) | {fmt(maj.value(cfg.metric))} | "
+        f"{fmt(maj.stderr(cfg.metric))} |",
+        f"| optimum fusion (equilibrium) | {fmt(eq.value)} | |",
         "",
     ]
     if eq.pure is not None:
@@ -414,7 +395,7 @@ def run_compare(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     _write(os.path.join(cfg.out, "compare.md"), "\n".join(lines))
     _write_meta(cfg, "compare")
-    print(f"compare: majority {_fmt(maj.value(cfg.metric))} vs optimum {_fmt(opt)}; "
+    print(f"compare: majority {fmt(maj.value(cfg.metric))} vs optimum {fmt(eq.value)}; "
           f"wrote {cfg.out}/compare.md")
 
 
@@ -450,8 +431,8 @@ def run_oracle_check(cfg):
         se = float(pm.se[0, 0])
         ok = abs(mc - exact) <= 4.0 * se + 1e-12
         all_ok &= ok
-        print(f"oracle-check: {model_text} n={n} m={m} eps={_fmt(eps)} "
-              f"pmal_b={_fmt(pmal_b)} pmal_fc={_fmt(pmal_fc)}: "
+        print(f"oracle-check: {model_text} n={n} m={m} eps={fmt(eps)} "
+              f"pmal_b={fmt(pmal_b)} pmal_fc={fmt(pmal_fc)}: "
               f"exact={exact:.6g} mc={mc:.6g} se={se:.2g} "
               f"{'PASS' if ok else 'FAIL'}")
     if not all_ok:
@@ -486,14 +467,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {
-            "seed": args.seed,
-            "trials": args.trials,
-            "metric": args.metric,
-            "out": args.out,
-            "workers": args.workers,
-        }
-        cfg = load_config(args.config, overrides)
+        flags = ("seed", "trials", "metric", "out", "workers")
+        cfg = load_config(args.config, {k: getattr(args, k) for k in flags})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,10 @@ which keeps results identical under any worker count.
 
 The solving side is standard finite zero-sum machinery: dominance checks,
 pure saddle points, and mixed equilibria via a pair of linear programs with
-a support-enumeration fallback used for cross-validation.
+a support-enumeration fallback used for cross-validation. Each two-player
+rule is written once, for the maximizer: the minimizer's dominance sweep and
+saddle test are the maximizer's on -a^T, and its LP is the maximizer's on
+-b^T for the shifted matrix b.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ __all__ = [
     "solve_mixed",
     "solve_mixed_enum",
     "eliminate_dominated",
-    "equilibrium_payoff",
+    "METRICS",
+    "saddle_points_within_noise",
+    "fmt",
 ]
 
 DEFAULT_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -159,9 +164,9 @@ class PayoffMatrix:
         meta.update(seed=self.seed, trials=self.trials, metric=self.metric)
         for key, value in meta.items():
             lines.append(f"# {key} = {value}")
-        lines.append("pmal_b/pmal_fc," + ",".join(_fmt(v) for v in self.grid_fc.values))
+        lines.append("pmal_b/pmal_fc," + ",".join(fmt(v) for v in self.grid_fc.values))
         for i, pb in enumerate(self.grid_b.values):
-            lines.append(_fmt(pb) + "," + ",".join(_fmt(v) for v in self.pe[i]))
+            lines.append(fmt(pb) + "," + ",".join(fmt(v) for v in self.pe[i]))
         return "\n".join(lines) + "\n"
 
     def to_markdown(self, comments=None):
@@ -172,12 +177,12 @@ class PayoffMatrix:
         for key, value in meta.items():
             lines.append(f"*{key} = {value}*")
         lines.append("")
-        header = "| pmal_b \\ pmal_fc | " + " | ".join(_fmt(v) for v in self.grid_fc.values) + " |"
+        header = "| pmal_b \\ pmal_fc | " + " | ".join(fmt(v) for v in self.grid_fc.values) + " |"
         lines.append(header)
         lines.append("|" + " --- |" * (len(self.grid_fc) + 1))
         for i, pb in enumerate(self.grid_b.values):
             lines.append(
-                "| " + _fmt(pb) + " | " + " | ".join(_fmt(v) for v in self.pe[i]) + " |"
+                "| " + fmt(pb) + " | " + " | ".join(fmt(v) for v in self.pe[i]) + " |"
             )
         return "\n".join(lines) + "\n"
 
@@ -258,7 +263,8 @@ def _error_stats(bit_err, seq_err):
     )
 
 
-def _fmt(v):
+def fmt(v):
+    """`v` to 6 significant digits, the one rendering of numbers in every report."""
     return f"{v:.6g}"
 
 
@@ -406,14 +412,18 @@ def dominance_report(pm):
     return DominanceReport(row, level, margin, separated=margin > NOISE_SIGMAS)
 
 
-def _saddle_points(a, se):
-    # cells (r, c), row-major, that no a[i, c] exceeds and no a[r, j]
-    # undercuts by more than NOISE_SIGMAS * hypot(se[r, c], se of the rival)
+def _beaten_in_column(a, se):
+    # [r, c]: some a[i, c] exceeds a[r, c] by more than NOISE_SIGMAS * hypot(se[r, c], se[i, c])
     margin = NOISE_SIGMAS * np.hypot(se[:, None, :], se[None, :, :])  # [r, i, c]
-    beaten_in_column = (a[None, :, :] > a[:, None, :] + margin).any(axis=1)
-    margin = NOISE_SIGMAS * np.hypot(se[:, :, None], se[:, None, :])  # [r, c, j]
-    beaten_in_row = (a[:, None, :] < a[:, :, None] - margin).any(axis=2)
-    return [(int(r), int(c)) for r, c in np.argwhere(~beaten_in_column & ~beaten_in_row)]
+    return (a[None, :, :] > a[:, None, :] + margin).any(axis=1)
+
+
+def _saddle_points(a, se):
+    # cells (r, c), row-major, that no rival in their column beats for the
+    # maximizer and no rival in their row beats for the minimizer, which is
+    # the maximizer's column test on -a^T
+    beaten = _beaten_in_column(a, se) | _beaten_in_column(-a.T, se.T).T
+    return [(int(r), int(c)) for r, c in np.argwhere(~beaten)]
 
 
 def find_pure_equilibria(pm):
@@ -441,51 +451,39 @@ def saddle_points_within_noise(pm):
     return _saddle_points(a, se)
 
 
-def solve_lp_pair(a):
-    """Maximin and minimax linear programs; returns (p, v_row, q, v_col).
-
-    Entries are shifted to be positive before solving (pure conditioning,
-    the shift is removed from the values).
-    """
-    a = _entries(a)
-    nr, nc = a.shape
-    shift = 1.0 - a.min()
-    b = a + shift
-    # row player: maximize v subject to b^T p >= v, p a distribution
-    c_row = np.zeros(nr + 1)
-    c_row[-1] = -1.0
-    a_ub = np.hstack([-b.T, np.ones((nc, 1))])
-    res_p = linprog(
-        c_row,
-        A_ub=a_ub,
+def _maximin(b):
+    # maximize v subject to b^T p >= v, p a distribution; returns (p, v)
+    nr, nc = b.shape
+    c = np.zeros(nr + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c,
+        A_ub=np.hstack([-b.T, np.ones((nc, 1))]),
         b_ub=np.zeros(nc),
         A_eq=np.concatenate([np.ones(nr), [0.0]])[None, :],
         b_eq=[1.0],
         bounds=[(0.0, 1.0)] * nr + [(None, None)],
         method="highs",
     )
-    if not res_p.success:
-        raise RuntimeError(f"maximin LP failed: {res_p.message}")
-    # column player: minimize u subject to b q <= u, q a distribution
-    c_col = np.zeros(nc + 1)
-    c_col[-1] = 1.0
-    a_ub = np.hstack([b, -np.ones((nr, 1))])
-    res_q = linprog(
-        c_col,
-        A_ub=a_ub,
-        b_ub=np.zeros(nr),
-        A_eq=np.concatenate([np.ones(nc), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * nc + [(None, None)],
-        method="highs",
-    )
-    if not res_q.success:
-        raise RuntimeError(f"minimax LP failed: {res_q.message}")
-    p = np.clip(res_p.x[:nr], 0.0, None)
-    q = np.clip(res_q.x[:nc], 0.0, None)
-    p /= p.sum()
-    q /= q.sum()
-    return p, float(res_p.x[-1] - shift), q, float(res_q.x[-1] - shift)
+    if not res.success:
+        raise RuntimeError(f"maximin LP failed: {res.message}")
+    p = np.clip(res.x[:nr], 0.0, None)
+    return p / p.sum(), res.x[-1]
+
+
+def solve_lp_pair(a):
+    """Maximin and minimax linear programs; returns (p, v_row, q, v_col).
+
+    Entries are shifted to be positive before solving (pure conditioning,
+    the shift is removed from the values). The minimizer's LP is the
+    maximizer's on -b^T for the same shifted matrix b.
+    """
+    a = _entries(a)
+    shift = 1.0 - a.min()
+    b = a + shift
+    p, v = _maximin(b)
+    q, u = _maximin(-b.T)
+    return p, float(v - shift), q, float(-u - shift)
 
 
 @dataclass(frozen=True)
@@ -579,31 +577,29 @@ def _support_solve(sub):
     return sol[:k], sol[k]
 
 
+def _drop_dominated_rows(a, rows, cols):
+    # delete, last first, each of `rows` that another kept row beats in every
+    # kept column of `a`; True if any went
+    dropped = False
+    sub = a[np.ix_(rows, cols)]
+    for i in range(len(rows) - 1, -1, -1):
+        if (np.delete(sub, i, axis=0) > sub[i]).all(axis=1).any():
+            del rows[i]
+            dropped = True
+            sub = a[np.ix_(rows, cols)]
+    return dropped
+
+
 def eliminate_dominated(pm):
-    """Iterated strict dominance; returns (kept_rows, kept_cols)."""
+    """Iterated strict dominance; returns (kept_rows, kept_cols).
+
+    Each pass sweeps the rows, then the columns as the rows of -a^T, until
+    neither sweep drops anything.
+    """
     a = _entries(pm)
     rows = list(range(a.shape[0]))
     cols = list(range(a.shape[1]))
-    changed = True
-    while changed:
-        changed = False
-        sub = a[np.ix_(rows, cols)]
-        for i in range(len(rows) - 1, -1, -1):
-            others = np.delete(sub, i, axis=0)
-            if others.size and (others > sub[i]).all(axis=1).any():
-                del rows[i]
-                changed = True
-                sub = a[np.ix_(rows, cols)]
-        for j in range(len(cols) - 1, -1, -1):
-            others = np.delete(sub, j, axis=1)
-            if others.size and (others < sub[:, [j]]).all(axis=0).any():
-                del cols[j]
-                changed = True
-                sub = a[np.ix_(rows, cols)]
+    mirror = -a.T
+    while _drop_dominated_rows(a, rows, cols) | _drop_dominated_rows(mirror, cols, rows):
+        pass
     return np.array(rows, dtype=int), np.array(cols, dtype=int)
-
-
-def equilibrium_payoff(pm, eq):
-    """Expected payoff of the profile (eq.p, eq.q) under this matrix."""
-    a = _entries(pm)
-    return float(eq.p @ a @ eq.q)

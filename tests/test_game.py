@@ -12,7 +12,6 @@ from byzfusion.game import (
     StrategyGrid,
     dominance_report,
     eliminate_dominated,
-    equilibrium_payoff,
     estimate_majority_pe,
     estimate_payoff_matrix,
     find_dominant_row,
@@ -25,6 +24,7 @@ from byzfusion.game import (
 )
 from byzfusion.model import FixedCount, IndependentAlpha, UnconstrainedMaxEntropy
 from byzfusion.oracle import ExactScenario, exact_error_probability
+from test_fusion import load_perfbench
 
 
 def small_scenario(**kw):
@@ -322,14 +322,97 @@ class TestSolvers:
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             eq = solve_mixed(a)
-            assert equilibrium_payoff(a, eq) == pytest.approx(eq.value, abs=1e-8)
+            assert float(eq.p @ a @ eq.q) == pytest.approx(eq.value, abs=1e-8)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             solve_mixed(np.array([[np.nan, 1.0], [0.0, 2.0]]))
 
+    def test_zero_sum_symmetry(self):
+        # the minimizer on a is the maximizer on -a^T: every solver step swaps
+        # the players, and negates the values, when the game is mirrored
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            shape = tuple(rng.integers(1, 7, size=2))
+            se = rng.uniform(0.0, 0.5, size=shape)
+            normal = rng.normal(size=shape)
+            for a in (normal, rng.integers(-3, 5, size=shape).astype(float)):
+                mirror = -a.T
+                rows, cols = eliminate_dominated(a)
+                m_rows, m_cols = eliminate_dominated(mirror)
+                np.testing.assert_array_equal(m_rows, cols)
+                np.testing.assert_array_equal(m_cols, rows)
+                assert sorted(find_pure_equilibria(mirror)) == sorted(
+                    (c, r) for r, c in find_pure_equilibria(a)
+                )
+                noisy = saddle_points_within_noise(make_pm(a, se))
+                assert sorted(saddle_points_within_noise(make_pm(mirror, se.T))) == sorted(
+                    (c, r) for r, c in noisy
+                )
+            # a normal game has one equilibrium, so both LPs pin it down
+            p, v_row, q, v_col = solve_lp_pair(normal)
+            m_p, m_v_row, m_q, m_v_col = solve_lp_pair(-normal.T)
+            np.testing.assert_allclose(m_p, q, atol=1e-9)
+            np.testing.assert_allclose(m_q, p, atol=1e-9)
+            assert m_v_row == pytest.approx(-v_col, abs=1e-9)
+            assert m_v_col == pytest.approx(-v_row, abs=1e-9)
+
+    def test_tracer_sees_every_solver_layer(self):
+        # the benchmark's game layers wrap solve_mixed and the module-level
+        # names it calls: one saddle game takes the saddle route, one
+        # matching-pennies game the LP route
+        tracer_module = load_perfbench("tracer")
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            solve_mixed(np.array([[1.0, 2.0], [0.0, 3.0]]))
+            solve_mixed(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        finally:
+            tracer.remove()
+        game_targets = [t for _, t, _ in tracer_module.TARGETS if t.startswith("byzfusion.game:")]
+        assert "byzfusion.game:solve_lp_pair" in game_targets
+        assert [t for t in game_targets if t in tracer.absent] == []
+        assert tracer.counts["game.route_saddle"] == 1
+        assert tracer.totals["game.solve_lp_pair"][0] == 1
+
+
+def eliminate_one_at_a_time(a):
+    """Iterated strict dominance by removing the first dominated row, else the
+    first dominated column, one at a time; the kept sets do not depend on the order."""
+    rows, cols = list(range(a.shape[0])), list(range(a.shape[1]))
+    while True:
+        sub = a[np.ix_(rows, cols)]
+        nr, nc = sub.shape
+        row = next(
+            (i for i in range(nr) if any((sub[k] > sub[i]).all() for k in range(nr) if k != i)),
+            None,
+        )
+        if row is not None:
+            del rows[row]
+            continue
+        col = next(
+            (j for j in range(nc)
+             if any((sub[:, k] < sub[:, j]).all() for k in range(nc) if k != j)),
+            None,
+        )
+        if col is None:
+            return rows, cols
+        del cols[col]
+
 
 class TestEliminateDominated:
+    def test_matches_one_at_a_time_reference(self):
+        rng = np.random.default_rng(13)
+        dropped = 0
+        for _ in range(200):
+            a = rng.integers(0, 4, size=tuple(rng.integers(1, 7, size=2))).astype(float)
+            rows, cols = eliminate_dominated(a)
+            want_rows, want_cols = eliminate_one_at_a_time(a)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(cols, want_cols)
+            dropped += (0 not in rows) + (0 not in cols)
+        assert dropped > 0  # the first row or column is among those removed
+
     def test_reduces_strictly_dominated(self):
         pe = [[0.5, 0.6, 0.55], [0.2, 0.3, 0.25], [0.4, 0.5, 0.45]]
         rows, cols = eliminate_dominated(np.array(pe))

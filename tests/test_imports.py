@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and every
-defaulted parameter of the package is set by some call."""
+"""Every name a module of the package imports is used in that module and is
+exported by the sibling it comes from, and every defaulted parameter of the
+package is set by some call."""
 
 import ast
 import math
@@ -29,11 +30,7 @@ def unused_imports(path):
                 name = alias.asname or alias.name.split(".")[0]
                 imported.append((node.lineno, name))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used |= exported_names(path)
     return [(line, name) for line, name in imported if name not in used]
 
 
@@ -61,6 +58,56 @@ def test_scan_flags_an_unused_name(tmp_path):
         "    return os.path.join(np.pi)\n"
     )
     assert unused_imports(path) == [(4, "placement_law")]
+
+
+def exported_names(path):
+    """The strings in the ``__all__`` of the module at `path`, empty if it has none."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unexported_imports(package):
+    """module:line sibling.name for each name a module of `package` imports with
+    ``from .sibling import name`` that is not in the sibling's ``__all__``.
+
+    ``from . import name`` reads the package's ``__init__``; importing a
+    sibling module that way is allowed.
+    """
+    modules = {p.stem: p for p in package.glob("*.py")}
+    out = []
+    for path in sorted(modules.values()):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            source = node.module or "__init__"
+            exported = exported_names(modules[source])
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    continue
+                if alias.name not in exported:
+                    out.append(f"{path.stem}:{node.lineno} {source}.{alias.name}")
+    return out
+
+
+def test_imports_cross_module_boundaries_by_all():
+    # a sibling's name that is not in its __all__ is private to it
+    assert unexported_imports(SRC) == []
+
+
+def test_boundary_scan_flags_an_unexported_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("__all__ = ['VERSION']\nVERSION = '1'\n")
+    (tmp_path / "a.py").write_text("__all__ = ['f']\ndef f(): pass\ndef _g(): pass\nK = 1\n")
+    (tmp_path / "b.py").write_text(
+        "from . import VERSION, a, other\n"
+        "from .a import K, _g, f\n"
+    )
+    assert unexported_imports(tmp_path) == [
+        "b:1 __init__.other", "b:2 a.K", "b:2 a._g",
+    ]
 
 
 def defaulted_parameters(tree):
