@@ -242,24 +242,24 @@ def load_config(config_path=None, overrides=None):
     )
 
 
-def _write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _emit(cfg, subcommand, files, summary):
+    """Write `files` ({name: text}) and meta.txt into cfg.out, then print the summary.
 
-
-def _meta_comments(cfg):
-    return {"config": config_hash(cfg), "tool": f"byzfusion {__version__}"}
-
-
-def _write_meta(cfg, subcommand):
-    text = (
+    Each file is written to name.tmp and renamed into place, so no reader
+    sees it half written.
+    """
+    meta = (
         f"tool = byzfusion {__version__}\n"
         f"subcommand = {subcommand}\n"
         f"config = {config_hash(cfg)}\n" + cfg.canonical_text()
     )
-    _write(os.path.join(cfg.out, "meta.txt"), text)
+    os.makedirs(cfg.out, exist_ok=True)
+    for name, text in {**files, "meta.txt": meta}.items():
+        path = os.path.join(cfg.out, name)
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+    print(f"{subcommand}: {summary}")
 
 
 def _estimate(cfg):
@@ -276,25 +276,40 @@ def _estimate(cfg):
 
 def run_payoff(cfg):
     pm = _estimate(cfg)
-    comments = _meta_comments(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    _write(os.path.join(cfg.out, "payoff.csv"), pm.to_csv(comments))
-    _write(os.path.join(cfg.out, "payoff.md"), pm.to_markdown(comments))
-    _write_meta(cfg, "payoff")
-    print(f"payoff: wrote {cfg.out}/payoff.csv ({len(cfg.grid_b)}x{len(cfg.grid_fc)}, "
+    comments = {"config": config_hash(cfg), "tool": f"byzfusion {__version__}"}
+    _emit(cfg, "payoff",
+          {"payoff.csv": pm.to_csv(comments), "payoff.md": pm.to_markdown(comments)},
+          f"wrote {cfg.out}/payoff.csv ({len(cfg.grid_b)}x{len(cfg.grid_fc)}, "
           f"{cfg.trials} trials)")
 
 
-def _format_profile(grid_b, grid_fc, rc):
+def _report_head(title, cfg, pm):
+    return [
+        f"# {title}",
+        "",
+        f"*config = {config_hash(cfg)}*",
+        f"*seed = {pm.seed}, trials = {pm.trials}, metric = {pm.metric}*",
+        "",
+    ]
+
+
+def _format_profile(pm, rc):
     r, c = rc
-    return f"(pmal_b={fmt(grid_b[r])}, pmal_fc={fmt(grid_fc[c])})"
+    return f"(pmal_b={fmt(pm.grid_b[r])}, pmal_fc={fmt(pm.grid_fc[c])})"
 
 
-def _mixture_lines(label, grid, weights):
-    lines = [f"{label}:"]
-    for value, w in zip(grid.values, weights):
-        if w > 1e-12:
-            lines.append(f"  - {fmt(value)} with probability {fmt(w)}")
+def _equilibrium_lines(pm, eq):
+    # the pure profile, or both players' mixtures over their grids
+    if eq.pure is not None:
+        return [f"Pure: {_format_profile(pm, eq.pure)}."]
+    lines = []
+    for label, grid, weights in (
+        ("Byzantine mixture over pmal_b", pm.grid_b, eq.p),
+        ("Fusion center mixture over pmal_fc", pm.grid_fc, eq.q),
+    ):
+        lines.append(f"{label}:")
+        lines += [f"  - {fmt(value)} with probability {fmt(w)}"
+                  for value, w in zip(grid.values, weights) if w > 1e-12]
     return lines
 
 
@@ -307,15 +322,7 @@ def run_equilibrium(cfg):
     report = dominance_report(pm)
     saddles = find_pure_equilibria(pm)
     kept_rows, kept_cols = eliminate_dominated(pm)
-    lines = [
-        "# Equilibrium report",
-        "",
-        f"*config = {config_hash(cfg)}*",
-        f"*seed = {pm.seed}, trials = {pm.trials}, metric = {pm.metric}*",
-        "",
-        "## Dominance",
-        "",
-    ]
+    lines = _report_head("Equilibrium report", cfg, pm) + ["## Dominance", ""]
     if report.row is None:
         lines.append("No dominant row.")
     else:
@@ -333,51 +340,31 @@ def run_equilibrium(cfg):
         "## Pure equilibria",
         "",
     ]
-    if saddles:
-        for rc in saddles:
-            lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)} "
-                         f"with value {fmt(pm.pe[rc])}")
-    else:
-        lines.append("None.")
+    lines += [f"- {_format_profile(pm, rc)} with value {fmt(pm.pe[rc])}"
+              for rc in saddles] or ["None."]
     # estimated entries carry sampling noise, so also list the cells that are
     # saddle points up to NOISE_SIGMAS combined standard errors
     noisy = saddle_points_within_noise(pm)
     lines += ["", f"## Saddle points within noise ({fmt(NOISE_SIGMAS)} standard errors)", ""]
-    if noisy:
-        for rc in noisy:
-            lines.append(f"- {_format_profile(pm.grid_b, pm.grid_fc, rc)}")
-    else:
-        lines.append("None.")
+    lines += [f"- {_format_profile(pm, rc)}" for rc in noisy] or ["None."]
     lines += ["", "## Equilibrium", ""]
-    if eq.pure is not None:
-        lines.append(f"Pure: {_format_profile(pm.grid_b, pm.grid_fc, eq.pure)}.")
-    else:
-        lines += _mixture_lines("Byzantine mixture over pmal_b", pm.grid_b, eq.p)
-        lines += _mixture_lines("Fusion center mixture over pmal_fc", pm.grid_fc, eq.q)
-    lines.append(f"Game value: {fmt(eq.value)}")
-    lines.append("")
-    os.makedirs(cfg.out, exist_ok=True)
-    _write(os.path.join(cfg.out, "equilibrium.md"), "\n".join(lines))
-    _write_meta(cfg, "equilibrium")
-    print(f"equilibrium: value {fmt(eq.value)}, "
-          f"{'pure' if eq.pure is not None else 'mixed'}; wrote {cfg.out}/equilibrium.md")
+    lines += _equilibrium_lines(pm, eq)
+    lines += [f"Game value: {fmt(eq.value)}", ""]
+    _emit(cfg, "equilibrium", {"equilibrium.md": "\n".join(lines)},
+          f"value {fmt(eq.value)}, {'pure' if eq.pure is not None else 'mixed'}; "
+          f"wrote {cfg.out}/equilibrium.md")
 
 
 def run_compare(cfg):
     pm = _estimate(cfg)
     eq = solve_mixed(pm)
-    worst = None
-    for pmal_b in cfg.grid_b.values:
-        est = estimate_majority_pe(cfg.scenario, pmal_b, cfg.trials, cfg.seed)
-        if worst is None or est.value(cfg.metric) > worst[1].value(cfg.metric):
-            worst = (pmal_b, est)
-    maj_pb, maj = worst
-    lines = [
-        "# Majority vote vs optimum fusion",
-        "",
-        f"*config = {config_hash(cfg)}*",
-        f"*seed = {cfg.seed}, trials = {cfg.trials}, metric = {cfg.metric}*",
-        "",
+    # the Byzantines' best response to majority voting; the first maximum wins
+    maj_pb, maj = max(
+        ((pmal_b, estimate_majority_pe(cfg.scenario, pmal_b, cfg.trials, cfg.seed))
+         for pmal_b in cfg.grid_b.values),
+        key=lambda pair: pair[1].value(cfg.metric),
+    )
+    lines = _report_head("Majority vote vs optimum fusion", cfg, pm) + [
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",
         f"| majority vote (worst pmal_b = {fmt(maj_pb)}) | {fmt(maj.value(cfg.metric))} | "
@@ -385,17 +372,10 @@ def run_compare(cfg):
         f"| optimum fusion (equilibrium) | {fmt(eq.value)} | |",
         "",
     ]
-    if eq.pure is not None:
-        lines.append(f"Equilibrium is pure at "
-                     f"{_format_profile(pm.grid_b, pm.grid_fc, eq.pure)}.")
-    else:
-        lines += _mixture_lines("Byzantine mixture over pmal_b", pm.grid_b, eq.p)
-        lines += _mixture_lines("Fusion center mixture over pmal_fc", pm.grid_fc, eq.q)
+    lines += _equilibrium_lines(pm, eq)
     lines.append("")
-    os.makedirs(cfg.out, exist_ok=True)
-    _write(os.path.join(cfg.out, "compare.md"), "\n".join(lines))
-    _write_meta(cfg, "compare")
-    print(f"compare: majority {fmt(maj.value(cfg.metric))} vs optimum {fmt(eq.value)}; "
+    _emit(cfg, "compare", {"compare.md": "\n".join(lines)},
+          f"majority {fmt(maj.value(cfg.metric))} vs optimum {fmt(eq.value)}; "
           f"wrote {cfg.out}/compare.md")
 
 

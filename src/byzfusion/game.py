@@ -359,6 +359,12 @@ def _entries(pm):
     return a
 
 
+def _beats(a, strict=True):
+    # [r, i]: row r is above row i in every column, strictly or not
+    above = np.greater if strict else np.greater_equal
+    return above(a[:, None, :], a[None, :, :]).all(axis=2)
+
+
 def find_dominant_row(pm, strict=True):
     """Row index best for the maximizer against every column, or None.
 
@@ -366,14 +372,8 @@ def find_dominant_row(pm, strict=True):
     row is at least as good everywhere (first such index wins).
     """
     a = _entries(pm)
-    for r in range(a.shape[0]):
-        others = np.delete(a, r, axis=0)
-        if strict:
-            if (a[r] > others).all():
-                return r
-        elif (a[r] >= others).all():
-            return r
-    return None
+    dominant = np.flatnonzero((_beats(a, strict) | np.eye(len(a), dtype=bool)).all(axis=1))
+    return int(dominant[0]) if dominant.size else None
 
 
 @dataclass(frozen=True)
@@ -577,29 +577,21 @@ def _support_solve(sub):
     return sol[:k], sol[k]
 
 
-def _drop_dominated_rows(a, rows, cols):
-    # delete, last first, each of `rows` that another kept row beats in every
-    # kept column of `a`; True if any went
-    dropped = False
-    sub = a[np.ix_(rows, cols)]
-    for i in range(len(rows) - 1, -1, -1):
-        if (np.delete(sub, i, axis=0) > sub[i]).all(axis=1).any():
-            del rows[i]
-            dropped = True
-            sub = a[np.ix_(rows, cols)]
-    return dropped
-
-
 def eliminate_dominated(pm):
     """Iterated strict dominance; returns (kept_rows, kept_cols).
 
-    Each pass sweeps the rows, then the columns as the rows of -a^T, until
-    neither sweep drops anything.
+    Each pass drops at once every kept row that a kept row beats in every
+    kept column, and every column beaten by the same rule on -a^T; it stops
+    when a pass drops nothing. The order of elimination does not change the
+    kept sets.
     """
     a = _entries(pm)
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
-    mirror = -a.T
-    while _drop_dominated_rows(a, rows, cols) | _drop_dominated_rows(mirror, cols, rows):
-        pass
-    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+    rows = np.arange(a.shape[0])
+    cols = np.arange(a.shape[1])
+    while True:
+        sub = a[np.ix_(rows, cols)]
+        keep_rows = ~_beats(sub).any(axis=0)
+        keep_cols = ~_beats(-sub.T).any(axis=0)
+        if keep_rows.all() and keep_cols.all():
+            return rows, cols
+        rows, cols = rows[keep_rows], cols[keep_cols]

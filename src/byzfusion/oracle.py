@@ -156,11 +156,10 @@ def exact_error_probability(scenario, metric="per-component"):
     # XOR-ing every row of matrix i with the state s XORs i with s * rep
     rep = sum(1 << (m * i) for i in range(n))
     index = np.arange(len(rows))
+    # the error of deciding d in state s, looked up by d ^ s
+    diff = np.arange(2**m)
+    err = popcount(diff) / m if metric == "per-component" else (diff != 0).astype(np.float64)
     total = 0.0
     for state_int in range(2**m):
-        if metric == "per-component":
-            err = popcount(decisions ^ state_int) / m
-        else:
-            err = (decisions != state_int).astype(np.float64)
-        total += 0.5**m * float(like0[index ^ (state_int * rep)] @ err)
+        total += 0.5**m * float(like0[index ^ (state_int * rep)] @ err[decisions ^ state_int])
     return total

@@ -220,6 +220,42 @@ class TestMainCompare:
         assert "optimum fusion" in text
 
 
+GRID3 = "grid_b = 0.5,0.75,1.0\ngrid_fc = 0.5,0.75,1.0\n"
+# a simulated game with a pure equilibrium, and one with a mixed equilibrium
+PURE = TINY + GRID3
+MIXED = "n = 8\nm = 3\neps = 0.1\ntrue_model = fixed:2\ntrials = 1000\nseed = 1\n" + GRID3
+
+FILES = {
+    "payoff": {"payoff.csv", "payoff.md", "meta.txt"},
+    "equilibrium": {"equilibrium.md", "meta.txt"},
+    "compare": {"compare.md", "meta.txt"},
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("text, kind", [(PURE, "Pure:"), (MIXED, "mixture over pmal_b:")],
+                             ids=["pure", "mixed"])
+    def test_compare_renders_the_equilibrium_as_equilibrium_md(self, tmp_path, text, kind):
+        cfg = write_config(tmp_path, text)
+        eq_out, cmp_out = tmp_path / "eq", tmp_path / "cmp"
+        assert main(["equilibrium", "--config", cfg, "--out", str(eq_out)]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(cmp_out)]) == 0
+        eq_md = (eq_out / "equilibrium.md").read_text()
+        cmp_md = (cmp_out / "compare.md").read_text()
+        want = eq_md.split("## Equilibrium\n\n")[1].split("Game value:")[0]
+        assert kind in want
+        assert cmp_md.split("| optimum fusion (equilibrium) |")[1].split("\n\n")[1] == want
+
+    @pytest.mark.parametrize("subcommand", sorted(FILES))
+    def test_each_subcommand_writes_its_files_and_meta(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, PURE)
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == FILES[subcommand]
+        assert f"subcommand = {subcommand}\n" in (out / "meta.txt").read_text()
+        assert capsys.readouterr().out.startswith(f"{subcommand}: ")
+
+
 class TestOracleCheck:
     def test_passes_on_small_instances(self, capsys):
         rc = main(["oracle-check", "--trials", "4000", "--seed", "3"])

@@ -192,7 +192,31 @@ class TestSimulation:
         assert pm.pe_component[0, 0] < est.pe_component
 
 
+def dominant_row_by_deletion(a, strict):
+    """First row above every other row in every column, one np.delete per row."""
+    for r in range(a.shape[0]):
+        others = np.delete(a, r, axis=0)
+        if ((a[r] > others) if strict else (a[r] >= others)).all():
+            return r
+    return None
+
+
 class TestDominance:
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, k) for k in range(1, 7)]
+        shapes += [tuple(rng.integers(1, 7, size=2)) for _ in range(300)]
+        only_weak = 0
+        for shape in shapes:
+            # few distinct values, so ties make weak and strict dominance differ
+            a = rng.integers(0, 3, size=shape).astype(float)
+            found = {}
+            for strict in (True, False):
+                found[strict] = find_dominant_row(a, strict=strict)
+                assert found[strict] == dominant_row_by_deletion(a, strict)
+            only_weak += found[True] is None and found[False] is not None
+        assert only_weak > 0
+
     def test_strict_dominant_row(self):
         pe = [[0.3, 0.4], [0.1, 0.2]]
         assert find_dominant_row(pe) == 0
