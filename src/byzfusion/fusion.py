@@ -137,14 +137,17 @@ def fuse(reports, assumption):
     return unpack_bits(decision, m)
 
 
-def fuse_majority(reports):
-    """Componentwise majority vote over the nodes of (..., n, m) reports; ties resolve to 0."""
-    reports = np.asarray(reports)
-    if reports.ndim < 2:
-        raise ValueError("reports must be (..., n, m)")
-    n = reports.shape[-2]
-    ones = reports.astype(np.int64).sum(axis=-2)
-    return (2 * ones > n).astype(np.uint8)
+def fuse_majority(rows, m):
+    """Packed componentwise majority vote over packed node rows (..., n); ties go to 0."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim < 1:
+        raise ValueError("rows must be (..., n)")
+    n = rows.shape[-1]
+    decisions = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for shift in range(m):
+        ones = ((rows >> shift) & 1).sum(axis=-1)
+        decisions |= (2 * ones > n).astype(np.int64) << shift
+    return decisions
 
 
 def _keys_from_row_counts(n, m):

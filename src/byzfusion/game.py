@@ -3,8 +3,8 @@
 The Byzantines pick a flip probability pmal_b (row player, maximizing the
 fusion error), the fusion center picks the flip probability pmal_fc it
 assumes when decoding (column player, minimizing). Payoffs are estimated
-by simulation: for each row the trial realizations (states, placements,
-noise) are drawn once and reused for every column, so column comparisons
+by simulation: for each row the trial realizations (states and node rows)
+are drawn once and reused for every column, so column comparisons
 within a row share common random numbers and row jobs are independent,
 which keeps results identical under any worker count.
 
@@ -25,15 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bits import pack_bits, popcount
+from .bits import popcount
 from .fusion import BatchFuser, FusionAssumption, decide_columns, fuse_majority
-from .model import (
-    mix64,
-    placement_law,
-    sample_placements_batch,
-    sample_reports_batch,
-    sample_states_batch,
-)
+from .model import mix64, placement_law, sample_rows
 
 __all__ = [
     "DEFAULT_GRID",
@@ -247,11 +241,14 @@ class ErrorEstimate:
         return _by_metric(metric, self.se_component, self.se_sequence)
 
 
-def _error_stats(bit_err, seq_err):
-    """(pe_component, pe_sequence, se_component, se_sequence) of per-trial errors.
+def _error_stats(decisions, states, m):
+    """(pe_component, pe_sequence, se_component, se_sequence) of packed decisions.
 
+    Per-trial bit error rate and sequence error against the packed states.
     Standard errors use ddof=1, or ddof=0 for a single trial.
     """
+    bit_err = popcount(decisions ^ states) / m
+    seq_err = (decisions != states).astype(np.float64)
     trials = len(bit_err)
     ddof = 1 if trials > 1 else 0
     root = np.sqrt(trials)
@@ -269,31 +266,22 @@ def fmt(v):
 
 
 def simulate_row(scenario, pmal_b, trials, rng):
-    """Draw all realizations for one row: states (T, m) and reports (T, n, m).
-
-    Fixed draw order (states, placements, local noise, flip noise) so a row
-    is a pure function of its generator state.
-    """
+    """Draw all realizations for one row, packed: states (T,) and node rows (T, n)."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    states = sample_states_batch(rng, scenario.m, trials)
-    placements = sample_placements_batch(rng, scenario.true_model, scenario.n, trials)
-    reports = sample_reports_batch(rng, states, placements, scenario.eps, pmal_b)
-    return states, reports
+    return sample_rows(
+        rng, scenario.true_model, scenario.n, scenario.m, scenario.eps, pmal_b, trials
+    )
 
 
 def _row_errors(scenario, pmal_b, grid_fc, trials, row_seed):
     rng = np.random.default_rng(row_seed)
-    states, reports = simulate_row(scenario, pmal_b, trials, rng)
-    state_ints = pack_bits(states)
-    report_ints = pack_bits(reports)
+    states, rows = simulate_row(scenario, pmal_b, trials, rng)
     assumptions = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
     fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
     stats = np.empty((4, len(grid_fc)))
-    for j, decisions in enumerate(decide_columns(fusers, report_ints)):
-        bit_err = popcount(decisions ^ state_ints) / scenario.m
-        seq_err = (decisions != state_ints).astype(np.float64)
-        stats[:, j] = _error_stats(bit_err, seq_err)
+    for j, decisions in enumerate(decide_columns(fusers, rows)):
+        stats[:, j] = _error_stats(decisions, states, scenario.m)
     return stats
 
 
@@ -343,11 +331,9 @@ def estimate_payoff_matrix(
 def estimate_majority_pe(scenario, pmal_b, trials, seed):
     """Monte Carlo error of the componentwise majority vote at one pmal_b."""
     rng = np.random.default_rng(mix64(seed, _MAJORITY_STREAM_TAG))
-    states, reports = simulate_row(scenario, pmal_b, trials, rng)
-    decisions = fuse_majority(reports)
-    bit_err = (decisions != states).mean(axis=1)
-    seq_err = (decisions != states).any(axis=1).astype(np.float64)
-    return ErrorEstimate(*map(float, _error_stats(bit_err, seq_err)), trials=trials)
+    states, rows = simulate_row(scenario, pmal_b, trials, rng)
+    stats = _error_stats(fuse_majority(rows, scenario.m), states, scenario.m)
+    return ErrorEstimate(*map(float, stats), trials=trials)
 
 
 def _entries(pm):

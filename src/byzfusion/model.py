@@ -21,14 +21,24 @@ These are two placement laws, and :func:`placement_law` is the one place
 that tells them apart: either each node is Byzantine independently with
 probability alpha, or the placement is uniform over the placements whose
 Byzantine count k lies in a range [k_lo, k_hi] (one count for
-``FixedCount``, 0 up to the cap for ``BoundedBelowHalf``). A count-range
-placement is drawn exactly, with no rejection (Chen, Dempster & Liu 1994):
-first each row's count k with P(k) proportional to C(n, k), from one
-uniform per row, drawn only when the range holds more than one count; then
-n uniforms per row, whose k smallest mark the Byzantines.
+``FixedCount``, 0 up to the cap for ``BoundedBelowHalf``).
 
-All samplers are pure functions of the generator handed to them, so a run
-is reproducible from its seed alone.
+Given the state s, an honest node reports v with probability
+pi_h(v ^ s) = (1 - eps)^(m - d) eps^d, d = popcount(v ^ s), and a Byzantine
+node with pi_b, which has delta in place of eps. Every prior treats the
+nodes alike and every decoder sees only the multiset of node rows, so which
+nodes are Byzantine is never observable, and :func:`sample_rows` draws no
+placement. Under an independent law each row comes from the mixture
+(1 - alpha) pi_h + alpha pi_b. Under a count range nodes 0..k-1 are
+Byzantine, with k = n_b for ``FixedCount`` and otherwise P(k) proportional
+to C(n, k), the count law of a uniform placement (Chen, Dempster & Liu
+1994). Each row is one inverse-CDF search over the 2**m error patterns
+(Devroye 1986, ch. III), XOR s. Draw order: every trial's state, then k
+where the range holds more than one count, then one (count, n) block of
+uniforms.
+
+The sampler is a pure function of the generator handed to it, so a run is
+reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import popcount
+
 __all__ = [
     "crossover_delta",
     "UnconstrainedMaxEntropy",
@@ -47,9 +59,7 @@ __all__ = [
     "FixedCount",
     "placement_law",
     "mix64",
-    "sample_states_batch",
-    "sample_placements_batch",
-    "sample_reports_batch",
+    "sample_rows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -155,58 +165,45 @@ def mix64(seed, *indices):
     return h
 
 
-def sample_states_batch(rng, m, count):
-    """count independent state sequences, shape (count, m) uint8."""
+def _pattern_cdf(pmf):
+    # cumulative sums ending at exactly 1.0, so that no uniform below 1 runs
+    # past the table and a trailing value of probability 0 is never drawn
+    cum = np.cumsum(pmf)
+    return cum / cum[-1]
+
+
+def sample_rows(rng, model, n, m, eps, pmal_b, count):
+    """count trials of one network, packed as ``bits.pack_bits`` packs: (states, rows).
+
+    states has shape (count,) and rows (count, n), both int64, drawn as the
+    module docstring says. The Byzantines' uniforms are shifted up by 1
+    into the flipped channel's CDF, which follows the honest one in one table.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    return (rng.random((count, m)) < 0.5).astype(np.uint8)
-
-
-def sample_placements_batch(rng, model, n, count):
-    """count placements, shape (count, n) uint8.
-
-    Independent laws mark the nodes whose uniform falls below alpha. Count
-    ranges draw k by inverse CDF over P(k) ∝ C(n, k), k_lo <= k <= k_hi,
-    then a uniform k-subset, in the draw order the module docstring gives.
-    """
     alpha, k_range = placement_law(model, n)
+    delta = crossover_delta(eps, pmal_b)
+    d = popcount(np.arange(2**m))  # errors in each error pattern
+    honest = (1.0 - eps) ** (m - d) * eps**d
+    flipped = (1.0 - delta) ** (m - d) * delta**d
+    states = rng.integers(2**m, size=count)
     if k_range is None:
-        return (rng.random((count, n)) < alpha).astype(np.uint8)
-    k_lo, k_hi = k_range
-    if k_hi > k_lo:
-        cum = list(itertools.accumulate(math.comb(n, k) for k in range(k_lo, k_hi + 1)))
-        cdf = np.array([c / cum[-1] for c in cum])
-        k = k_lo + np.searchsorted(cdf, rng.random(count), side="right")[:, None]
+        cdf = _pattern_cdf((1.0 - alpha) * honest + alpha * flipped)
+        u = rng.random((count, n))
     else:
+        k_lo, k_hi = k_range
         k = k_lo
-    order = np.argsort(rng.random((count, n)), axis=1)
-    flags = np.empty((count, n), dtype=np.uint8)
-    np.put_along_axis(flags, order, np.arange(n) < k, axis=1)
-    return flags
-
-
-def sample_reports_batch(rng, states, placements, eps, pmal_b):
-    """Report matrices for a batch of trials, shape (count, n, m) uint8.
-
-    states has shape (count, m), placements (count, n). Draw order is fixed:
-    local decision noise for all trial/node/component triples first, then
-    flip noise for all triples. Flip noise is drawn for honest nodes too and
-    masked out, so consumption of the stream does not depend on the
-    placements.
-    """
-    eps = _check_prob(eps, "eps")
-    pmal_b = _check_prob(pmal_b, "pmal_b")
-    states = np.asarray(states, dtype=np.uint8)
-    placements = np.asarray(placements, dtype=np.uint8)
-    if states.ndim != 2 or placements.ndim != 2 or states.shape[0] != placements.shape[0]:
-        raise ValueError("states and placements must be 2-d with matching first axis")
-    count, m = states.shape
-    n = placements.shape[1]
-    noise = rng.random((count, n, m)) < eps
-    flips = rng.random((count, n, m)) < pmal_b
-    # node flags and state bits are spread to (count, n, m) by whole-array
-    # copies; a broadcast over an inner axis of only m entries is slower
-    flips &= np.repeat(placements == 1, m, axis=1).reshape(count, n, m)
-    noise ^= flips
-    noise ^= np.tile(states == 1, n).reshape(count, n, m)
-    return noise.view(np.uint8)
+        if k_hi > k_lo:
+            cum = list(itertools.accumulate(math.comb(n, j) for j in range(k_lo, k_hi + 1)))
+            k_cdf = np.array([c / cum[-1] for c in cum])
+            k = k_lo + np.searchsorted(k_cdf, rng.random(count), side="right")[:, None]
+        cdf = np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(flipped)])
+        u = rng.random((count, n))
+        u += np.arange(n) < k
+        # 1 + u rounds to 2.0 for u = 1 - 2**-53; below 2.0 the search stops
+        # at the first table entry that reaches 2.0, a value of probability > 0
+        np.minimum(u, np.nextafter(2.0, 0.0), out=u)
+    rows = np.searchsorted(cdf, u, side="right")
+    rows &= 2**m - 1
+    rows ^= states[:, None]
+    return states, rows

@@ -221,9 +221,10 @@ class TestMainCompare:
 
 
 GRID3 = "grid_b = 0.5,0.75,1.0\ngrid_fc = 0.5,0.75,1.0\n"
-# a simulated game with a pure equilibrium, and one with a mixed equilibrium
+# a simulated game with a pure equilibrium, and one with a mixed equilibrium;
+# at 16000 trials the latter solves mixed at every seed from 0 to 29
 PURE = TINY + GRID3
-MIXED = "n = 8\nm = 3\neps = 0.1\ntrue_model = fixed:2\ntrials = 1000\nseed = 1\n" + GRID3
+MIXED = "n = 8\nm = 3\neps = 0.1\ntrue_model = fixed:2\ntrials = 16000\nseed = 1\n" + GRID3
 
 FILES = {
     "payoff": {"payoff.csv", "payoff.md", "meta.txt"},

@@ -243,16 +243,18 @@ class TestFuse:
 
     def test_majority_vote(self):
         r = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 0]], dtype=np.uint8)
-        np.testing.assert_array_equal(fuse_majority(r), [1, 1, 0])
+        assert fuse_majority(pack_bits(r), 3) == pack_bits(np.array([1, 1, 0]))
         # even split resolves to zero
         r = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        np.testing.assert_array_equal(fuse_majority(r), [0, 0])
-        # a batch of (n, m) matrices votes matrix by matrix
-        batch = np.random.default_rng(7).integers(0, 2, size=(20, 5, 3), dtype=np.uint8)
-        np.testing.assert_array_equal(fuse_majority(batch),
-                                      np.stack([fuse_majority(b) for b in batch]))
+        assert fuse_majority(pack_bits(r), 2) == 0
+        # a batch of packed rows votes trial by trial, bit by bit
+        batch = pack_bits(np.random.default_rng(7).integers(0, 2, size=(20, 5, 3)))
+        votes = fuse_majority(batch, 3)
+        np.testing.assert_array_equal(votes, [fuse_majority(b, 3) for b in batch])
+        np.testing.assert_array_equal(
+            votes, pack_bits(2 * unpack_bits(batch, 3).sum(axis=-2) > 5))
         with pytest.raises(ValueError):
-            fuse_majority(np.zeros(3, dtype=np.uint8))
+            fuse_majority(np.int64(3), 2)
 
 
 class TestBatchFuser:

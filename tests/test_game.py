@@ -95,7 +95,10 @@ class TestSimulation:
         sc = small_scenario()
         s1, r1 = simulate_row(sc, 0.7, 50, np.random.default_rng(3))
         s2, r2 = simulate_row(sc, 0.7, 50, np.random.default_rng(3))
-        assert s1.shape == (50, 2) and r1.shape == (50, 5, 2)
+        # packed: one int per trial's states and per node row
+        assert s1.shape == (50,) and r1.shape == (50, 5)
+        assert s1.dtype == r1.dtype == np.int64
+        assert 0 <= min(s1.min(), r1.min()) and max(s1.max(), r1.max()) < 2**2
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(r1, r2)
 
@@ -132,11 +135,13 @@ class TestSimulation:
         pm = estimate_payoff_matrix(
             sc, grid_b=StrategyGrid((0.8,)), grid_fc=StrategyGrid((0.8,)),
             trials=40_000, seed=5)
-        exact = exact_error_probability(ExactScenario(
+        exact = ExactScenario(
             n=4, m=2, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
-            true_model=FixedCount(1), fc_model=FixedCount(1)))
-        assert pm.pe_component[0, 0] == pytest.approx(
-            exact, abs=4 * pm.se_component[0, 0] + 1e-9)
+            true_model=FixedCount(1), fc_model=FixedCount(1))
+        for metric in ("per-component", "per-sequence"):
+            pm = replace(pm, metric=metric)
+            assert pm.pe[0, 0] == pytest.approx(
+                exact_error_probability(exact, metric), abs=4 * pm.se[0, 0] + 1e-9)
 
     def test_blinding_at_full_flip(self):
         # with unknown independent placement, a true full flip makes the
@@ -393,11 +398,26 @@ class TestSolvers:
             solve_mixed(np.array([[1.0, 0.0], [0.0, 1.0]]))
         finally:
             tracer.remove()
-        game_targets = [t for _, t, _ in tracer_module.TARGETS if t.startswith("byzfusion.game:")]
+        game_targets = [t for layer, t, _ in tracer_module.TARGETS if layer.startswith("game.")]
         assert "byzfusion.game:solve_lp_pair" in game_targets
         assert [t for t in game_targets if t in tracer.absent] == []
         assert tracer.counts["game.route_saddle"] == 1
         assert tracer.totals["game.solve_lp_pair"][0] == 1
+
+    def test_tracer_samples_once_per_row(self):
+        # the benchmark's sample layer wraps simulate_row, which draws each
+        # payoff row once for all of its columns
+        tracer_module = load_perfbench("tracer")
+        assert ("model.sample", "byzfusion.game:simulate_row", False) in tracer_module.TARGETS
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            grid = StrategyGrid((0.5, 1.0))
+            estimate_payoff_matrix(small_scenario(), grid, grid, trials=50, seed=4)
+        finally:
+            tracer.remove()
+        assert "byzfusion.game:simulate_row" not in tracer.absent
+        assert tracer.totals["model.sample"][0] == 2
 
 
 def eliminate_one_at_a_time(a):

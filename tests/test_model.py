@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from byzfusion.bits import pack_bits
+from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
 from byzfusion.fusion import BatchFuser, FusionAssumption
 from byzfusion.model import (
     BoundedBelowHalf,
@@ -14,11 +15,9 @@ from byzfusion.model import (
     crossover_delta,
     mix64,
     placement_law,
-    sample_placements_batch,
-    sample_reports_batch,
-    sample_states_batch,
+    sample_rows,
 )
-from byzfusion.oracle import enumerate_placements
+from byzfusion.oracle import enumerate_placements, exact_likelihood
 
 
 class TestCrossover:
@@ -90,42 +89,85 @@ class TestMix64:
         assert mix64(5) != mix64(0, 5)
 
 
+def draw(seed, model, n, count, m=2, eps=0.0, pmal_b=1.0):
+    return sample_rows(np.random.default_rng(seed), model, n, m, eps, pmal_b, count)
+
+
+def flipped(seed, model, n, count):
+    """Which rows the flipped channel gave, (count, n) bool.
+
+    At eps = 0 and pmal_b = 1 an honest row is the state and a Byzantine row
+    its complement, so the rows show the Byzantine count exactly.
+    """
+    states, rows = draw(seed, model, n, count)
+    honest = rows == states[:, None]
+    assert (honest | (rows == states[:, None] ^ 0b11)).all()
+    return ~honest
+
+
+def error_pmf(p, m):
+    return [(1 - p) ** (m - bin(x).count("1")) * p ** bin(x).count("1") for x in range(2**m)]
+
+
+def rows_by_loop(seed, model, n, m, eps, pmal_b, count):
+    """sample_rows rebuilt node by node from the same generator; also returns it."""
+    rng = np.random.default_rng(seed)
+    states = rng.integers(2**m, size=count)
+    alpha, k_range = placement_law(model, n)
+    honest, byzantine = error_pmf(eps, m), error_pmf(crossover_delta(eps, pmal_b), m)
+    if k_range is None:
+        counts = [0] * count
+        honest = [(1 - alpha) * h + alpha * b for h, b in zip(honest, byzantine)]
+    elif k_range[0] == k_range[1]:
+        counts = [k_range[0]] * count
+    else:
+        ks = range(k_range[0], k_range[1] + 1)
+        cum = list(itertools.accumulate(math.comb(n, k) for k in ks))
+        counts = [next(k for k, c in zip(ks, cum) if u < c / cum[-1]) for u in rng.random(count)]
+    u = rng.random((count, n))
+    rows = np.empty((count, n), dtype=np.int64)
+    for t in range(count):
+        for i in range(n):
+            # the first pattern whose CDF passes u; the last where rounding
+            # leaves the sum at or below u
+            cdf = itertools.accumulate(byzantine if i < counts[t] else honest)
+            pattern = next((x for x, c in enumerate(cdf) if u[t, i] < c), 2**m - 1)
+            rows[t, i] = pattern ^ states[t]
+    return states, rows, rng
+
+
+class FixedUniform:
+    """A generator stand-in whose every state is 0 and every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def integers(self, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
 class TestSamplers:
     def test_states_shape_and_balance(self):
-        rng = np.random.default_rng(0)
-        s = sample_states_batch(rng, 6, 1)
-        assert s.shape == (1, 6) and s.dtype == np.uint8
-        batch = sample_states_batch(np.random.default_rng(1), 4, 100_000)
-        assert abs(batch.mean() - 0.5) < 0.005
+        states, rows = draw(0, FixedCount(1), 3, 1, m=6)
+        assert states.shape == (1,) and rows.shape == (1, 3)
+        assert states.dtype == rows.dtype == np.int64
+        states, _ = draw(1, FixedCount(1), 3, 100_000, m=4)
+        assert set(states.tolist()) == set(range(16))
+        assert abs(unpack_bits(states, 4).mean() - 0.5) < 0.005
 
     def test_fixed_count_always_exact(self):
-        rng = np.random.default_rng(2)
-        flags = sample_placements_batch(rng, FixedCount(6), 20, 5000)
-        np.testing.assert_array_equal(flags.sum(axis=1), 6)
-
-    def test_fixed_count_uniform_over_placements(self):
-        # n=4, n_b=2: six placements, each should get ~1/6
-        rng = np.random.default_rng(3)
-        flags = sample_placements_batch(rng, FixedCount(2), 4, 120_000)
-        codes = flags @ (1 << np.arange(3, -1, -1))
-        _, counts = np.unique(codes, return_counts=True)
-        assert len(counts) == 6
-        freq = counts / counts.sum()
-        sigma = math.sqrt((1 / 6) * (5 / 6) / 120_000)
-        assert np.abs(freq - 1 / 6).max() < 3 * sigma + 1e-9
+        np.testing.assert_array_equal(flipped(2, FixedCount(6), 20, 5000).sum(axis=1), 6)
 
     def test_bounded_strict_minority(self):
-        rng = np.random.default_rng(4)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(), 20, 20_000)
-        assert flags.sum(axis=1).max() <= 9
-        flags = sample_placements_batch(rng, BoundedBelowHalf(), 7, 5000)
-        assert flags.sum(axis=1).max() <= 3
+        assert flipped(4, BoundedBelowHalf(), 20, 20_000).sum(axis=1).max() <= 9
+        assert flipped(4, BoundedBelowHalf(), 7, 5000).sum(axis=1).max() <= 3
 
     def test_bounded_mean_byzantines(self):
         # uniform over popcount <= 9 of n=20 has mean count about 7.861
-        rng = np.random.default_rng(5)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(), 20, 200_000)
-        counts = flags.sum(axis=1)
+        counts = flipped(5, BoundedBelowHalf(), 20, 200_000).sum(axis=1)
         truth = sum(k * math.comb(20, k) for k in range(10)) / sum(
             math.comb(20, k) for k in range(10)
         )
@@ -133,15 +175,13 @@ class TestSamplers:
         assert counts.mean() == pytest.approx(truth, abs=4 * counts.std() / math.sqrt(len(counts)))
 
     def test_bounded_uniform_over_admissible(self):
-        rng = np.random.default_rng(6)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(), 5, 100_000)
-        codes = flags @ (1 << np.arange(4, -1, -1))
-        _, counts = np.unique(codes, return_counts=True)
-        n_admissible = sum(math.comb(5, k) for k in range(3))
-        assert len(counts) == n_admissible
-        freq = counts / counts.sum()
-        p = 1 / n_admissible
-        assert np.abs(freq - p).max() < 3 * math.sqrt(p * (1 - p) / 100_000) + 1e-9
+        # a uniform admissible placement has k Byzantines with P(k) ∝ C(n, k)
+        counts = flipped(6, BoundedBelowHalf(), 5, 100_000).sum(axis=1)
+        weights = np.array([math.comb(5, k) for k in range(3)])
+        freq = np.bincount(counts, minlength=3) / len(counts)
+        p = weights / weights.sum()
+        assert len(freq) == 3
+        assert (np.abs(freq - p) < 3 * np.sqrt(p * (1 - p) / len(counts)) + 1e-9).all()
 
     @pytest.mark.parametrize(
         "model, n",
@@ -157,104 +197,173 @@ class TestSamplers:
         ids=str,
     )
     def test_count_range_matches_enumeration(self, model, n):
-        # chi-square of the drawn placements against the oracle's exact law
+        # chi-square of the drawn Byzantine counts against the oracle's placements
         masks, weights = enumerate_placements(model, n)
-        codes = pack_bits(masks)
-        rng = np.random.default_rng(10 + n)
-        draws = pack_bits(sample_placements_batch(rng, model, n, 40_000))
-        assert np.isin(draws, codes).all()
-        observed = np.array([(draws == c).sum() for c in codes])
-        assert chisquare(observed, weights * len(draws)).pvalue > 1e-4
+        expected = np.bincount(masks.sum(axis=1), weights, minlength=n + 1)
+        counts = flipped(10 + n, model, n, 40_000).sum(axis=1)
+        observed = np.bincount(counts, minlength=n + 1)
+        assert (observed[expected == 0] == 0).all()
+        keep = expected > 0
+        if keep.sum() > 1:
+            assert chisquare(observed[keep], expected[keep] * len(counts)).pvalue > 1e-4
 
     def test_tight_caps_draw_directly(self):
         # caps whose acceptance under rejection from the unconstrained law is
         # 2**-20 and 21 * 2**-20
-        rng = np.random.default_rng(11)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(0), 20, 1000)
-        assert flags.shape == (1000, 20)
-        np.testing.assert_array_equal(flags, 0)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(1), 20, 1000)
-        counts = flags.sum(axis=1)
+        assert not flipped(11, BoundedBelowHalf(0), 20, 1000).any()
+        counts = flipped(11, BoundedBelowHalf(1), 20, 1000).sum(axis=1)
         assert counts.max() <= 1
         # P(k = 0) = 1/21
         assert abs((counts == 0).mean() - 1 / 21) < 4 * math.sqrt(20 / 21**2 / 1000)
 
     @pytest.mark.parametrize("n_b", [0, 1, 6, 20])
     def test_fixed_count_pinned_draw(self, n_b):
-        # the n_b smallest of one row of n uniforms mark the Byzantines
-        u = np.random.default_rng(12).random((500, 20))
-        expect = np.zeros((500, 20), dtype=np.uint8)
-        np.put_along_axis(expect, np.argsort(u, axis=1)[:, :n_b], 1, axis=1)
-        flags = sample_placements_batch(np.random.default_rng(12), FixedCount(n_b), 20, 500)
-        np.testing.assert_array_equal(flags, expect)
+        # nodes 0..n_b-1 search the flipped channel's CDF, the rest the honest one
+        states, rows, rest = rows_by_loop(12, FixedCount(n_b), 20, 3, 0.2, 0.7, 300)
+        drawn = np.random.default_rng(12)
+        got = sample_rows(drawn, FixedCount(n_b), 20, 3, 0.2, 0.7, 300)
+        np.testing.assert_array_equal(got[0], states)
+        np.testing.assert_array_equal(got[1], rows)
+        assert drawn.random() == rest.random()
 
     @pytest.mark.parametrize(
         "model, alpha", [(UnconstrainedMaxEntropy(), 0.5), (IndependentAlpha(0.3), 0.3)], ids=str
     )
     def test_independent_pinned_draw(self, model, alpha):
-        expect = (np.random.default_rng(13).random((500, 20)) < alpha).astype(np.uint8)
-        flags = sample_placements_batch(np.random.default_rng(13), model, 20, 500)
-        np.testing.assert_array_equal(flags, expect)
+        # every node searches the mixture (1 - alpha) pi_h + alpha pi_b
+        assert placement_law(model, 20) == (alpha, None)
+        states, rows, rest = rows_by_loop(13, model, 20, 3, 0.2, 0.7, 300)
+        drawn = np.random.default_rng(13)
+        got = sample_rows(drawn, model, 20, 3, 0.2, 0.7, 300)
+        np.testing.assert_array_equal(got[0], states)
+        np.testing.assert_array_equal(got[1], rows)
+        assert drawn.random() == rest.random()
+
+    def test_reports_pinned_draw(self):
+        # states, then each trial's count where the range holds several, then
+        # one block of uniforms; the generators must end in the same state
+        for model in (FixedCount(2), BoundedBelowHalf(), BoundedBelowHalf(3)):
+            states, rows, rest = rows_by_loop(18, model, 5, 3, 0.2, 0.7, 400)
+            drawn = np.random.default_rng(18)
+            got = sample_rows(drawn, model, 5, 3, 0.2, 0.7, 400)
+            np.testing.assert_array_equal(got[0], states)
+            np.testing.assert_array_equal(got[1], rows)
+            assert drawn.random() == rest.random()
+
+    @pytest.mark.parametrize(
+        "model, n, m",
+        [
+            (UnconstrainedMaxEntropy(), 3, 2),
+            (IndependentAlpha(0.3), 4, 2),
+            (BoundedBelowHalf(), 4, 2),
+            (BoundedBelowHalf(2), 4, 1),
+            (FixedCount(2), 4, 2),
+            (FixedCount(1), 3, 1),
+        ],
+        ids=str,
+    )
+    def test_row_law_matches_oracle(self, model, n, m):
+        # chi-square of the per-trial (state, sorted rows) against the oracle's
+        # placement sum over every report matrix with those rows
+        eps, pmal_b, trials = 0.2, 0.7, 40_000
+        delta = crossover_delta(eps, pmal_b)
+        matrices = all_bit_vectors(n * m).reshape(-1, n, m)
+
+        def key(states, rows):
+            # state, then the sorted rows, as base-2**m digits
+            out = np.asarray(states, dtype=np.int64)
+            for column in np.sort(rows, axis=-1).T:
+                out = out * 2**m + column
+            return out
+
+        law = {}
+        for s in range(2**m):
+            state = unpack_bits(s, m)
+            for k, r in zip(key(np.full(len(matrices), s), pack_bits(matrices)), matrices):
+                law[k] = law.get(k, 0.0) + exact_likelihood(r, state, model, eps, delta) / 2**m
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        keys = np.array(sorted(law))
+        expected = np.array([law[k] for k in keys]) * trials
+        drawn = key(*draw(20, model, n, trials, m=m, eps=eps, pmal_b=pmal_b))
+        assert np.isin(drawn, keys[expected > 0]).all()
+        observed = np.array([(drawn == k).sum() for k in keys])
+        # pool the rare classes so that every bin expects at least 5
+        rare = expected < 5
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        assert chisquare(observed, expected).pvalue > 1e-4
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_shifted_cdf_edges(self, n):
+        # eps = 0, pmal_b = 1: rows are exactly s or not s, and the flipped
+        # rows are nodes 0..k-1, also at k = 0 and k = n
+        for model, k in ((FixedCount(0), 0), (FixedCount(n), n), (BoundedBelowHalf(0), 0)):
+            expect = np.arange(n) < k
+            np.testing.assert_array_equal(flipped(21, model, n, 500), np.tile(expect, (500, 1)))
+        got = flipped(22, BoundedBelowHalf(1), n, 2000)
+        assert not got[:, 1:].any()
+        assert 0 < got[:, 0].mean() < 1
+        assert abs(got[:, 0].mean() - n / (n + 1)) < 4 * math.sqrt(n / (n + 1) ** 2 / 2000)
+
+    @pytest.mark.parametrize("pmal_b", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["bottom", "top"])
+    def test_extreme_uniforms_draw_possible_patterns(self, u, pmal_b):
+        # the smallest and largest uniforms draw the first and the last error
+        # pattern of positive probability: 0 and all ones, except on an
+        # always-wrong or an error-free channel. At eps = 0.3 the honest
+        # pattern sums fall short of 1 by rounding, and for a Byzantine node
+        # 1 + (1 - 2**-53) rounds to 2.0, the top of the table
+        def pattern(p):
+            if u == 0.0:
+                return 0b111 if p == 1.0 else 0
+            return 0 if p == 0.0 else 0b111
+
+        for eps in (0.0, 0.3):
+            delta = crossover_delta(eps, pmal_b)
+            # the bounded count is the least or the largest, 0 or 2
+            for model, k in ((FixedCount(2), 2), (BoundedBelowHalf(2), 2 if u else 0)):
+                states, rows = sample_rows(FixedUniform(u), model, 4, 3, eps, pmal_b, 5)
+                np.testing.assert_array_equal(states, 0)
+                np.testing.assert_array_equal(rows[:, :k], pattern(delta))
+                np.testing.assert_array_equal(rows[:, k:], pattern(eps))
+            # the mixture has a pattern where either channel has it
+            mixed = eps * delta if u == 0.0 else eps + delta
+            _, rows = sample_rows(FixedUniform(u), IndependentAlpha(0.5), 4, 3, eps, pmal_b, 5)
+            np.testing.assert_array_equal(rows, pattern(mixed))
 
     def test_bounded_k_max_override(self):
-        rng = np.random.default_rng(7)
-        flags = sample_placements_batch(rng, BoundedBelowHalf(k_max=2), 10, 3000)
-        assert flags.sum(axis=1).max() <= 2
+        assert flipped(7, BoundedBelowHalf(k_max=2), 10, 3000).sum(axis=1).max() <= 2
 
     def test_unconstrained_matches_alpha_half(self):
         # same draw path, so the streams must agree exactly
-        a = sample_placements_batch(np.random.default_rng(8), UnconstrainedMaxEntropy(), 12, 50)
-        b = sample_placements_batch(np.random.default_rng(8), IndependentAlpha(0.5), 12, 50)
-        np.testing.assert_array_equal(a, b)
+        a = draw(8, UnconstrainedMaxEntropy(), 12, 50, eps=0.1, pmal_b=0.7)
+        b = draw(8, IndependentAlpha(0.5), 12, 50, eps=0.1, pmal_b=0.7)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_independent_alpha_rate(self):
-        rng = np.random.default_rng(9)
-        flags = sample_placements_batch(rng, IndependentAlpha(0.3), 10, 50_000)
-        assert flags.mean() == pytest.approx(0.3, abs=0.01)
+        assert flipped(9, IndependentAlpha(0.3), 10, 50_000).mean() == pytest.approx(0.3, abs=0.01)
 
     def test_reports_honest_only_error_rate(self):
         # no byzantines: report errors happen at rate eps
-        rng = np.random.default_rng(13)
-        states = sample_states_batch(rng, 4, 20_000)
-        placements = np.zeros((20_000, 5), dtype=np.uint8)
-        reports = sample_reports_batch(rng, states, placements, eps=0.2, pmal_b=1.0)
-        err = (reports != states[:, None, :]).mean()
+        states, rows = draw(13, FixedCount(0), 5, 20_000, m=4, eps=0.2, pmal_b=1.0)
+        err = popcount(rows ^ states[:, None]).mean() / 4
         assert err == pytest.approx(0.2, abs=0.01)
 
     def test_reports_byzantine_crossover(self):
         # all byzantine at pmal: disagreement rate is the crossover delta
-        rng = np.random.default_rng(14)
-        states = sample_states_batch(rng, 4, 20_000)
-        placements = np.ones((20_000, 5), dtype=np.uint8)
-        reports = sample_reports_batch(rng, states, placements, eps=0.1, pmal_b=0.8)
-        err = (reports != states[:, None, :]).mean()
+        states, rows = draw(14, FixedCount(5), 5, 20_000, m=4, eps=0.1, pmal_b=0.8)
+        err = popcount(rows ^ states[:, None]).mean() / 4
         assert err == pytest.approx(crossover_delta(0.1, 0.8), abs=0.01)
 
     def test_reports_pmal_one_is_total_flip(self):
-        rng = np.random.default_rng(15)
-        states = sample_states_batch(rng, 3, 100)
-        placements = np.ones((100, 4), dtype=np.uint8)
-        r0 = sample_reports_batch(np.random.default_rng(16), states, placements, 0.0, 1.0)
-        expect = np.broadcast_to(1 - states[:, None, :], r0.shape)
-        np.testing.assert_array_equal(r0, expect)
-
-    def test_reports_pinned_draw(self):
-        # local noise for every triple, then flip noise for every triple, kept
-        # only at Byzantine nodes; the generators must end in the same state
-        rng = np.random.default_rng(18)
-        states = sample_states_batch(rng, 3, 400)
-        placements = sample_placements_batch(rng, FixedCount(2), 5, 400)
-        u = np.random.default_rng(19)
-        local = (u.random((400, 5, 3)) < 0.2).astype(np.uint8)
-        flips = (u.random((400, 5, 3)) < 0.7).astype(np.uint8) * placements[:, :, None]
-        expect = states[:, None, :] ^ local ^ flips
-        drawn = np.random.default_rng(19)
-        reports = sample_reports_batch(drawn, states, placements, eps=0.2, pmal_b=0.7)
-        assert reports.dtype == np.uint8
-        np.testing.assert_array_equal(reports, expect)
-        assert drawn.random() == u.random()
+        states, rows = draw(16, FixedCount(4), 4, 100, m=3)
+        np.testing.assert_array_equal(rows, np.tile(states[:, None] ^ 0b111, 4))
 
     def test_determinism(self):
-        s1 = sample_placements_batch(np.random.default_rng(17), BoundedBelowHalf(), 20, 100)
-        s2 = sample_placements_batch(np.random.default_rng(17), BoundedBelowHalf(), 20, 100)
-        np.testing.assert_array_equal(s1, s2)
+        for model in (BoundedBelowHalf(), IndependentAlpha(0.3)):
+            s1, r1 = draw(17, model, 20, 100, m=4, eps=0.1, pmal_b=0.7)
+            s2, r2 = draw(17, model, 20, 100, m=4, eps=0.1, pmal_b=0.7)
+            np.testing.assert_array_equal(s1, s2)
+            np.testing.assert_array_equal(r1, r2)
