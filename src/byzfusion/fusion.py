@@ -258,7 +258,10 @@ class TypeClasses:
         hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
         for c in range(1, m + 1):
             word = (c - 1) // per_word
-            uniq[word], hist[:, c] = np.divmod(uniq[word], n + 1)
+            # floor division and a multiply-subtract beat np.divmod on int64
+            q = uniq[word] // (n + 1)
+            hist[:, c] = uniq[word] - q * (n + 1)
+            uniq[word] = q
         hist[:, 0] = n - hist[:, 1:].sum(axis=1)
         self.hist = hist
         self.inverse = inverse.reshape(2**m, trials)

@@ -32,8 +32,10 @@ placement. Under an independent law each row comes from the mixture
 (1 - alpha) pi_h + alpha pi_b. Under a count range nodes 0..k-1 are
 Byzantine, with k = n_b for ``FixedCount`` and otherwise P(k) proportional
 to C(n, k), the count law of a uniform placement (Chen, Dempster & Liu
-1994). Each row is one inverse-CDF search over the 2**m error patterns
-(Devroye 1986, ch. III), XOR s. Draw order: every trial's state, then k
+1994). Each row is one inverse-CDF draw over the 2**m error patterns, XOR
+s, and each draw is one guide-table lookup, exact: it returns what a binary
+search of the CDF returns (indexed search; Chen & Asau, AIIE Trans. 6,
+1974; Devroye 1986, sec. III.2.4). Draw order: every trial's state, then k
 where the range holds more than one count, then one (count, n) block of
 uniforms.
 
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# log2 of the guide table's buckets per unit of CDF
+_GUIDE_BITS = 10
 
 
 def _check_prob(value, name):
@@ -172,6 +176,35 @@ def _pattern_cdf(pmf):
     return cum / cum[-1]
 
 
+def _search(cdf, u):
+    """``np.searchsorted(cdf, u, side="right")`` for u in [0, ceil(cdf[-1])), by guide table.
+
+    An exact indexed search (Chen & Asau 1974; Devroye 1986, sec. III.2.4).
+    The range is cut into buckets of width 2**-B, B = _GUIDE_BITS, and bucket
+    b keeps the count of entries below (b + 1) / 2**B. Every u in the bucket
+    has that many entries at or below it, unless an entry lies strictly
+    inside the bucket; such buckets are marked -1, and only their draws are
+    searched. Scaling by 2**B is exact. u is scaled in place.
+    """
+    scale = 2.0**_GUIDE_BITS
+    buckets = int(np.ceil(cdf[-1])) << _GUIDE_BITS
+    scaled = cdf * scale
+    # entry c lies below (b + 1) / 2**B iff floor(c * 2**B) <= b, and
+    # strictly inside that bucket iff c * 2**B is not whole as well
+    floor = np.floor(scaled)
+    table = np.cumsum(np.bincount(floor.astype(np.intp), minlength=buckets + 1)[:buckets])
+    table[floor[floor != scaled].astype(np.intp)] = -1
+    u *= scale
+    # each bucket index is read before its own slot is written, so the
+    # lookup can land in the index array; every index is in range, and
+    # mode="clip" keeps take from buffering its output
+    found = u.astype(np.intp)
+    table.take(found, out=found, mode="clip")
+    slow = np.flatnonzero(found < 0)
+    found.ravel()[slow] = np.searchsorted(cdf, u.ravel()[slow] / scale, side="right")
+    return found
+
+
 def sample_rows(rng, model, n, m, eps, pmal_b, count):
     """count trials of one network, packed as ``bits.pack_bits`` packs: (states, rows).
 
@@ -196,14 +229,14 @@ def sample_rows(rng, model, n, m, eps, pmal_b, count):
         if k_hi > k_lo:
             cum = list(itertools.accumulate(math.comb(n, j) for j in range(k_lo, k_hi + 1)))
             k_cdf = np.array([c / cum[-1] for c in cum])
-            k = k_lo + np.searchsorted(k_cdf, rng.random(count), side="right")[:, None]
+            k = k_lo + _search(k_cdf, rng.random(count))[:, None]
         cdf = np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(flipped)])
         u = rng.random((count, n))
         u += np.arange(n) < k
         # 1 + u rounds to 2.0 for u = 1 - 2**-53; below 2.0 the search stops
         # at the first table entry that reaches 2.0, a value of probability > 0
         np.minimum(u, np.nextafter(2.0, 0.0), out=u)
-    rows = np.searchsorted(cdf, u, side="right")
+    rows = _search(cdf, u)
     rows &= 2**m - 1
     rows ^= states[:, None]
     return states, rows

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import byzfusion.model
 from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
 from byzfusion.fusion import BatchFuser, FusionAssumption
 from byzfusion.model import (
@@ -17,6 +18,7 @@ from byzfusion.model import (
     placement_law,
     sample_rows,
 )
+from byzfusion.model import _GUIDE_BITS, _pattern_cdf, _search
 from byzfusion.oracle import enumerate_placements, exact_likelihood
 
 
@@ -367,3 +369,88 @@ class TestSamplers:
             s2, r2 = draw(17, model, 20, 100, m=4, eps=0.1, pmal_b=0.7)
             np.testing.assert_array_equal(s1, s2)
             np.testing.assert_array_equal(r1, r2)
+
+
+def searched_tables(m):
+    """The CDFs sample_rows searches at m, with repeated entries among them.
+
+    For each (eps, pmal_b): the independent mixture, ending at 1.0, and the
+    count range's honest table then the flipped one shifted up by 1, ending
+    at 2.0. At eps = 0 and pmal_b in {0, 1} most patterns have probability 0.
+    """
+    tables = []
+    for eps, pmal_b in ((0.0, 0.0), (0.0, 1.0), (0.1, 0.8), (0.3, 0.5)):
+        honest = np.array(error_pmf(eps, m))
+        byzantine = np.array(error_pmf(crossover_delta(eps, pmal_b), m))
+        tables.append(_pattern_cdf(0.7 * honest + 0.3 * byzantine))
+        tables.append(np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(byzantine)]))
+    return tables
+
+
+def search_probes(cdf):
+    """Every entry and its float neighbours, every bucket edge and the float
+    below the next one, 0 and the float below the top, all in [0, top)."""
+    top = math.ceil(cdf[-1])
+    edges = np.arange(top * 2**_GUIDE_BITS + 1) / 2**_GUIDE_BITS
+    probes = np.concatenate(
+        [
+            cdf,
+            np.nextafter(cdf, -np.inf),
+            np.nextafter(cdf, np.inf),
+            edges,
+            np.nextafter(edges, 0.0),
+            [0.0, np.nextafter(float(top), 0.0)],
+        ]
+    )
+    return probes[(probes >= 0.0) & (probes < top)]
+
+
+def plain_search(cdf, u):
+    return np.searchsorted(cdf, u, side="right")
+
+
+class TestGuideSearch:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_searchsorted(self, m):
+        k_cum = list(itertools.accumulate(math.comb(20, k) for k in range(10)))
+        k_cdf = np.array([c / k_cum[-1] for c in k_cum])
+        for cdf in searched_tables(m) + [k_cdf]:
+            assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] in (1.0, 2.0)
+            u = search_probes(cdf)
+            assert u.size > 2 ** (_GUIDE_BITS + 1)
+            np.testing.assert_array_equal(_search(cdf, u.copy()), plain_search(cdf, u))
+
+    def test_keeps_shape_and_scales_in_place(self):
+        cdf = searched_tables(3)[1]
+        u = np.random.default_rng(0).random((40, 7)) * 2.0
+        scaled = u.copy()
+        found = _search(cdf, scaled)
+        assert found.shape == (40, 7) and found.dtype == np.intp
+        np.testing.assert_array_equal(found, plain_search(cdf, u))
+        np.testing.assert_array_equal(scaled, u * 2**_GUIDE_BITS)
+
+    @pytest.mark.parametrize(
+        "model",
+        [UnconstrainedMaxEntropy(), IndependentAlpha(0.3), BoundedBelowHalf(), FixedCount(6)],
+        ids=str,
+    )
+    def test_few_draws_fall_back_to_a_full_search(self, model, monkeypatch):
+        # the guide table answers every draw but those in a bucket with a CDF
+        # entry strictly inside it: under 5% at n = 20, m = 4, count draw included
+        n, m, trials = 20, 4, 5000
+        searched = []
+        plain = np.searchsorted
+
+        def counting(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return plain(a, v, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(byzfusion.model.np, "searchsorted", counting)
+            got = sample_rows(np.random.default_rng(23), model, n, m, 0.1, 0.8, trials)
+        assert sum(searched) < 0.05 * trials * n
+        # the same draws from a plain search of every uniform
+        monkeypatch.setattr(byzfusion.model, "_search", plain_search)
+        want = sample_rows(np.random.default_rng(23), model, n, m, 0.1, 0.8, trials)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
