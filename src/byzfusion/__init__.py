@@ -18,13 +18,14 @@ from .model import (
     UnconstrainedMaxEntropy,
     crossover_delta,
 )
-from .fusion import BatchFuser, FusionAssumption, fuse, fuse_majority
+from .fusion import BatchFuser, FusionAssumption, fuse
 from .game import (
+    MAJORITY_VOTE,
     Equilibrium,
     PayoffMatrix,
     Scenario,
     StrategyGrid,
-    estimate_majority_pe,
+    estimate_payoff_and_majority,
     estimate_payoff_matrix,
     saddle_points_within_noise,
     solve_mixed,
@@ -41,12 +42,12 @@ __all__ = [
     "BatchFuser",
     "FusionAssumption",
     "fuse",
-    "fuse_majority",
+    "MAJORITY_VOTE",
     "Equilibrium",
     "PayoffMatrix",
     "Scenario",
     "StrategyGrid",
-    "estimate_majority_pe",
+    "estimate_payoff_and_majority",
     "estimate_payoff_matrix",
     "saddle_points_within_noise",
     "solve_mixed",

@@ -32,7 +32,7 @@ from .game import (
     StrategyGrid,
     dominance_report,
     eliminate_dominated,
-    estimate_majority_pe,
+    estimate_payoff_and_majority,
     estimate_payoff_matrix,
     find_pure_equilibria,
     fmt,
@@ -262,8 +262,12 @@ def _emit(cfg, subcommand, files, summary):
     print(f"{subcommand}: {summary}")
 
 
-def _estimate(cfg):
-    return estimate_payoff_matrix(
+def _estimate(cfg, estimator):
+    # payoff and compare always simulate, so a payoff_file they would not read
+    # (and whose digest meta.txt would carry) is refused before any estimate
+    if cfg.payoff_file is not None:
+        raise ConfigError("payoff_file is read only by the equilibrium subcommand")
+    return estimator(
         cfg.scenario,
         grid_b=cfg.grid_b,
         grid_fc=cfg.grid_fc,
@@ -275,7 +279,7 @@ def _estimate(cfg):
 
 
 def run_payoff(cfg):
-    pm = _estimate(cfg)
+    pm = _estimate(cfg, estimate_payoff_matrix)
     comments = {"config": config_hash(cfg), "tool": f"byzfusion {__version__}"}
     _emit(cfg, "payoff",
           {"payoff.csv": pm.to_csv(comments), "payoff.md": pm.to_markdown(comments)},
@@ -317,7 +321,7 @@ def run_equilibrium(cfg):
     if cfg.payoff_file is not None:
         pm = load_payoff_csv(cfg.payoff_file, metric=cfg.metric)
     else:
-        pm = _estimate(cfg)
+        pm = _estimate(cfg, estimate_payoff_matrix)
     eq = solve_mixed(pm)
     report = dominance_report(pm)
     saddles = find_pure_equilibria(pm)
@@ -356,14 +360,12 @@ def run_equilibrium(cfg):
 
 
 def run_compare(cfg):
-    pm = _estimate(cfg)
+    pm, majority = _estimate(cfg, estimate_payoff_and_majority)
     eq = solve_mixed(pm)
-    # the Byzantines' best response to majority voting; the first maximum wins
-    maj_pb, maj = max(
-        ((pmal_b, estimate_majority_pe(cfg.scenario, pmal_b, cfg.trials, cfg.seed))
-         for pmal_b in cfg.grid_b.values),
-        key=lambda pair: pair[1].value(cfg.metric),
-    )
+    # the Byzantines' best response to majority voting, scored on the payoff
+    # rows' own trials; the first maximum wins
+    maj_pb, maj = max(zip(cfg.grid_b.values, majority),
+                      key=lambda pair: pair[1].value(cfg.metric))
     lines = _report_head("Majority vote vs optimum fusion", cfg, pm) + [
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",

@@ -59,7 +59,6 @@ __all__ = [
     "honest_log_weights",
     "argmax_lex",
     "fuse",
-    "fuse_majority",
     "TypeClasses",
     "BatchFuser",
     "decide_columns",
@@ -135,19 +134,6 @@ def fuse(reports, assumption):
     n, m = reports.shape
     decision = decide_columns([BatchFuser(assumption, n, m)], pack_bits(reports)[None])[0, 0]
     return unpack_bits(decision, m)
-
-
-def fuse_majority(rows, m):
-    """Packed componentwise majority vote over packed node rows (..., n); ties go to 0."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim < 1:
-        raise ValueError("rows must be (..., n)")
-    n = rows.shape[-1]
-    decisions = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for shift in range(m):
-        ones = ((rows >> shift) & 1).sum(axis=-1)
-        decisions |= (2 * ones > n).astype(np.int64) << shift
-    return decisions
 
 
 def _keys_from_row_counts(n, m):

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bits import popcount
-from .fusion import BatchFuser, FusionAssumption, decide_columns, fuse_majority
-from .model import mix64, placement_law, sample_rows
+from .fusion import BatchFuser, FusionAssumption, decide_columns
+from .model import IndependentAlpha, mix64, placement_law, sample_rows
 
 __all__ = [
     "DEFAULT_GRID",
@@ -38,8 +38,9 @@ __all__ = [
     "load_payoff_csv",
     "ErrorEstimate",
     "simulate_row",
+    "MAJORITY_VOTE",
     "estimate_payoff_matrix",
-    "estimate_majority_pe",
+    "estimate_payoff_and_majority",
     "find_dominant_row",
     "DominanceReport",
     "dominance_report",
@@ -56,7 +57,11 @@ __all__ = [
 
 DEFAULT_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
-_MAJORITY_STREAM_TAG = 0x4D414A  # disjoint from payoff row indices
+# Componentwise majority voting, ties to 0, as a fusion assumption: a center
+# that assumes no Byzantines and eps = 1/4 scores a hypothesis c*log(3) +
+# const per node with c matches, so the hypothesis with the most agreements
+# wins, bit by bit, and argmax_lex sends every tied bit to 0.
+MAJORITY_VOTE = FusionAssumption(IndependentAlpha(0.0), 0.25, 0.0)
 
 METRICS = ("per-component", "per-sequence")
 
@@ -274,15 +279,35 @@ def simulate_row(scenario, pmal_b, trials, rng):
     )
 
 
-def _row_errors(scenario, pmal_b, grid_fc, trials, row_seed):
+def _row_errors(scenario, pmal_b, assumptions, trials, row_seed):
+    # (4, len(assumptions)) error stats of one row's draws, a column per assumption
     rng = np.random.default_rng(row_seed)
     states, rows = simulate_row(scenario, pmal_b, trials, rng)
-    assumptions = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
     fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
-    stats = np.empty((4, len(grid_fc)))
-    for j, decisions in enumerate(decide_columns(fusers, rows)):
-        stats[:, j] = _error_stats(decisions, states, scenario.m)
-    return stats
+    decisions = decide_columns(fusers, rows)
+    return np.array([_error_stats(d, states, scenario.m) for d in decisions]).T
+
+
+def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):
+    # the PayoffMatrix, and the (4, len(grid_b), len(extra)) error stats of the
+    # `extra` assumptions, decoded as more columns of each row
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    columns = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
+    jobs = [
+        (scenario, pmal_b, columns + extra, trials, mix64(seed, i))
+        for i, pmal_b in enumerate(grid_b.values)
+    ]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda args: _row_errors(*args), jobs))
+    else:
+        results = [_row_errors(*args) for args in jobs]
+    stats = np.stack(results, axis=1)
+    k = len(grid_fc)
+    return PayoffMatrix(grid_b, grid_fc, *stats[:, :, :k], trials, seed, metric), stats[:, :, k:]
 
 
 def estimate_payoff_matrix(
@@ -301,39 +326,19 @@ def estimate_payoff_matrix(
     """
     grid_b = grid_b if grid_b is not None else StrategyGrid()
     grid_fc = grid_fc if grid_fc is not None else StrategyGrid()
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    jobs = [
-        (scenario, pmal_b, grid_fc, trials, mix64(seed, i))
-        for i, pmal_b in enumerate(grid_b.values)
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _row_errors(*args), jobs))
-    else:
-        results = [_row_errors(*args) for args in jobs]
-    pe_c, pe_s, se_c, se_s = np.stack(results, axis=1)
-    return PayoffMatrix(
-        grid_b=grid_b,
-        grid_fc=grid_fc,
-        pe_component=pe_c,
-        pe_sequence=pe_s,
-        se_component=se_c,
-        se_sequence=se_s,
-        trials=trials,
-        seed=seed,
-        metric=metric,
+    return _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, [])[0]
+
+
+def estimate_payoff_and_majority(scenario, grid_b, grid_fc, trials, seed, metric, workers):
+    """estimate_payoff_matrix's matrix, and majority voting's ErrorEstimate at each pmal_b.
+
+    Majority voting (MAJORITY_VOTE) is decoded as one more column of each
+    payoff row, so it is scored on that row's own trials.
+    """
+    pm, majority = _estimate(
+        scenario, grid_b, grid_fc, trials, seed, metric, workers, [MAJORITY_VOTE]
     )
-
-
-def estimate_majority_pe(scenario, pmal_b, trials, seed):
-    """Monte Carlo error of the componentwise majority vote at one pmal_b."""
-    rng = np.random.default_rng(mix64(seed, _MAJORITY_STREAM_TAG))
-    states, rows = simulate_row(scenario, pmal_b, trials, rng)
-    stats = _error_stats(fuse_majority(rows, scenario.m), states, scenario.m)
-    return ErrorEstimate(*map(float, stats), trials=trials)
+    return pm, [ErrorEstimate(*map(float, row), trials=trials) for row in majority[:, :, 0].T]
 
 
 def _entries(pm):

@@ -20,7 +20,7 @@ from byzfusion.fusion import FusionAssumption, _independent_mix_weights, fuse
 from byzfusion.game import (
     Scenario,
     StrategyGrid,
-    estimate_majority_pe,
+    estimate_payoff_and_majority,
     estimate_payoff_matrix,
     find_pure_equilibria,
     saddle_points_within_noise,
@@ -264,7 +264,9 @@ def test_a8_blinding_is_exact():
 def test_a9_majority_vs_optimum(table_alpha03):
     sc = Scenario(n=20, m=4, eps=0.1, true_model=IndependentAlpha(0.3),
                   fc_model=IndependentAlpha(0.3))
-    maj = estimate_majority_pe(sc, 1.0, trials=50_000, seed=0).pe_component
+    grid = StrategyGrid((1.0,))
+    _, (maj,) = estimate_payoff_and_majority(sc, grid, grid, 50_000, 0, "per-component", 1)
+    maj = maj.pe_component
     opt = solve_mixed(table_alpha03).value
     ok = abs(maj - 0.073) <= 0.004 and abs(opt - 0.035) <= 0.003
     assert verdict("A9 majority-vs-optimum", ok,

@@ -219,6 +219,13 @@ class TestMainCompare:
         assert "majority vote" in text
         assert "optimum fusion" in text
 
+    def test_reproducible_at_any_worker_count(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out1, out4 = tmp_path / "w1", tmp_path / "w4"
+        assert main(["compare", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(out4), "--workers", "4"]) == 0
+        assert (out1 / "compare.md").read_bytes() == (out4 / "compare.md").read_bytes()
+
 
 GRID3 = "grid_b = 0.5,0.75,1.0\ngrid_fc = 0.5,0.75,1.0\n"
 # a simulated game with a pure equilibrium, and one with a mixed equilibrium;
@@ -284,6 +291,17 @@ class TestExitCodes:
     def test_unreadable_payoff_file_is_a_config_error(self, tmp_path, capsys, subcommand):
         # rejected before any estimate runs, and nothing is written
         cfg = write_config(tmp_path, TINY + f"payoff_file = {tmp_path / 'absent.csv'}\n")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        assert "payoff_file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["payoff", "compare"])
+    def test_payoff_file_is_refused_where_it_is_not_read(self, tmp_path, capsys, subcommand):
+        # both subcommands simulate; a readable file is rejected, nothing written
+        payoff = tmp_path / "payoff.csv"
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.25\n")
+        cfg = write_config(tmp_path, TINY + f"payoff_file = {payoff}\n")
         out = tmp_path / "o"
         assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
         assert "payoff_file" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from byzfusion.fusion import (
     argmax_lex,
     decide_columns,
     fuse,
-    fuse_majority,
     honest_log_weights,
 )
 from byzfusion.model import (
@@ -28,7 +27,7 @@ from byzfusion.model import (
     UnconstrainedMaxEntropy,
     placement_law,
 )
-from byzfusion.game import Scenario, StrategyGrid, estimate_payoff_matrix
+from byzfusion.game import MAJORITY_VOTE, Scenario, StrategyGrid, estimate_payoff_matrix
 from byzfusion.oracle import (
     ExactScenario,
     exact_error_probability,
@@ -87,6 +86,23 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def majority_by_bits(rows, m):
+    """Packed componentwise majority vote of packed node rows (..., n), bit by
+    bit; ties go to 0."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[-1]
+    decisions = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for shift in range(m):
+        ones = ((rows >> shift) & 1).sum(axis=-1)
+        decisions |= (2 * ones > n).astype(np.int64) << shift
+    return decisions
+
+
+def majority_column(rows, m):
+    """Decisions of the MAJORITY_VOTE column for packed rows (T, n)."""
+    return decide_columns([BatchFuser(MAJORITY_VOTE, rows.shape[-1], m)], rows)[0]
 
 
 def decode(fuser, reports):
@@ -243,18 +259,30 @@ class TestFuse:
 
     def test_majority_vote(self):
         r = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 0]], dtype=np.uint8)
-        assert fuse_majority(pack_bits(r), 3) == pack_bits(np.array([1, 1, 0]))
+        assert majority_column(pack_bits(r)[None], 3) == pack_bits(np.array([1, 1, 0]))
         # even split resolves to zero
         r = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        assert fuse_majority(pack_bits(r), 2) == 0
+        assert majority_column(pack_bits(r)[None], 2) == 0
         # a batch of packed rows votes trial by trial, bit by bit
         batch = pack_bits(np.random.default_rng(7).integers(0, 2, size=(20, 5, 3)))
-        votes = fuse_majority(batch, 3)
-        np.testing.assert_array_equal(votes, [fuse_majority(b, 3) for b in batch])
+        votes = majority_column(batch, 3)
+        np.testing.assert_array_equal(votes, majority_by_bits(batch, 3))
         np.testing.assert_array_equal(
             votes, pack_bits(2 * unpack_bits(batch, 3).sum(axis=-2) > 5))
-        with pytest.raises(ValueError):
-            fuse_majority(np.int64(3), 2)
+
+    def test_majority_column_matches_the_bit_loop(self):
+        # n = 40, m = 12 keys in two words; for even n the first trials tie
+        # every bit, half the nodes reporting the complement of the other half
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 4, 7, 20, 40):
+            for m in range(1, 13):
+                rows = rng.integers(0, 2**m, size=(24, n))
+                if n % 2 == 0:
+                    rows[:8, n // 2:] = rows[:8, : n // 2] ^ (2**m - 1)
+                votes = majority_column(rows, m)
+                np.testing.assert_array_equal(votes, majority_by_bits(rows, m))
+                if n % 2 == 0:
+                    assert (votes[:8] == 0).all()
 
 
 class TestBatchFuser:

@@ -12,7 +12,7 @@ from byzfusion.game import (
     StrategyGrid,
     dominance_report,
     eliminate_dominated,
-    estimate_majority_pe,
+    estimate_payoff_and_majority,
     estimate_payoff_matrix,
     find_dominant_row,
     find_pure_equilibria,
@@ -168,7 +168,9 @@ class TestSimulation:
         from math import comb
         sc = small_scenario(n=6, m=2, true_model=FixedCount(2), fc_model=FixedCount(2))
         eps, delta = 0.1, 0.1 * 0.3 + 0.9 * 0.7
-        est = estimate_majority_pe(sc, 0.7, trials=60_000, seed=6)
+        grid = StrategyGrid((0.7,))
+        _, (est,) = estimate_payoff_and_majority(
+            sc, grid, grid, 60_000, 6, "per-component", 1)
 
         def pmf(k_tot):
             # wrong-vote count: binomial(4, eps) + binomial(2, delta)
@@ -187,13 +189,16 @@ class TestSimulation:
         p_tie = pmf(3)
         want = p_wrong_majority + 0.5 * p_tie  # ties wrong only when the state is one
         assert est.pe_component == pytest.approx(want, abs=4 * est.se_component + 1e-9)
+        # a center that assumes no Byzantines decodes by majority, exactly
+        exact = exact_error_probability(
+            ExactScenario(6, 2, 0.1, 0.7, 0.0, FixedCount(2), IndependentAlpha(0.0)))
+        assert exact == pytest.approx(want, abs=1e-12)
 
     def test_majority_worse_than_map_when_blind(self):
         sc = small_scenario(n=6, m=2, true_model=FixedCount(2), fc_model=FixedCount(2))
-        est = estimate_majority_pe(sc, 1.0, trials=10_000, seed=7)
-        pm = estimate_payoff_matrix(
-            sc, grid_b=StrategyGrid((1.0,)), grid_fc=StrategyGrid((1.0,)),
-            trials=10_000, seed=7)
+        grid = StrategyGrid((1.0,))
+        pm, (est,) = estimate_payoff_and_majority(
+            sc, grid, grid, 10_000, 7, "per-component", 1)
         assert pm.pe_component[0, 0] < est.pe_component
 
 
@@ -418,6 +423,24 @@ class TestSolvers:
             tracer.remove()
         assert "byzfusion.game:simulate_row" not in tracer.absent
         assert tracer.totals["model.sample"][0] == 2
+
+    def test_majority_shares_the_rows_draws(self):
+        # majority voting is one more column of each payoff row: one draw per
+        # row, and the matrix is estimate_payoff_matrix's, bit for bit
+        tracer_module = load_perfbench("tracer")
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        grid_b, grid_fc = StrategyGrid((0.5, 0.8, 1.0)), StrategyGrid((0.5, 1.0))
+        try:
+            pm, majority = estimate_payoff_and_majority(
+                small_scenario(), grid_b, grid_fc, 50, 4, "per-component", 2)
+        finally:
+            tracer.remove()
+        assert tracer.totals["model.sample"][0] == 3
+        assert [est.trials for est in majority] == [50] * 3
+        want = estimate_payoff_matrix(small_scenario(), grid_b, grid_fc, trials=50, seed=4)
+        for name in ("pe_component", "pe_sequence", "se_component", "se_sequence"):
+            np.testing.assert_array_equal(getattr(pm, name), getattr(want, name))
 
 
 def eliminate_one_at_a_time(a):
