@@ -53,7 +53,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_hash", "mai
 
 
 class ConfigError(Exception):
-    """Bad flags, bad config file or inconsistent experiment parameters."""
+    """Bad flags, a bad config file or input file it names, or inconsistent parameters."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,7 +319,11 @@ def _equilibrium_lines(pm, eq):
 
 def run_equilibrium(cfg):
     if cfg.payoff_file is not None:
-        pm = load_payoff_csv(cfg.payoff_file, metric=cfg.metric)
+        try:
+            pm = load_payoff_csv(cfg.payoff_file, metric=cfg.metric)
+        except ValueError as exc:
+            # a malformed input file named by the config is a config error
+            raise ConfigError(f"bad payoff_file: {exc}") from exc
     else:
         pm = _estimate(cfg, estimate_payoff_matrix)
     eq = solve_mixed(pm)

@@ -25,19 +25,14 @@ decisions. Chunk by chunk it groups the batch's cells by type
 scores every distinct histogram of the chunk once
 (``BatchFuser.decide_ints``). The histograms do not depend on the
 assumption, so the Monte Carlo game engine decodes every column of a row in
-one call. ``fuse`` and the exact oracle call it with a single fuser.
+one call; ``fuse`` calls it with a single fuser. The exact oracle shares the
+grouping and ``decide_ints`` but not the scores: it sums its likelihoods.
 
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
-number, from one cached place table (``_key_table``), and equal keys form a
-type. Two choices are made from the batch's shape alone. Where 2**m <= n
-and the keys are exact in float64, they are one product of each trial's
-counts of node-row values with the table; elsewhere every node adds its
-table row (``_keys_from_row_counts``). Where the (n + 1)**m key range fits
-``_CHUNK_CELLS`` and the batch has a cell per ``_MAP_ENTRIES_PER_CELL`` key
-values, the keys are ranked through a presence map over that range, with
-no sort; elsewhere ``np.unique`` sorts them (``_ranks_from_map``). Cells
-are stored hypothesis-major, (2**m, T), so the per-trial argmax reduces
-across contiguous rows of trials.
+number (``_key_table``), and equal keys form a type. How keys are built
+(``_keys_from_row_counts``) and ranked (``_ranks_from_map``) is chosen from
+the batch's shape alone. Cells are stored hypothesis-major, (2**m, T), so
+the per-trial argmax reduces across contiguous rows of trials.
 """
 
 from __future__ import annotations
@@ -286,14 +281,11 @@ class BatchFuser:
         self.assumption = assumption
         self.n = n
         self.m = m
-        self.n_hyp = 2**m
-        eps = assumption.eps
-        delta = assumption.delta_fc
         if self._k_range is None:
-            self._weights = _independent_mix_weights(alpha, eps, delta, m)
+            self._weights = _independent_mix_weights(alpha, assumption.eps, assumption.delta_fc, m)
             return
-        self._logh = honest_log_weights(eps, m)
-        self._logb = honest_log_weights(delta, m)
+        self._logh = honest_log_weights(assumption.eps, m)
+        self._logb = honest_log_weights(assumption.delta_fc, m)
 
     def _type_scores(self, classes):
         """Log score of each type of `classes`, shape (types,).
@@ -308,7 +300,7 @@ class BatchFuser:
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
         report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
-        out = np.empty((report_ints.shape[0], self.n_hyp))
+        out = np.empty((report_ints.shape[0], 2**self.m))
         for rows, classes in _typed_chunks(report_ints, self.n, self.m):
             out[rows] = self._type_scores(classes)[classes.inverse].T
         if self._k_range is not None:

@@ -191,7 +191,8 @@ def load_payoff_csv(path, metric="per-component"):
 
     Injected matrices are treated as exact: both metrics are set to the
     stored entries and standard errors are zero. A file whose ``# metric =``
-    line names another metric than `metric` is rejected with ValueError.
+    line names another metric than `metric` is rejected with ValueError, as
+    is a ragged table, a non-numeric cell or a grid that is not ascending.
     """
     meta = {}
     rows = []
@@ -210,11 +211,11 @@ def load_payoff_csv(path, metric="per-component"):
         raise ValueError(f"{path}: holds the {meta['metric']} metric, not {metric}")
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one data row")
+    if any(len(r) != len(rows[0]) for r in rows[1:]):
+        raise ValueError(f"{path}: ragged payoff table")
     grid_fc = StrategyGrid(tuple(float(v) for v in rows[0][1:]))
     grid_b = StrategyGrid(tuple(float(r[0]) for r in rows[1:]))
     entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    if entries.shape != (len(grid_b), len(grid_fc)):
-        raise ValueError(f"{path}: ragged payoff table")
     zeros = np.zeros_like(entries)
     return PayoffMatrix(
         grid_b=grid_b,

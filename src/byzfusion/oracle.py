@@ -1,32 +1,31 @@
 """Exhaustive-enumeration references for desk-size problem instances.
 
-Likelihoods and MAP decisions here trade speed for being obviously
-correct: they sum placement by placement in the linear domain and share no
-code with the decoder, so they are the independent reference that the
-type-class scoring of :mod:`byzfusion.fusion` is checked against. Error
-probabilities decode every report matrix with that decoder (one
-``decide_columns`` call) and weight each decision exactly, which validates
-the Monte Carlo estimates on instances small enough to enumerate.
+Likelihoods and MAP decisions sum placement by placement (one placement sum
+over rows of per-node mismatch counts) and share only the tie rule
+``argmax_lex`` with :mod:`byzfusion.fusion`, the decoder they check.
 
-All three rest on one placement sum over rows of per-node mismatch counts.
-Every prior is symmetric in the nodes, so error probabilities sum placements
-once per multiset of those counts.
+Error probabilities weight the decoder's decisions exactly, one report type
+(multiset of node rows) at a time. The decoder's ``TypeClasses`` give its
+decisions and each type's match-count histogram under every state; the
+placement sum, not the decoder's scores, gives each histogram's likelihood.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import all_bit_vectors, popcount
-from .fusion import BatchFuser, FusionAssumption, argmax_lex, decide_columns
+from .fusion import BatchFuser, FusionAssumption, TypeClasses, argmax_lex
 from .game import METRICS
 from .model import crossover_delta, placement_law
 
 __all__ = [
     "MAX_ENUM_NODES",
-    "MAX_REPORT_BITS",
+    "MAX_TYPE_ROWS",
     "ExactScenario",
     "enumerate_placements",
     "exact_likelihood",
@@ -35,7 +34,8 @@ __all__ = [
 ]
 
 MAX_ENUM_NODES = 16
-MAX_REPORT_BITS = 18
+MAX_TYPE_ROWS = 18 * 2**18  # caps types * n; admits every shape with n * m <= 18
+_BLOCK_CELLS = 1 << 17  # (row, placement) or (type, node, state) cells held at once
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class ExactScenario:
         placement_law(self.true_model, self.n)
         placement_law(self.fc_model, self.n)
         for name in ("eps", "pmal_b", "pmal_fc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     @property
@@ -84,27 +83,32 @@ def enumerate_placements(model, n):
 
 
 def _placement_sum(mism, model, eps, delta, m):
-    """P(r | s) for each row of per-node mismatch counts mism (rows, n), linear domain.
+    """log P(r | s) for each row of per-node mismatch counts mism (rows, n).
 
-    Node i's report differs from the states in mism[t, i] of the m bits.
+    Placements are summed linearly, _BLOCK_CELLS at a time; the product
+    form of independent priors on more than MAX_ENUM_NODES nodes in logs.
     """
     n = mism.shape[1]
     # a node's report probability through the honest and the flipped channel
     d = np.arange(m + 1, dtype=np.float64)
-    ph = ((1.0 - eps) ** (m - d) * eps**d)[mism]
-    pb = ((1.0 - delta) ** (m - d) * delta**d)[mism]
+    ph, pb = ((1.0 - p) ** (m - d) * p**d for p in (eps, delta))
     alpha, k_range = placement_law(model, n)
-    if k_range is None and n > MAX_ENUM_NODES:
-        return ((1.0 - alpha) * ph + alpha * pb).prod(axis=1)
-    masks, weights = enumerate_placements(model, n)
-    probs = np.ones((len(mism), len(masks)))
-    for i, byzantine in enumerate(masks.T == 1):
-        probs *= np.where(byzantine, pb[:, i, None], ph[:, i, None])
-    return probs @ weights
+    with np.errstate(divide="ignore"):
+        if k_range is None and n > MAX_ENUM_NODES:
+            return np.log((1.0 - alpha) * ph + alpha * pb)[mism].sum(axis=1)
+        masks, weights = enumerate_placements(model, n)
+        step = max(1, _BLOCK_CELLS // len(masks))
+        like = []
+        for part in (mism[i:i + step] for i in range(0, len(mism), step)):
+            probs = np.ones((len(part), len(masks)))
+            for byzantine, b, h in zip(masks.T == 1, pb[part].T, ph[part].T):
+                probs *= np.where(byzantine, b[:, None], h[:, None])
+            like.append(probs @ weights)
+        return np.log(np.concatenate(like))
 
 
 def exact_likelihood(reports, states, model, eps, delta):
-    """P(r | s) by direct summation over placements, linear domain.
+    """P(r | s) by direct summation over placements.
 
     Independent priors on more than MAX_ENUM_NODES nodes use the product form.
     """
@@ -113,7 +117,7 @@ def exact_likelihood(reports, states, model, eps, delta):
     if reports.ndim != 2 or states.ndim != 1 or reports.shape[1] != states.shape[0]:
         raise ValueError("reports must be (n, m) and states (m,)")
     mism = (reports != states).sum(axis=1)
-    return float(_placement_sum(mism[None], model, eps, delta, reports.shape[1])[0])
+    return math.exp(_placement_sum(mism[None], model, eps, delta, reports.shape[1])[0])
 
 
 def exact_map_decision(reports, model, eps, delta):
@@ -124,42 +128,46 @@ def exact_map_decision(reports, model, eps, delta):
     m = reports.shape[1]
     hypotheses = all_bit_vectors(m)
     mism = (reports[None] != hypotheses[:, None]).sum(axis=2)
-    with np.errstate(divide="ignore"):
-        likes = np.log(_placement_sum(mism, model, eps, delta, m))
-    return hypotheses[argmax_lex(likes)].copy()
+    return hypotheses[argmax_lex(_placement_sum(mism, model, eps, delta, m))].copy()
 
 
 def exact_error_probability(scenario, metric="per-component"):
     """Exact expected decision error of the MAP rule, no sampling.
 
-    Enumerates state sequences and report matrices, so n*m is capped at
-    MAX_REPORT_BITS bits, and m at BatchFuser.MAX_M. Every prior gives
-    P(r | s) = P(r xor s | 0), so placements are summed once per multiset of
-    per-node mismatch counts at state 0, and each state reads its
-    likelihoods from those by index. `metric` selects the per-component bit
-    error rate or the whole-sequence error rate.
+    Sums over the C(n + 2**m - 1, n) report types, each weighted by the n! /
+    prod_v N_v! matrices it stands for (N_v nodes report v), with types * n
+    capped at MAX_TYPE_ROWS. `metric` selects the bit or the sequence error.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     n, m = scenario.n, scenario.m
-    if n * m > MAX_REPORT_BITS:
-        raise ValueError(f"n*m={n*m} exceeds the enumeration cap {MAX_REPORT_BITS}")
-    # the packed node rows of every report matrix: matrix i holds its n rows
-    # as m-bit fields of i, node 0 in the most significant one
-    rows = (np.arange(2 ** (n * m))[:, None] >> (m * np.arange(n - 1, -1, -1))) & (2**m - 1)
-    decisions = decide_columns([BatchFuser(scenario.assumption, n, m)], rows)[0]
-    mism = popcount(rows)
-    key = ((n + 1) ** mism).sum(axis=1)  # count histogram, base n + 1 digits (each <= n)
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    like0 = _placement_sum(mism[first], scenario.true_model, scenario.eps, scenario.delta_b, m)
-    like0 = like0[group]
-    # XOR-ing every row of matrix i with the state s XORs i with s * rep
-    rep = sum(1 << (m * i) for i in range(n))
-    index = np.arange(len(rows))
+    fuser = BatchFuser(scenario.assumption, n, m)
+    n_types = math.comb(n + 2**m - 1, n)
+    if n_types * n > MAX_TYPE_ROWS:
+        raise ValueError(f"{n_types} types x {n} node rows exceed MAX_TYPE_ROWS={MAX_TYPE_ROWS}")
+    rows = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(2**m), n))
+    # log P(r | s) of every class, a multiset of n per-node match counts, by its H[1..m]
+    counts = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(m + 1), n))
+    counts = np.fromiter(counts, np.int64).reshape(-1, n)
+    place = (n + 1) ** np.arange(m)
+    like = np.empty((n + 1) ** m)
+    like[(counts[:, :, None] == np.arange(1, m + 1)).sum(axis=1) @ place] = _placement_sum(
+        m - counts, scenario.true_model, scenario.eps, scenario.delta_b, m)
     # the error of deciding d in state s, looked up by d ^ s
     diff = np.arange(2**m)
     err = popcount(diff) / m if metric == "per-component" else (diff != 0).astype(np.float64)
+    step = max(1, _BLOCK_CELLS // (n * 2**m))
     total = 0.0
-    for state_int in range(2**m):
-        total += 0.5**m * float(like0[index ^ (state_int * rep)] @ err[decisions ^ state_int])
-    return total
+    for start in range(0, n_types, step):
+        types = np.fromiter(rows, np.int64, min(step, n_types - start) * n).reshape(-1, n)
+        # node i > 0 is the run[i - 1]-th of its run of equal rows: prod_v N_v! = prod run
+        starts = np.where(types[:, 1:] != types[:, :-1], np.arange(1, n), 0)
+        run = np.arange(2, n + 1) - np.maximum.accumulate(starts, axis=1)
+        classes = TypeClasses(types, n, m)
+        # cell (s, t) of classes.inverse is type t's class against state s
+        weight = like[classes.hist[:, 1:] @ place][classes.inverse]
+        weight += math.lgamma(n + 1) - np.log(run).sum(axis=1)
+        np.exp(weight, out=weight)
+        weight *= err[fuser.decide_ints(classes) ^ diff[:, None]]
+        total += float(weight.sum())
+    return 0.5**m * total

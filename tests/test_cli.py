@@ -176,6 +176,13 @@ class TestMainPayoff:
         with pytest.raises(ValueError, match="metric"):
             load_payoff_csv(str(path), metric=other)
 
+    def test_ragged_table_is_reported_as_ragged(self, tmp_path):
+        # rows are checked against the header before any array is built
+        path = tmp_path / "payoff.csv"
+        path.write_text("pmal_b/pmal_fc,0.5,0.6\n0.5,0.25,0.25\n0.6,0.25\n")
+        with pytest.raises(ValueError, match="ragged payoff table"):
+            load_payoff_csv(str(path))
+
 
 class TestMainEquilibrium:
     def test_from_simulation(self, tmp_path):
@@ -307,8 +314,26 @@ class TestExitCodes:
         assert "payoff_file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_runtime_error_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "pmal_b/pmal_fc,0.5\n",  # header only
+        "pmal_b/pmal_fc,0.5,0.6\n0.5,0.25,0.25\n0.6,0.25\n",  # ragged
+        "# metric = per-sequence\npmal_b/pmal_fc,0.5\n0.5,0.25\n",  # the other metric
+        "pmal_b/pmal_fc,0.5\n0.5,abc\n",  # non-numeric cell
+        "pmal_b/pmal_fc,0.6,0.5\n0.5,0.25,0.25\n",  # descending grid
+    ], ids=["header-only", "ragged", "other-metric", "non-numeric", "descending"])
+    def test_malformed_payoff_file_is_a_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "payoff.csv"
-        bad.write_text("pmal_b/pmal_fc,0.5\n")  # header only: malformed
+        bad.write_text(text)
         cfg = write_config(tmp_path, TINY + f"payoff_file = {bad}\n")
-        assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1
+        assert "payoff_file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_error_is_2(self, tmp_path, capsys):
+        # the output directory cannot be made under a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = write_config(tmp_path)
+        assert main(["payoff", "--config", cfg, "--out", str(blocker / "o")]) == 2
+        assert "runtime error" in capsys.readouterr().err

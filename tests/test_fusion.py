@@ -547,7 +547,8 @@ def test_tracer_counts_every_decoded_trial():
     finally:
         tracer.remove()
     assert "byzfusion.fusion:BatchFuser.decide_ints" not in tracer.absent
-    assert tracer.counts["fusion.decode_trials"] == 2 * 2 * 50 + 2 ** (3 * 2)
+    # the oracle decodes one row per report type, C(3 + 2**2 - 1, 3) of them
+    assert tracer.counts["fusion.decode_trials"] == 2 * 2 * 50 + math.comb(3 + 3, 3)
 
 
 @st.composite

@@ -195,3 +195,48 @@ def test_knob_scan_flags_a_never_passed_default(tmp_path):
     )
     # main(argv) is exempt, and f(*argv) passes every position
     assert unset_knobs([path], [path]) == ["K(y)", "g(w)", "D(r)"]
+
+
+# the oracle's reference functions, and the one decoder name they may read
+REFERENCES = {"enumerate_placements", "_placement_sum", "exact_likelihood", "exact_map_decision"}
+SHARED_TIE_RULE = "argmax_lex"
+
+
+def decoder_reads(path):
+    """function:name for each name from ``fusion`` or ``dp`` that a reference function reads.
+
+    Names come from ``from .fusion import ...`` and ``from .dp import ...``,
+    and the module names themselves where ``from . import fusion`` binds
+    them. Fails if a reference function is missing, so a rename cannot empty
+    the scan.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    decoder = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in ("fusion", "dp") or alias.name in ("fusion", "dp"):
+                    decoder.add(alias.asname or alias.name)
+    decoder.discard(SHARED_TIE_RULE)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert REFERENCES <= functions.keys()
+    return sorted({
+        f"{name}:{node.id}"
+        for name in REFERENCES
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Name) and node.id in decoder
+    })
+
+
+def test_oracle_references_read_nothing_from_the_decoder():
+    # the exact references stay independent of what they check
+    assert decoder_reads(SRC / "oracle.py") == []
+
+
+def test_reference_scan_flags_a_decoder_call(tmp_path):
+    text = (SRC / "oracle.py").read_text()
+    anchor = "    n = mism.shape[1]\n"
+    assert text.count(anchor) == 1
+    path = tmp_path / "oracle.py"
+    path.write_text(text.replace(anchor, anchor + "    BatchFuser(model, n, m)\n"))
+    assert decoder_reads(path) == ["_placement_sum:BatchFuser"]

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from byzfusion.bits import all_bit_vectors, pack_bits
 from byzfusion.fusion import BatchFuser, FusionAssumption, fuse
+from byzfusion.game import Scenario, StrategyGrid, estimate_payoff_matrix
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
@@ -13,6 +16,7 @@ from byzfusion.model import (
     crossover_delta,
 )
 from byzfusion.oracle import (
+    MAX_TYPE_ROWS,
     ExactScenario,
     enumerate_placements,
     exact_error_probability,
@@ -20,6 +24,8 @@ from byzfusion.oracle import (
     exact_map_decision,
 )
 
+# the largest odd n whose n + 1 one-bit types of n node rows fit the cap
+LARGEST_ODD_N = max(n for n in range(1, 5000, 2) if (n + 1) * n <= MAX_TYPE_ROWS)
 MODELS = [
     UnconstrainedMaxEntropy(),
     IndependentAlpha(0.3),
@@ -152,11 +158,11 @@ class TestExactErrorProbability:
             )
             assert exact_error_probability(sc) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("n, m", [(6, 1), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("n, m", [(6, 1), (3, 2), (2, 3), (4, 2), (8, 1), (2, 4)])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_matches_brute_force(self, n, m, model):
-        # every (report matrix, state) pair weighted by its own exact_likelihood,
-        # no grouping by mismatch multiset
+        # every (report matrix, state) pair weighted by its own exact_likelihood:
+        # no grouping by report type and no multiplicities
         sc = ExactScenario(n=n, m=m, eps=0.1, pmal_b=0.9, pmal_fc=0.7,
                            true_model=model, fc_model=model)
         want = {"per-component": 0.0, "per-sequence": 0.0}
@@ -185,14 +191,30 @@ class TestExactErrorProbability:
             n=5, true_model=FixedCount(1), fc_model=FixedCount(1)))
         assert pe5 < pe3
 
+    @pytest.mark.parametrize("n", [101, LARGEST_ODD_N])
+    def test_one_bit_matches_binomial_tail(self, n):
+        # each node flips the bit independently with probability q, and at odd
+        # n the matched MAP rule is majority, which errs when over n/2 flip
+        model = IndependentAlpha(0.3)
+        sc = ExactScenario(n=n, m=1, eps=0.3, pmal_b=1.0, pmal_fc=1.0,
+                           true_model=model, fc_model=model)
+        q = 0.7 * sc.eps + 0.3 * sc.delta_b
+        assert exact_error_probability(sc) == pytest.approx(stats.binom.sf(n // 2, n, q),
+                                                            rel=1e-9)
+
     def test_size_guard(self):
+        # at m = 1 there are n + 1 types of n node rows each; one node past the
+        # largest odd n they fit the cap
+        n = LARGEST_ODD_N + 1
+        assert (n + 1) * n > MAX_TYPE_ROWS
         sc = ExactScenario(
-            n=10, m=2, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
-            true_model=FixedCount(1), fc_model=FixedCount(1),
+            n=n, m=1, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
+            true_model=IndependentAlpha(0.3), fc_model=IndependentAlpha(0.3),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="MAX_TYPE_ROWS"):
             exact_error_probability(sc)
-        # 13 report bits pass the bit cap, but m = 13 exceeds the decoder's cap
+        # 2**13 types of one node row pass the type cap, but m = 13 exceeds the
+        # decoder's cap
         sc = ExactScenario(
             n=1, m=13, eps=0.1, pmal_b=0.8, pmal_fc=0.8,
             true_model=FixedCount(0), fc_model=FixedCount(0),
@@ -211,6 +233,22 @@ class TestExactErrorProbability:
             mismatched = exact_error_probability(
                 self.scenario(pmal_fc=wrong), metric="per-sequence")
             assert matched <= mismatched + 1e-12
+
+
+@pytest.mark.parametrize("n, model", [(20, IndependentAlpha(0.3)), (16, FixedCount(4))],
+                         ids=["independent-20", "fixed4-16"])
+def test_monte_carlo_matches_exact_at_the_papers_n(n, model):
+    # each cell's count of wrong sequences is Binomial(trials, exact value);
+    # independent priors at n = 20 take the placement sum's product form
+    trials = 2000
+    grid = StrategyGrid()
+    pm = estimate_payoff_matrix(Scenario(n, 2, 0.1, model, model), grid, grid, trials=trials,
+                                seed=5, metric="per-sequence")
+    for (i, pb), (j, pfc) in itertools.product(enumerate(grid.values), repeat=2):
+        exact = exact_error_probability(ExactScenario(n, 2, 0.1, pb, pfc, model, model),
+                                        "per-sequence")
+        errors = round(pm.pe_sequence[i, j] * trials)
+        assert stats.binomtest(errors, trials, exact).pvalue >= 1e-6, (pb, pfc, errors, exact)
 
 
 def test_scenario_validation():
