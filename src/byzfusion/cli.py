@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .game import (
+    DEFAULT_GRID,
     METRICS,
     NOISE_SIGMAS,
+    PayoffMatrix,
     Scenario,
     StrategyGrid,
     dominance_report,
@@ -36,7 +38,7 @@ from .game import (
     estimate_payoff_matrix,
     find_pure_equilibria,
     fmt,
-    load_payoff_csv,
+    parse_payoff_csv,
     saddle_points_within_noise,
     solve_mixed,
 )
@@ -102,6 +104,7 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
+_GRID_TEXT = ",".join(repr(v) for v in DEFAULT_GRID)  # both grids' default spelling
 # key -> (type of its value in a config file, default); fc_model defaults to true_model
 _CONFIG = {
     "n": (int, 20),
@@ -109,8 +112,8 @@ _CONFIG = {
     "eps": (float, 0.1),
     "true_model": (str, "unconstrained"),
     "fc_model": (str, None),
-    "grid_b": (str, "0.5,0.6,0.7,0.8,0.9,1.0"),
-    "grid_fc": (str, "0.5,0.6,0.7,0.8,0.9,1.0"),
+    "grid_b": (str, _GRID_TEXT),
+    "grid_fc": (str, _GRID_TEXT),
     "trials": (int, 50_000),
     "seed": (int, 0),
     "metric": (str, "per-component"),
@@ -130,9 +133,10 @@ class ExperimentConfig:
     metric: str
     workers: int
     out: str
-    payoff_file: str | None
-    # SHA-256 of payoff_file's bytes as load_config read them; no file key or flag sets it
+    # SHA-256 of payoff_file's bytes as load_config read them, and the matrix
+    # those same bytes parse to; no file key or flag sets either
     payoff_sha256: str | None
+    payoff: PayoffMatrix | None
 
     def canonical_text(self):
         """Normalized experiment description; execution details excluded.
@@ -221,13 +225,19 @@ def load_config(config_path=None, overrides=None):
     workers = raw["workers"]
     if trials < 1 or workers < 1:
         raise ConfigError("trials and workers must be positive")
-    payoff_sha256 = None
-    if raw["payoff_file"] is not None:
+    path = raw["payoff_file"]
+    payoff_sha256 = payoff = None
+    if path is not None:
         try:
-            with open(raw["payoff_file"], "rb") as fh:
-                payoff_sha256 = hashlib.sha256(fh.read()).hexdigest()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read payoff_file {raw['payoff_file']}: {exc}") from exc
+            raise ConfigError(f"cannot read payoff_file {path}: {exc}") from exc
+        payoff_sha256 = hashlib.sha256(data).hexdigest()
+        try:
+            payoff = parse_payoff_csv(data.decode("utf-8"), metric)
+        except ValueError as exc:  # UnicodeDecodeError among them
+            raise ConfigError(f"bad payoff_file {path}: {exc}") from exc
     return ExperimentConfig(
         scenario=scenario,
         grid_b=grid_b,
@@ -237,8 +247,8 @@ def load_config(config_path=None, overrides=None):
         metric=metric,
         workers=workers,
         out=raw["out"],
-        payoff_file=raw["payoff_file"],
         payoff_sha256=payoff_sha256,
+        payoff=payoff,
     )
 
 
@@ -265,7 +275,7 @@ def _emit(cfg, subcommand, files, summary):
 def _estimate(cfg, estimator):
     # payoff and compare always simulate, so a payoff_file they would not read
     # (and whose digest meta.txt would carry) is refused before any estimate
-    if cfg.payoff_file is not None:
+    if cfg.payoff is not None:
         raise ConfigError("payoff_file is read only by the equilibrium subcommand")
     return estimator(
         cfg.scenario,
@@ -318,14 +328,7 @@ def _equilibrium_lines(pm, eq):
 
 
 def run_equilibrium(cfg):
-    if cfg.payoff_file is not None:
-        try:
-            pm = load_payoff_csv(cfg.payoff_file, metric=cfg.metric)
-        except ValueError as exc:
-            # a malformed input file named by the config is a config error
-            raise ConfigError(f"bad payoff_file: {exc}") from exc
-    else:
-        pm = _estimate(cfg, estimate_payoff_matrix)
+    pm = cfg.payoff if cfg.payoff is not None else _estimate(cfg, estimate_payoff_matrix)
     eq = solve_mixed(pm)
     report = dominance_report(pm)
     saddles = find_pure_equilibria(pm)
@@ -368,20 +371,20 @@ def run_compare(cfg):
     eq = solve_mixed(pm)
     # the Byzantines' best response to majority voting, scored on the payoff
     # rows' own trials; the first maximum wins
-    maj_pb, maj = max(zip(cfg.grid_b.values, majority),
-                      key=lambda pair: pair[1].value(cfg.metric))
+    worst = int(majority.pe[:, 0].argmax())
+    maj_pe, maj_se = majority.pe[worst, 0], majority.se[worst, 0]
     lines = _report_head("Majority vote vs optimum fusion", cfg, pm) + [
         "| scheme | error probability | standard error |",
         "| --- | --- | --- |",
-        f"| majority vote (worst pmal_b = {fmt(maj_pb)}) | {fmt(maj.value(cfg.metric))} | "
-        f"{fmt(maj.stderr(cfg.metric))} |",
+        f"| majority vote (worst pmal_b = {fmt(majority.grid_b[worst])}) | {fmt(maj_pe)} | "
+        f"{fmt(maj_se)} |",
         f"| optimum fusion (equilibrium) | {fmt(eq.value)} | |",
         "",
     ]
     lines += _equilibrium_lines(pm, eq)
     lines.append("")
     _emit(cfg, "compare", {"compare.md": "\n".join(lines)},
-          f"majority {fmt(maj.value(cfg.metric))} vs optimum {fmt(eq.value)}; "
+          f"majority {fmt(maj_pe)} vs optimum {fmt(eq.value)}; "
           f"wrote {cfg.out}/compare.md")
 
 

@@ -35,8 +35,7 @@ __all__ = [
     "StrategyGrid",
     "Scenario",
     "PayoffMatrix",
-    "load_payoff_csv",
-    "ErrorEstimate",
+    "parse_payoff_csv",
     "simulate_row",
     "MAJORITY_VOTE",
     "estimate_payoff_matrix",
@@ -69,15 +68,6 @@ METRICS = ("per-component", "per-sequence")
 NOISE_SIGMAS = 3.0
 _DUALITY_TOL = 1e-9  # largest LP duality gap solve_mixed accepts
 _ENUM_TOL = 1e-8  # slack of the support checks in solve_mixed_enum
-
-
-def _by_metric(metric, component, sequence):
-    # the per-component or the per-sequence one of a pair of estimates
-    if metric == "per-component":
-        return component
-    if metric == "per-sequence":
-        return sequence
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +136,11 @@ class PayoffMatrix:
 
     @property
     def pe(self):
-        return _by_metric(self.metric, self.pe_component, self.pe_sequence)
+        return self.pe_component if self.metric == "per-component" else self.pe_sequence
 
     @property
     def se(self):
-        return _by_metric(self.metric, self.se_component, self.se_sequence)
+        return self.se_component if self.metric == "per-component" else self.se_sequence
 
     def to_csv(self, comments=None):
         """Render the selected metric as CSV text, 6 significant digits.
@@ -186,36 +176,38 @@ class PayoffMatrix:
         return "\n".join(lines) + "\n"
 
 
-def load_payoff_csv(path, metric="per-component"):
-    """PayoffMatrix from a payoff.csv written by PayoffMatrix.to_csv (or hand-made).
+def parse_payoff_csv(text, metric="per-component"):
+    """PayoffMatrix from payoff.csv text, as PayoffMatrix.to_csv writes it (or hand-made).
 
     Injected matrices are treated as exact: both metrics are set to the
-    stored entries and standard errors are zero. A file whose ``# metric =``
+    stored entries and standard errors are zero. Text whose ``# metric =``
     line names another metric than `metric` is rejected with ValueError, as
-    is a ragged table, a non-numeric cell or a grid that is not ascending.
+    is a ragged table, a non-numeric or non-finite cell or a grid that is not
+    ascending.
     """
     meta = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append([cell.strip() for cell in line.split(",")])
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            continue
+        rows.append([cell.strip() for cell in line.split(",")])
     if meta.get("metric", metric) != metric:
-        raise ValueError(f"{path}: holds the {meta['metric']} metric, not {metric}")
+        raise ValueError(f"holds the {meta['metric']} metric, not {metric}")
     if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header row and at least one data row")
+        raise ValueError("expected a header row and at least one data row")
     if any(len(r) != len(rows[0]) for r in rows[1:]):
-        raise ValueError(f"{path}: ragged payoff table")
+        raise ValueError("ragged payoff table")
     grid_fc = StrategyGrid(tuple(float(v) for v in rows[0][1:]))
     grid_b = StrategyGrid(tuple(float(r[0]) for r in rows[1:]))
     entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    if not np.isfinite(entries).all():
+        raise ValueError("payoff entries must be finite")
     zeros = np.zeros_like(entries)
     return PayoffMatrix(
         grid_b=grid_b,
@@ -228,23 +220,6 @@ def load_payoff_csv(path, metric="per-component"):
         seed=int(meta.get("seed", 0)),
         metric=metric,
     )
-
-
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Monte Carlo error estimate of one decoding scheme, both metrics."""
-
-    pe_component: float
-    pe_sequence: float
-    se_component: float
-    se_sequence: float
-    trials: int
-
-    def value(self, metric="per-component"):
-        return _by_metric(metric, self.pe_component, self.pe_sequence)
-
-    def stderr(self, metric="per-component"):
-        return _by_metric(metric, self.se_component, self.se_sequence)
 
 
 def _error_stats(decisions, states, m):
@@ -290,8 +265,8 @@ def _row_errors(scenario, pmal_b, assumptions, trials, row_seed):
 
 
 def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):
-    # the PayoffMatrix, and the (4, len(grid_b), len(extra)) error stats of the
-    # `extra` assumptions, decoded as more columns of each row
+    # the PayoffMatrix over grid_fc, then a one-column PayoffMatrix for each
+    # `extra` assumption, decoded as one more column of each row's draws
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if trials < 1:
@@ -308,7 +283,11 @@ def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):
         results = [_row_errors(*args) for args in jobs]
     stats = np.stack(results, axis=1)
     k = len(grid_fc)
-    return PayoffMatrix(grid_b, grid_fc, *stats[:, :, :k], trials, seed, metric), stats[:, :, k:]
+    return [PayoffMatrix(grid_b, grid_fc, *stats[:, :, :k], trials, seed, metric)] + [
+        PayoffMatrix(grid_b, StrategyGrid((a.pmal_fc,)), *stats[:, :, k + j, None],
+                     trials, seed, metric)
+        for j, a in enumerate(extra)
+    ]
 
 
 def estimate_payoff_matrix(
@@ -331,15 +310,16 @@ def estimate_payoff_matrix(
 
 
 def estimate_payoff_and_majority(scenario, grid_b, grid_fc, trials, seed, metric, workers):
-    """estimate_payoff_matrix's matrix, and majority voting's ErrorEstimate at each pmal_b.
+    """(pm, majority): estimate_payoff_matrix's matrix, and majority voting's.
 
     Majority voting (MAJORITY_VOTE) is decoded as one more column of each
-    payoff row, so it is scored on that row's own trials.
+    payoff row, so it is scored on that row's own trials. `majority` is a
+    PayoffMatrix over grid_b with the single column MAJORITY_VOTE.pmal_fc.
     """
     pm, majority = _estimate(
         scenario, grid_b, grid_fc, trials, seed, metric, workers, [MAJORITY_VOTE]
     )
-    return pm, [ErrorEstimate(*map(float, row), trials=trials) for row in majority[:, :, 0].T]
+    return pm, majority
 
 
 def _entries(pm):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bits import all_bit_vectors, popcount
 from .fusion import BatchFuser, FusionAssumption, TypeClasses, argmax_lex
-from .game import METRICS
+from .game import METRICS, Scenario
 from .model import crossover_delta, placement_law
 
 __all__ = [
@@ -51,9 +51,8 @@ class ExactScenario:
     fc_model: object
 
     def __post_init__(self):
-        placement_law(self.true_model, self.n)
-        placement_law(self.fc_model, self.n)
-        for name in ("eps", "pmal_b", "pmal_fc"):
+        Scenario(self.n, self.m, self.eps, self.true_model, self.fc_model)
+        for name in ("pmal_b", "pmal_fc"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 

@@ -265,8 +265,8 @@ def test_a9_majority_vs_optimum(table_alpha03):
     sc = Scenario(n=20, m=4, eps=0.1, true_model=IndependentAlpha(0.3),
                   fc_model=IndependentAlpha(0.3))
     grid = StrategyGrid((1.0,))
-    _, (maj,) = estimate_payoff_and_majority(sc, grid, grid, 50_000, 0, "per-component", 1)
-    maj = maj.pe_component
+    _, majority = estimate_payoff_and_majority(sc, grid, grid, 50_000, 0, "per-component", 1)
+    maj = majority.pe_component[0, 0]
     opt = solve_mixed(table_alpha03).value
     ok = abs(maj - 0.073) <= 0.004 and abs(opt - 0.035) <= 0.003
     assert verdict("A9 majority-vs-optimum", ok,

@@ -8,8 +8,9 @@ from byzfusion.cli import (
     main,
     model_to_text,
     parse_model,
+    run_equilibrium,
 )
-from byzfusion.game import PayoffMatrix, StrategyGrid, load_payoff_csv
+from byzfusion.game import DEFAULT_GRID, PayoffMatrix, StrategyGrid, parse_payoff_csv
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
@@ -57,6 +58,8 @@ class TestLoadConfig:
         assert cfg.scenario.n == 20 and cfg.scenario.m == 4
         assert cfg.scenario.fc_model == cfg.scenario.true_model
         assert cfg.trials == 50_000 and cfg.metric == "per-component"
+        assert cfg.grid_b.values == DEFAULT_GRID and cfg.grid_fc.values == DEFAULT_GRID
+        assert config_hash(cfg) == "4a7174575601a8e0"
 
     def test_file_values_and_fc_defaulting(self, tmp_path):
         cfg = load_config(write_config(tmp_path), {})
@@ -154,7 +157,7 @@ class TestMainPayoff:
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["payoff", "--config", cfg, "--out", str(out)]) == 0
-        pm = load_payoff_csv(str(out / "payoff.csv"))
+        pm = parse_payoff_csv((out / "payoff.csv").read_text())
         assert pm.pe_component.shape == (6, 6)
         assert pm.seed == 9 and pm.trials == 300
         # six significant digits survive the round trip
@@ -167,21 +170,18 @@ class TestMainPayoff:
         pe_s = np.array([[0.0625, 0.5], [0.75, 1.0]])
         pm = PayoffMatrix(grid, grid, pe_c, pe_s, 0 * pe_c, 0 * pe_s, trials=8, seed=3,
                           metric=metric)
-        path = tmp_path / "payoff.csv"
-        path.write_text(pm.to_csv({"config": "abc"}))
-        back = load_payoff_csv(str(path), metric=metric)
+        text = pm.to_csv({"config": "abc"})
+        back = parse_payoff_csv(text, metric=metric)
         np.testing.assert_array_equal(back.pe, pm.pe)
         assert (back.metric, back.trials, back.seed) == (metric, 8, 3)
         other = "per-sequence" if metric == "per-component" else "per-component"
         with pytest.raises(ValueError, match="metric"):
-            load_payoff_csv(str(path), metric=other)
+            parse_payoff_csv(text, metric=other)
 
-    def test_ragged_table_is_reported_as_ragged(self, tmp_path):
+    def test_ragged_table_is_reported_as_ragged(self):
         # rows are checked against the header before any array is built
-        path = tmp_path / "payoff.csv"
-        path.write_text("pmal_b/pmal_fc,0.5,0.6\n0.5,0.25,0.25\n0.6,0.25\n")
         with pytest.raises(ValueError, match="ragged payoff table"):
-            load_payoff_csv(str(path))
+            parse_payoff_csv("pmal_b/pmal_fc,0.5,0.6\n0.5,0.25,0.25\n0.6,0.25\n")
 
 
 class TestMainEquilibrium:
@@ -214,6 +214,24 @@ class TestMainEquilibrium:
         assert text.count("with value 0.25") == 9
         assert text.count("- (pmal_b=") == 18
         assert "Pure: (pmal_b=0.5, pmal_fc=0.5)" in text
+
+    @pytest.mark.parametrize("change", ["overwrite", "delete"])
+    def test_reports_the_matrix_of_the_hashed_bytes(self, tmp_path, change):
+        # the file is read once, when the config loads: the matrix solved is
+        # the one whose digest meta.txt carries, whatever happens to it later
+        payoff = tmp_path / "payoff.csv"
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.25\n")
+        out = tmp_path / "eq"
+        cfg = load_config(write_config(tmp_path, TINY + f"payoff_file = {payoff}\n"),
+                          {"out": str(out)})
+        if change == "overwrite":
+            payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.75\n")
+        else:
+            payoff.unlink()
+        run_equilibrium(cfg)
+        text = (out / "equilibrium.md").read_text()
+        assert f"*config = {config_hash(cfg)}*" in text
+        assert "Game value: 0.25\n" in text
 
 
 class TestMainCompare:
@@ -320,10 +338,15 @@ class TestExitCodes:
         "# metric = per-sequence\npmal_b/pmal_fc,0.5\n0.5,0.25\n",  # the other metric
         "pmal_b/pmal_fc,0.5\n0.5,abc\n",  # non-numeric cell
         "pmal_b/pmal_fc,0.6,0.5\n0.5,0.25,0.25\n",  # descending grid
-    ], ids=["header-only", "ragged", "other-metric", "non-numeric", "descending"])
+        "pmal_b/pmal_fc,0.5\n0.5,nan\n",
+        "pmal_b/pmal_fc,0.5\n0.5,inf\n",
+        "pmal_b/pmal_fc,0.5\n0.5,-inf\n",
+        b"pmal_b/pmal_fc,0.5\n0.5,0.25\xff\n",  # not UTF-8
+    ], ids=["header-only", "ragged", "other-metric", "non-numeric", "descending",
+            "nan", "inf", "-inf", "not-utf-8"])
     def test_malformed_payoff_file_is_a_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "payoff.csv"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         cfg = write_config(tmp_path, TINY + f"payoff_file = {bad}\n")
         out = tmp_path / "o"
         assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1

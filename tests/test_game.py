@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from byzfusion.game import (
+    MAJORITY_VOTE,
     DominanceReport,
     Equilibrium,
-    ErrorEstimate,
     PayoffMatrix,
     Scenario,
     StrategyGrid,
@@ -60,15 +60,11 @@ class TestGridAndMatrix:
     def test_metric_selection(self):
         pm = make_pm([[0.1, 0.2], [0.3, 0.4]])
         assert pm.pe[0, 0] == 0.1
-        seq = replace(pm, metric="per-sequence")
-        assert seq.pe[0, 0] == 0.2
+        assert pm.se[0, 0] == 0.0
+        seq = replace(pm, metric="per-sequence", se_sequence=pm.se_sequence + 0.5)
+        assert (seq.pe[0, 0], seq.se[0, 0]) == (0.2, 0.5)
         with pytest.raises(ValueError):
             replace(pm, metric="nope")
-        est = ErrorEstimate(0.1, 0.2, 0.01, 0.02, trials=100)
-        assert (est.value(), est.stderr()) == (0.1, 0.01)
-        assert (est.value("per-sequence"), est.stderr("per-sequence")) == (0.2, 0.02)
-        with pytest.raises(ValueError):
-            est.stderr("nope")
 
     def test_csv_format(self):
         pm = make_pm([[0.123456789, 0.2], [0.3, 0.000012345678]])
@@ -169,7 +165,7 @@ class TestSimulation:
         sc = small_scenario(n=6, m=2, true_model=FixedCount(2), fc_model=FixedCount(2))
         eps, delta = 0.1, 0.1 * 0.3 + 0.9 * 0.7
         grid = StrategyGrid((0.7,))
-        _, (est,) = estimate_payoff_and_majority(
+        _, majority = estimate_payoff_and_majority(
             sc, grid, grid, 60_000, 6, "per-component", 1)
 
         def pmf(k_tot):
@@ -188,7 +184,8 @@ class TestSimulation:
         p_wrong_majority = sum(pmf(k) for k in range(4, 7))
         p_tie = pmf(3)
         want = p_wrong_majority + 0.5 * p_tie  # ties wrong only when the state is one
-        assert est.pe_component == pytest.approx(want, abs=4 * est.se_component + 1e-9)
+        assert majority.pe_component[0, 0] == pytest.approx(
+            want, abs=4 * majority.se_component[0, 0] + 1e-9)
         # a center that assumes no Byzantines decodes by majority, exactly
         exact = exact_error_probability(
             ExactScenario(6, 2, 0.1, 0.7, 0.0, FixedCount(2), IndependentAlpha(0.0)))
@@ -197,9 +194,9 @@ class TestSimulation:
     def test_majority_worse_than_map_when_blind(self):
         sc = small_scenario(n=6, m=2, true_model=FixedCount(2), fc_model=FixedCount(2))
         grid = StrategyGrid((1.0,))
-        pm, (est,) = estimate_payoff_and_majority(
+        pm, majority = estimate_payoff_and_majority(
             sc, grid, grid, 10_000, 7, "per-component", 1)
-        assert pm.pe_component[0, 0] < est.pe_component
+        assert pm.pe_component[0, 0] < majority.pe_component[0, 0]
 
 
 def dominant_row_by_deletion(a, strict):
@@ -437,7 +434,9 @@ class TestSolvers:
         finally:
             tracer.remove()
         assert tracer.totals["model.sample"][0] == 3
-        assert [est.trials for est in majority] == [50] * 3
+        assert (majority.trials, majority.seed, majority.metric) == (50, 4, "per-component")
+        assert majority.grid_b == grid_b and majority.grid_fc.values == (MAJORITY_VOTE.pmal_fc,)
+        assert majority.pe_component.shape == (3, 1)
         want = estimate_payoff_matrix(small_scenario(), grid_b, grid_fc, trials=50, seed=4)
         for name in ("pe_component", "pe_sequence", "se_component", "se_sequence"):
             np.testing.assert_array_equal(getattr(pm, name), getattr(want, name))

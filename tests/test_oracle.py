@@ -258,3 +258,8 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ExactScenario(n=3, m=2, eps=0.1, pmal_b=0.5, pmal_fc=0.5,
                       true_model=FixedCount(4), fc_model=FixedCount(1))
+    # checked as Scenario checks it, before any enumeration divides by m
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be positive"):
+            ExactScenario(n=3, m=m, eps=0.1, pmal_b=0.5, pmal_fc=0.5,
+                          true_model=FixedCount(1), fc_model=FixedCount(1))
