@@ -7,17 +7,7 @@ the vectors. Everything here works elementwise on numpy arrays.
 
 import numpy as np
 
-__all__ = ["popcount", "pack_bits", "unpack_bits", "all_bit_vectors"]
-
-
-def popcount(x):
-    """Elementwise count of set bits. Values must be nonnegative and < 2**32."""
-    x = np.asarray(x).astype(np.int64)
-    x = x - ((x >> 1) & 0x55555555)
-    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F
-    # byte-sum via multiply; safe in int64 for 32-bit inputs
-    return (x * 0x01010101) >> 24 & 0x3F
+__all__ = ["pack_bits", "unpack_bits", "all_bit_vectors"]
 
 
 def pack_bits(bits):

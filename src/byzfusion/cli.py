@@ -142,9 +142,12 @@ class ExperimentConfig:
         """Normalized experiment description; execution details excluded.
 
         Worker count and output directory do not change results, so they do
-        not participate in the hash. An injected payoff file contributes the
-        digest of its bytes as read when the config was loaded.
+        not participate in the hash. An injected payoff file determines the
+        result with the metric alone, so then only the metric and the digest
+        of the file's bytes as read when the config was loaded are listed.
         """
+        if self.payoff is not None:
+            return f"metric = {self.metric}\npayoff_sha256 = {self.payoff_sha256}\n"
         sc = self.scenario
         pairs = [
             ("n", sc.n),
@@ -158,8 +161,6 @@ class ExperimentConfig:
             ("seed", self.seed),
             ("metric", self.metric),
         ]
-        if self.payoff_sha256 is not None:
-            pairs.append(("payoff_sha256", self.payoff_sha256))
         return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 

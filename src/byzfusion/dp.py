@@ -27,56 +27,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-__all__ = ["NodeWeights", "live_cells", "subset_sums", "naive_subset_sum"]
+__all__ = ["live_cells", "subset_sums", "naive_subset_sum"]
 
 _NAIVE_LIMIT = 1_000_000
 # subset_sums takes the ratio domain while log C(n, k_hi) + k_hi * max|log(b/h)|
 # stays below this, far from the exp(+-709) float range; bounding |log(b/h)|,
 # not just its positive side, keeps small ratios from underflowing too
 _RATIO_HEADROOM = 600.0
-
-
-@dataclass(frozen=True)
-class NodeWeights:
-    """Per-node log weights for the two behaviours.
-
-    logb[i] and logh[i] are log-likelihood contributions of node i when
-    treated as Byzantine or honest. -inf entries (zero weight) are allowed,
-    +inf and nan are not.
-    """
-
-    logb: np.ndarray
-    logh: np.ndarray
-
-    def __post_init__(self):
-        logb = np.asarray(self.logb, dtype=np.float64)
-        logh = np.asarray(self.logh, dtype=np.float64)
-        if logb.ndim != 1 or logh.ndim != 1 or logb.shape != logh.shape:
-            raise ValueError("logb and logh must be 1-d arrays of equal length")
-        for name, arr in (("logb", logb), ("logh", logh)):
-            if np.isnan(arr).any() or np.isposinf(arr).any():
-                raise ValueError(f"{name} entries must be finite or -inf")
-        object.__setattr__(self, "logb", logb)
-        object.__setattr__(self, "logh", logh)
-
-    @classmethod
-    def from_linear(cls, b, h):
-        """Build from linear-domain weights; zeros are fine."""
-        b = np.asarray(b, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
-        if (b < 0).any() or (h < 0).any():
-            raise ValueError("weights must be nonnegative")
-        with np.errstate(divide="ignore"):
-            return cls(np.log(b), np.log(h))
-
-    @property
-    def n(self):
-        return self.logb.shape[0]
 
 
 def live_cells(n, k_lo, k_hi):
@@ -140,19 +101,20 @@ def subset_sums(logb, logh, counts, hist, k_lo, k_hi):
     return np.logaddexp.reduce(g[k_lo:], axis=0)
 
 
-def naive_subset_sum(weights, k):
+def naive_subset_sum(logb, logh, k):
     """Literal enumeration of all (n choose k) subsets, log domain.
 
-    Reference implementation for cross-checking; refuses to enumerate more
-    than one million subsets.
+    logb[i] and logh[i] are node i's log weights as Byzantine and as honest;
+    -inf is a zero weight. Reference implementation for cross-checking;
+    refuses to enumerate more than one million subsets.
     """
-    n = weights.n
+    n = len(logb)
+    if len(logh) != n:
+        raise ValueError("logb and logh must have equal length")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if math.comb(n, k) > _NAIVE_LIMIT:
         raise ValueError(f"(n choose k) = {math.comb(n, k)} exceeds {_NAIVE_LIMIT}")
-    logb = weights.logb
-    logh = weights.logh
     terms = np.empty(math.comb(n, k))
     for t, subset in enumerate(itertools.combinations(range(n), k)):
         chosen = set(subset)

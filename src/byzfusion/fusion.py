@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import dp
-from .bits import pack_bits, popcount, unpack_bits
+from .bits import pack_bits, unpack_bits
 from .model import crossover_delta, placement_law
 
 __all__ = [
@@ -168,7 +168,7 @@ def _key_table(n, m):
         places[word, c] = (n + 1) ** digit
     hyps = np.arange(2**m)
     # matches[x]: agreements of a row and a hypothesis whose XOR is x
-    matches = m - popcount(hyps)
+    matches = m - np.bitwise_count(hyps)
     table = np.empty((places.shape[0], 2**m, 2**m), dtype=np.int64)
     for v in range(2**m):
         table[:, v] = places[:, matches[v ^ hyps]]

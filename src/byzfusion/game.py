@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bits import popcount
 from .fusion import BatchFuser, FusionAssumption, decide_columns
 from .model import IndependentAlpha, mix64, placement_law, sample_rows
 
@@ -37,6 +36,7 @@ __all__ = [
     "PayoffMatrix",
     "parse_payoff_csv",
     "simulate_row",
+    "trial_errors",
     "MAJORITY_VOTE",
     "estimate_payoff_matrix",
     "estimate_payoff_and_majority",
@@ -179,11 +179,12 @@ class PayoffMatrix:
 def parse_payoff_csv(text, metric="per-component"):
     """PayoffMatrix from payoff.csv text, as PayoffMatrix.to_csv writes it (or hand-made).
 
-    Injected matrices are treated as exact: both metrics are set to the
-    stored entries and standard errors are zero. Text whose ``# metric =``
-    line names another metric than `metric` is rejected with ValueError, as
-    is a ragged table, a non-numeric or non-finite cell or a grid that is not
-    ascending.
+    Injected matrices are treated as exact: the stored entries are `metric`'s
+    estimates, with zero standard errors, and the other metric's estimates
+    and standard errors are NaN, since the file does not hold them. Text
+    whose ``# metric =`` line names another metric than `metric` is rejected
+    with ValueError, as is a ragged table, a non-numeric or non-finite cell
+    or a grid that is not ascending.
     """
     meta = {}
     rows = []
@@ -208,37 +209,41 @@ def parse_payoff_csv(text, metric="per-component"):
     entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     if not np.isfinite(entries).all():
         raise ValueError("payoff entries must be finite")
-    zeros = np.zeros_like(entries)
+    held = (entries, np.zeros_like(entries))
+    unknown = (np.full_like(entries, np.nan), np.full_like(entries, np.nan))
+    (pe_c, se_c), (pe_s, se_s) = (held, unknown) if metric == "per-component" else (unknown, held)
     return PayoffMatrix(
         grid_b=grid_b,
         grid_fc=grid_fc,
-        pe_component=entries,
-        pe_sequence=entries.copy(),
-        se_component=zeros,
-        se_sequence=zeros.copy(),
+        pe_component=pe_c,
+        pe_sequence=pe_s,
+        se_component=se_c,
+        se_sequence=se_s,
         trials=int(meta.get("trials", 0)),
         seed=int(meta.get("seed", 0)),
         metric=metric,
     )
 
 
-def _error_stats(decisions, states, m):
-    """(pe_component, pe_sequence, se_component, se_sequence) of packed decisions.
+def trial_errors(diff, m):
+    """Error of deciding d in state s, from diff = d ^ s packed, one row per metric.
 
-    Per-trial bit error rate and sequence error against the packed states.
-    Standard errors use ddof=1, or ddof=0 for a single trial.
+    In METRICS order: the share of the m components decided wrong, and 1.0
+    where the sequence is wrong. Shape (2, *diff.shape), float64.
     """
-    bit_err = popcount(decisions ^ states) / m
-    seq_err = (decisions != states).astype(np.float64)
-    trials = len(bit_err)
+    return np.stack([np.bitwise_count(diff) / m, diff != 0])
+
+
+def _error_stats(decisions, states, m):
+    """(4, C): rows pe_component, pe_sequence, se_component, se_sequence, a column per decoder.
+
+    decisions (C, T) and states (T,) are packed. Standard errors use ddof=1,
+    or ddof=0 for a single trial.
+    """
+    errors = trial_errors(decisions ^ states, m)
+    trials = states.shape[0]
     ddof = 1 if trials > 1 else 0
-    root = np.sqrt(trials)
-    return (
-        bit_err.mean(),
-        seq_err.mean(),
-        bit_err.std(ddof=ddof) / root,
-        seq_err.std(ddof=ddof) / root,
-    )
+    return np.concatenate([errors.mean(axis=-1), errors.std(axis=-1, ddof=ddof) / np.sqrt(trials)])
 
 
 def fmt(v):
@@ -260,8 +265,7 @@ def _row_errors(scenario, pmal_b, assumptions, trials, row_seed):
     rng = np.random.default_rng(row_seed)
     states, rows = simulate_row(scenario, pmal_b, trials, rng)
     fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
-    decisions = decide_columns(fusers, rows)
-    return np.array([_error_stats(d, states, scenario.m) for d in decisions]).T
+    return _error_stats(decide_columns(fusers, rows), states, scenario.m)
 
 
 def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):

@@ -51,8 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import popcount
-
 __all__ = [
     "crossover_delta",
     "UnconstrainedMaxEntropy",
@@ -216,7 +214,7 @@ def sample_rows(rng, model, n, m, eps, pmal_b, count):
         raise ValueError("m must be positive")
     alpha, k_range = placement_law(model, n)
     delta = crossover_delta(eps, pmal_b)
-    d = popcount(np.arange(2**m))  # errors in each error pattern
+    d = np.bitwise_count(np.arange(2**m))  # errors in each error pattern
     honest = (1.0 - eps) ** (m - d) * eps**d
     flipped = (1.0 - delta) ** (m - d) * delta**d
     states = rng.integers(2**m, size=count)

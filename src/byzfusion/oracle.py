@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import all_bit_vectors, popcount
+from .bits import all_bit_vectors
 from .fusion import BatchFuser, FusionAssumption, TypeClasses, argmax_lex
-from .game import METRICS, Scenario
+from .game import METRICS, Scenario, trial_errors
 from .model import crossover_delta, placement_law
 
 __all__ = [
@@ -154,7 +154,7 @@ def exact_error_probability(scenario, metric="per-component"):
         m - counts, scenario.true_model, scenario.eps, scenario.delta_b, m)
     # the error of deciding d in state s, looked up by d ^ s
     diff = np.arange(2**m)
-    err = popcount(diff) / m if metric == "per-component" else (diff != 0).astype(np.float64)
+    err = trial_errors(diff, m)[METRICS.index(metric)]
     step = max(1, _BLOCK_CELLS // (n * 2**m))
     total = 0.0
     for start in range(0, n_types, step):

@@ -15,7 +15,7 @@ import pytest
 from byzfusion.bits import unpack_bits
 from byzfusion.cli import main as cli_main
 from byzfusion import dp
-from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
+from byzfusion.dp import naive_subset_sum, subset_sums
 from byzfusion.fusion import FusionAssumption, _independent_mix_weights, fuse
 from byzfusion.game import (
     Scenario,
@@ -88,10 +88,11 @@ def table_fixed8():
     return estimate_payoff_matrix(sc, GRID, GRID, trials=50_000, seed=0)
 
 
-def per_node_subset_sum(w, k):
+def per_node_subset_sum(logb, logh, k):
     """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
-    counts = np.arange(w.n)[:, None]
-    return subset_sums(w.logb, w.logh, counts, np.ones((1, w.n), dtype=np.int64), k, k)[0]
+    n = len(logb)
+    counts = np.arange(n)[:, None]
+    return subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64), k, k)[0]
 
 
 def test_a1_dp_matches_naive_enumeration():
@@ -99,7 +100,7 @@ def test_a1_dp_matches_naive_enumeration():
     sets = []
     for _ in range(200):
         n = int(rng.integers(1, 13))
-        sets.append(NodeWeights(logb=rng.normal(0.0, 2.0, n), logh=rng.normal(0.0, 2.0, n)))
+        sets.append((rng.normal(0.0, 2.0, n), rng.normal(0.0, 2.0, n)))
     # weights of scale 200, whose products of ratios leave the float range in
     # both directions; every other set also has zero honest weights, which
     # subset_sums can only take in the log domain
@@ -110,14 +111,14 @@ def test_a1_dp_matches_naive_enumeration():
         if i % 2:
             logh[rng.random(n) < 0.3] = -np.inf
             logh[rng.integers(n)] = -np.inf
-        sets.append(NodeWeights(logb=rng.normal(0.0, 200.0, n), logh=logh))
+        sets.append((rng.normal(0.0, 200.0, n), logh))
     # no ratio above 1, but one so small that it underflows in the linear domain
-    sets.append(NodeWeights(logb=np.array([-800.0, 0.0, -1.0]), logh=np.zeros(3)))
+    sets.append((np.array([-800.0, 0.0, -1.0]), np.zeros(3)))
     worst = 0.0
-    for w in sets:
-        for k in range(w.n + 1):
-            fast = per_node_subset_sum(w, k)
-            slow = naive_subset_sum(w, k)
+    for logb, logh in sets:
+        for k in range(len(logb) + 1):
+            fast = per_node_subset_sum(logb, logh, k)
+            slow = naive_subset_sum(logb, logh, k)
             if slow == -np.inf:
                 worst = max(worst, 0.0 if fast == -np.inf else np.inf)
             else:
@@ -142,10 +143,10 @@ def test_a2_dp_interior_work_bound(monkeypatch):
     worst = ""
     ok = True
     for n in range(1, 31):
-        w = NodeWeights(logb=np.linspace(-1.0, 0.5, n), logh=np.linspace(-0.2, -1.5, n))
+        logb, logh = np.linspace(-1.0, 0.5, n), np.linspace(-0.2, -1.5, n)
         for k in range(n + 1):
             visited.clear()
-            per_node_subset_sum(w, k)
+            per_node_subset_sum(logb, logh, k)
             evals = sum(visited)
             bound = k * (n - k + 1)
             if evals > bound or len(visited) != n:

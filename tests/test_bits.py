@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
-
-
-def test_popcount_known_values():
-    vals = np.array([0, 1, 2, 3, 255, 2**31 - 1, 2**32 - 1])
-    expected = [bin(int(v)).count("1") for v in vals]
-    np.testing.assert_array_equal(popcount(vals), expected)
-
-
-def test_popcount_scalar_and_shape():
-    assert popcount(13) == 3
-    x = np.arange(64).reshape(4, 16)
-    assert popcount(x).shape == (4, 16)
+from byzfusion.bits import all_bit_vectors, pack_bits, unpack_bits
 
 
 def test_pack_first_bit_is_msb():
@@ -49,8 +37,3 @@ def test_pack_rejects_scalar():
 @given(st.integers(min_value=0, max_value=2**20 - 1), st.integers(min_value=20, max_value=24))
 def test_pack_unpack_roundtrip(value, width):
     assert pack_bits(unpack_bits(value, width)) == value
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_popcount_matches_python(value):
-    assert int(popcount(value)) == bin(value).count("1")

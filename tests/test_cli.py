@@ -1,6 +1,10 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from byzfusion import __version__
 from byzfusion.cli import (
     ConfigError,
     config_hash,
@@ -10,7 +14,13 @@ from byzfusion.cli import (
     parse_model,
     run_equilibrium,
 )
-from byzfusion.game import DEFAULT_GRID, PayoffMatrix, StrategyGrid, parse_payoff_csv
+from byzfusion.game import (
+    DEFAULT_GRID,
+    PayoffMatrix,
+    StrategyGrid,
+    parse_payoff_csv,
+    solve_mixed,
+)
 from byzfusion.model import (
     BoundedBelowHalf,
     FixedCount,
@@ -126,6 +136,17 @@ class TestConfigHash:
         other = load_config(write_config(tmp_path, TINY + f"payoff_file = {payoff}\n"), {})
         assert config_hash(other) != digest
 
+    @pytest.mark.parametrize("old, new", [("n = 4", "n = 6"), ("trials = 300", "trials = 900"),
+                                          ("seed = 9", "seed = 2")])
+    def test_payoff_file_hash_ignores_what_the_file_decides(self, tmp_path, old, new):
+        # with a payoff_file, n, trials and seed do not change the solved game
+        payoff = tmp_path / "payoff.csv"
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.25\n")
+        line = f"payoff_file = {payoff}\n"
+        cfg = load_config(write_config(tmp_path, TINY + line), {})
+        other = load_config(write_config(tmp_path, TINY.replace(old, new) + line, "b.cfg"), {})
+        assert config_hash(other) == config_hash(cfg)
+
 
 class TestMainPayoff:
     def test_end_to_end_and_reproducible(self, tmp_path, capsys):
@@ -177,6 +198,16 @@ class TestMainPayoff:
         other = "per-sequence" if metric == "per-component" else "per-component"
         with pytest.raises(ValueError, match="metric"):
             parse_payoff_csv(text, metric=other)
+
+    @pytest.mark.parametrize("metric", ["per-component", "per-sequence"])
+    def test_the_metric_a_file_does_not_hold_is_nan(self, metric):
+        pm = parse_payoff_csv("pmal_b/pmal_fc,0.5,0.6\n0.5,0.25,0.5\n", metric)
+        np.testing.assert_array_equal(pm.pe, [[0.25, 0.5]])
+        np.testing.assert_array_equal(pm.se, [[0.0, 0.0]])
+        other = replace(pm, metric="per-sequence" if metric == "per-component" else "per-component")
+        assert np.isnan(other.pe).all() and np.isnan(other.se).all()
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_mixed(other)
 
     def test_ragged_table_is_reported_as_ragged(self):
         # rows are checked against the header before any array is built
@@ -232,6 +263,22 @@ class TestMainEquilibrium:
         text = (out / "equilibrium.md").read_text()
         assert f"*config = {config_hash(cfg)}*" in text
         assert "Game value: 0.25\n" in text
+
+    def test_meta_describes_the_file_not_the_config(self, tmp_path):
+        # the config's trials, seed and grids are not what was solved, so
+        # meta.txt lists only the metric and the file's digest
+        payoff = tmp_path / "payoff.csv"
+        payoff.write_text("pmal_b/pmal_fc,0.5\n0.5,0.25\n")
+        cfg = write_config(tmp_path, TINY + f"payoff_file = {payoff}\n")
+        out = tmp_path / "eq"
+        assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
+        assert "*seed = 0, trials = 0, metric = per-component*" in (
+            out / "equilibrium.md").read_text()
+        canonical = ("metric = per-component\n"
+                     f"payoff_sha256 = {hashlib.sha256(payoff.read_bytes()).hexdigest()}\n")
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        head = f"tool = byzfusion {__version__}\nsubcommand = equilibrium\nconfig = {digest}\n"
+        assert (out / "meta.txt").read_text() == head + canonical
 
 
 class TestMainCompare:

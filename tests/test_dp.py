@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzfusion.dp import NodeWeights, live_cells, naive_subset_sum, subset_sums
+from byzfusion.dp import live_cells, naive_subset_sum, subset_sums
+
+
+def from_linear(b, h):
+    """(logb, logh) of linear per-node weights; a zero weight becomes -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(b, dtype=np.float64)), np.log(np.asarray(h, dtype=np.float64))
 
 
 def random_weights(rng, n, allow_zero=False):
@@ -13,14 +19,15 @@ def random_weights(rng, n, allow_zero=False):
     if allow_zero:
         b[rng.random(n) < 0.2] = 0.0
         h[rng.random(n) < 0.2] = 0.0
-    return NodeWeights.from_linear(b, h)
+    return from_linear(b, h)
 
 
 def per_node_sums(w, k_lo, k_hi):
     """subset_sums on one multiset in which every node has a bin of its own."""
-    n = w.n
+    logb, logh = w
+    n = len(logb)
     counts = np.arange(n)[:, None]
-    return float(subset_sums(w.logb, w.logh, counts, np.ones((1, n), dtype=np.int64),
+    return float(subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64),
                              k_lo, k_hi)[0])
 
 
@@ -34,31 +41,15 @@ def interior_evals(n, k):
     return sum(len(ks) for _, ks in live_cells(n, k, k))
 
 
-class TestNodeWeights:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NodeWeights(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            NodeWeights(np.array([np.nan]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            NodeWeights(np.array([np.inf]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            NodeWeights.from_linear([-1.0], [1.0])
-
-    def test_neg_inf_allowed(self):
-        w = NodeWeights(np.array([-np.inf, 0.0]), np.array([0.0, -np.inf]))
-        assert w.n == 2
-
-
 class TestSubsetSum:
     def test_closed_form_edges(self):
         rng = np.random.default_rng(0)
         w = random_weights(rng, 8)
-        assert subset_sum(w, 0) == pytest.approx(w.logh.sum())
-        assert subset_sum(w, 8) == pytest.approx(w.logb.sum())
+        assert subset_sum(w, 0) == pytest.approx(w[1].sum())
+        assert subset_sum(w, 8) == pytest.approx(w[0].sum())
 
     def test_single_node(self):
-        w = NodeWeights.from_linear([0.3], [0.6])
+        w = from_linear([0.3], [0.6])
         assert subset_sum(w, 0) == pytest.approx(math.log(0.6))
         assert subset_sum(w, 1) == pytest.approx(math.log(0.3))
 
@@ -69,7 +60,7 @@ class TestSubsetSum:
             k = int(rng.integers(0, n + 1))
             w = random_weights(rng, n, allow_zero=True)
             got = subset_sum(w, k)
-            want = naive_subset_sum(w, k)
+            want = naive_subset_sum(*w, k)
             if math.isinf(want):
                 assert math.isinf(got)
             else:
@@ -78,13 +69,13 @@ class TestSubsetSum:
     def test_bernoulli_identity(self):
         # equal weights across nodes: f(n, k) reduces to C(n,k) b^k h^(n-k)
         n, k = 9, 4
-        w = NodeWeights.from_linear(np.full(n, 0.2), np.full(n, 0.7))
+        w = from_linear(np.full(n, 0.2), np.full(n, 0.7))
         expected = math.log(math.comb(n, k)) + k * math.log(0.2) + (n - k) * math.log(0.7)
         assert subset_sum(w, k) == pytest.approx(expected)
 
     def test_all_zero_branch(self):
         # k=1 but every byzantine weight is zero: the sum is empty
-        w = NodeWeights.from_linear([0.0, 0.0], [0.5, 0.5])
+        w = from_linear([0.0, 0.0], [0.5, 0.5])
         assert subset_sum(w, 1) == -np.inf
 
     def test_k_out_of_range(self):
@@ -95,6 +86,8 @@ class TestSubsetSum:
             subset_sum(w, -1)
         with pytest.raises(ValueError):
             per_node_sums(w, 3, 2)
+        with pytest.raises(ValueError, match="equal length"):
+            naive_subset_sum(np.zeros(3), np.zeros(4), 1)
 
     def test_interior_eval_bound(self):
         for n, k in [(1, 0), (1, 1), (5, 2), (12, 6), (30, 9), (30, 30), (25, 1)]:
@@ -113,7 +106,7 @@ class TestSubsetSum:
         w = random_weights(rng, 11, allow_zero=True)
         singles = [subset_sum(w, k) for k in range(7)]
         for k in range(7):
-            want = naive_subset_sum(w, k)
+            want = naive_subset_sum(*w, k)
             if math.isinf(want):
                 assert math.isinf(singles[k])
             else:
@@ -132,13 +125,13 @@ class TestSubsetSum:
             k_lo = int(rng.integers(0, n + 1))
             k_hi = int(rng.integers(k_lo, n + 1))
             w = random_weights(rng, n)
-            want = float(np.logaddexp.reduce([naive_subset_sum(w, k)
+            want = float(np.logaddexp.reduce([naive_subset_sum(*w, k)
                                               for k in range(k_lo, k_hi + 1)]))
             counts = np.arange(n)[:, None]
             hist = np.ones((1, n), dtype=np.int64)
-            ratio = subset_sums(w.logb, w.logh, counts, hist, k_lo, k_hi)[0]
-            logb = np.append(w.logb, 0.0)
-            logh = np.append(w.logh, -np.inf)
+            ratio = subset_sums(*w, counts, hist, k_lo, k_hi)[0]
+            logb = np.append(w[0], 0.0)
+            logh = np.append(w[1], -np.inf)
             hist = np.append(hist, [[0]], axis=1)
             logd = subset_sums(logb, logh, counts, hist, k_lo, k_hi)[0]
             assert ratio == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -154,14 +147,14 @@ class TestSubsetSum:
         hist = np.stack([np.bincount(col, minlength=4) for col in counts.T])
         got = subset_sums(logb, logh, counts, hist, 1, 3)
         for t in range(25):
-            w = NodeWeights(logb[counts[:, t]], logh[counts[:, t]])
-            want = np.logaddexp.reduce([naive_subset_sum(w, k) for k in range(1, 4)])
+            w = (logb[counts[:, t]], logh[counts[:, t]])
+            want = np.logaddexp.reduce([naive_subset_sum(*w, k) for k in range(1, 4)])
             assert got[t] == pytest.approx(float(want), rel=1e-12)
 
     def test_naive_refuses_huge_enumerations(self):
         w = random_weights(np.random.default_rng(6), 40)
         with pytest.raises(ValueError):
-            naive_subset_sum(w, 20)
+            naive_subset_sum(*w, 20)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -173,7 +166,7 @@ class TestSubsetSum:
         rng = np.random.default_rng(seed)
         w = random_weights(rng, n)
         perm = rng.permutation(n)
-        w2 = NodeWeights(w.logb[perm], w.logh[perm])
+        w2 = (w[0][perm], w[1][perm])
         assert subset_sum(w2, k) == pytest.approx(subset_sum(w, k), rel=1e-10, abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -182,10 +175,10 @@ class TestSubsetSum:
         # f(n, k) = b(0) f(n-1, k-1) + h(0) f(n-1, k) on the tail weights
         rng = np.random.default_rng(seed)
         w = random_weights(rng, n)
-        tail = NodeWeights(w.logb[1:], w.logh[1:])
+        tail = (w[0][1:], w[1][1:])
         k = int(rng.integers(1, n))
         lhs = subset_sum(w, k)
         rhs = np.logaddexp(
-            w.logb[0] + subset_sum(tail, k - 1), w.logh[0] + subset_sum(tail, k)
+            w[0][0] + subset_sum(tail, k - 1), w[1][0] + subset_sum(tail, k)
         )
         assert lhs == pytest.approx(float(rhs), rel=1e-10)

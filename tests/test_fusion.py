@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzfusion import fusion
-from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
-from byzfusion.dp import NodeWeights, naive_subset_sum, subset_sums
+from byzfusion.bits import all_bit_vectors, pack_bits, unpack_bits
+from byzfusion.dp import naive_subset_sum, subset_sums
 from byzfusion.fusion import (
     SCORE_TIE_TOL,
     BatchFuser,
@@ -47,10 +47,11 @@ def random_reports(rng, n, m):
     return rng.integers(0, 2, size=(n, m), dtype=np.uint8)
 
 
-def recursion_subset_sum(w, k):
+def recursion_subset_sum(logb, logh, k):
     """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
-    counts = np.arange(w.n)[:, None]
-    return subset_sums(w.logb, w.logh, counts, np.ones((1, w.n), dtype=np.int64), k, k)[0]
+    n = len(logb)
+    counts = np.arange(n)[:, None]
+    return subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64), k, k)[0]
 
 
 def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
@@ -73,9 +74,8 @@ def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
                 per_node = np.logaddexp(np.log(1.0 - alpha) + lh[c], np.log(alpha) + lb[c])
             scores[h] = per_node.sum()
             continue
-        w = NodeWeights(lb[c], lh[c])
         ks = range(k_range[0], k_range[1] + 1)
-        scores[h] = np.logaddexp.reduce([subset_sum(w, k) for k in ks])
+        scores[h] = np.logaddexp.reduce([subset_sum(lb[c], lh[c], k) for k in ks])
     return hyps[argmax_lex(scores)]
 
 
@@ -437,7 +437,7 @@ def typed_cells(ints, n, m):
 
 def brute_histograms(ints, m):
     """H[c] of every (hypothesis, trial) cell by comparing each node row directly."""
-    matches = m - popcount(ints[None] ^ np.arange(2**m)[:, None, None])
+    matches = m - np.bitwise_count(ints[None] ^ np.arange(2**m)[:, None, None])
     return (matches[..., None] == np.arange(m + 1)).sum(axis=2)
 
 

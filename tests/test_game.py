@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from byzfusion.game import (
     MAJORITY_VOTE,
+    METRICS,
     DominanceReport,
     Equilibrium,
     PayoffMatrix,
     Scenario,
     StrategyGrid,
+    _error_stats,
     dominance_report,
     eliminate_dominated,
     estimate_payoff_and_majority,
@@ -21,6 +24,7 @@ from byzfusion.game import (
     solve_lp_pair,
     solve_mixed,
     solve_mixed_enum,
+    trial_errors,
 )
 from byzfusion.model import FixedCount, IndependentAlpha, UnconstrainedMaxEntropy
 from byzfusion.oracle import ExactScenario, exact_error_probability
@@ -197,6 +201,45 @@ class TestSimulation:
         pm, majority = estimate_payoff_and_majority(
             sc, grid, grid, 10_000, 7, "per-component", 1)
         assert pm.pe_component[0, 0] < majority.pe_component[0, 0]
+
+
+def mean_and_se(xs, ddof):
+    """Mean and standard error of a list of floats, summed exactly."""
+    mean = math.fsum(xs) / len(xs)
+    return mean, math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - ddof) / len(xs))
+
+
+class TestErrorRule:
+    def test_trial_errors_rows_follow_metrics(self):
+        want = {
+            "per-component": lambda x, m: bin(x).count("1") / m,
+            "per-sequence": lambda x, m: float(x != 0),
+        }
+        for m in range(1, 13):
+            errors = trial_errors(np.arange(2**m), m)
+            assert errors.shape == (len(METRICS), 2**m) and errors.dtype == np.float64
+            for row, metric in zip(errors, METRICS):
+                np.testing.assert_array_equal(row, [want[metric](x, m) for x in range(2**m)])
+
+    @pytest.mark.parametrize("trials", [1, 2, 37])
+    def test_error_stats_match_a_per_column_reference(self, trials):
+        # a (C, T) batch at once against each column's trials one by one;
+        # a single trial takes ddof 0, so its standard errors are 0
+        m = 5
+        rng = np.random.default_rng(trials)
+        states = rng.integers(2**m, size=trials)
+        decisions = rng.integers(2**m, size=(4, trials))
+        decisions[0] = states
+        got = _error_stats(decisions, states, m)
+        assert got.shape == (4, 4)
+        ddof = 1 if trials > 1 else 0
+        for c, column in enumerate(decisions):
+            bit = [bin(int(d ^ s)).count("1") / m for d, s in zip(column, states)]
+            seq = [float(d != s) for d, s in zip(column, states)]
+            (pe_c, se_c), (pe_s, se_s) = mean_and_se(bit, ddof), mean_and_se(seq, ddof)
+            assert got[:, c] == pytest.approx([pe_c, pe_s, se_c, se_s], rel=1e-12, abs=1e-15)
+        if trials == 1:
+            assert (got[2:] == 0).all()
 
 
 def dominant_row_by_deletion(a, strict):

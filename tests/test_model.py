@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 import byzfusion.model
-from byzfusion.bits import all_bit_vectors, pack_bits, popcount, unpack_bits
+from byzfusion.bits import all_bit_vectors, pack_bits, unpack_bits
 from byzfusion.fusion import BatchFuser, FusionAssumption
 from byzfusion.model import (
     BoundedBelowHalf,
@@ -350,13 +350,13 @@ class TestSamplers:
     def test_reports_honest_only_error_rate(self):
         # no byzantines: report errors happen at rate eps
         states, rows = draw(13, FixedCount(0), 5, 20_000, m=4, eps=0.2, pmal_b=1.0)
-        err = popcount(rows ^ states[:, None]).mean() / 4
+        err = np.bitwise_count(rows ^ states[:, None]).mean() / 4
         assert err == pytest.approx(0.2, abs=0.01)
 
     def test_reports_byzantine_crossover(self):
         # all byzantine at pmal: disagreement rate is the crossover delta
         states, rows = draw(14, FixedCount(5), 5, 20_000, m=4, eps=0.1, pmal_b=0.8)
-        err = popcount(rows ^ states[:, None]).mean() / 4
+        err = np.bitwise_count(rows ^ states[:, None]).mean() / 4
         assert err == pytest.approx(crossover_delta(0.1, 0.8), abs=0.01)
 
     def test_reports_pmal_one_is_total_flip(self):
