@@ -12,6 +12,21 @@ What P(r | s) looks like depends on the Byzantine model the center assumes:
 * fixed-count and bounded-minority placements couple the nodes and reduce
   to subset-weighted sums, computed by :func:`byzfusion.dp.subset_sums`.
 
+At any rate a the independent prior sums every placement, each admissible
+one weighted at least min_k a^k (1 - a)^(n - k) over the admissible counts
+k, so the subset sum U of a type is bounded by one dot product:
+log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)), with a = 1/2 clipped to
+[k_lo/n, k_hi/n]. Bound-and-verify decoding uses it for the count priors:
+the type of each trial's largest bound is scored exactly, which gives a
+score L_t that trial t reaches, and the subset sums run only on types with
+a cell whose bound is within ``_BOUND_MARGIN`` (1e-6) of its trial's L_t.
+Every other cell scores below its trial's maximum by more than the margin,
+which is far above ``SCORE_TIE_TOL`` plus rounding, so it is outside the
+tie band and reading it as -inf picks the same hypothesis.
+``_decodes_by_bound`` takes this route from the chunk's shape and type
+count alone: from m = 5 up, on at least ``_BOUND_MIN_TYPES`` types with at
+most ``_BOUND_CELLS_PER_TYPE`` cells each.
+
 Ties are broken toward the lexicographically smallest sequence: any
 hypothesis scoring within ``SCORE_TIE_TOL`` of the maximum counts as tied.
 :func:`argmax_lex` is that rule, for the decoder and the references alike.
@@ -67,6 +82,14 @@ _CHUNK_CELLS = 1 << 22
 # many entries per (trial, hypothesis) cell; sorting was measured faster from
 # about 125 to 250 entries per cell up, at m = 4 and 5
 _MAP_ENTRIES_PER_CELL = 64
+# a count-prior cell whose upper bound falls this far below a score its trial
+# already reaches is left unscored; far above SCORE_TIE_TOL plus rounding
+_BOUND_MARGIN = 1e-6
+# bounding pays only on chunks with at least this many types, and at most
+# this many cells per type; at n = 20 it broke even from 1,200 to 2,500
+# types (m = 5 to 8) and from 16 to 24 cells per type (m = 5)
+_BOUND_MIN_TYPES = 2048
+_BOUND_CELLS_PER_TYPE = 16
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,19 @@ def _ranks_from_map(n, m, trials):
     wider key ranges, sort with ``np.unique``.
     """
     return (n + 1) ** m <= min(_CHUNK_CELLS, _MAP_ENTRIES_PER_CELL * trials * 2**m)
+
+
+def _decodes_by_bound(m, trials, types):
+    """Whether a count prior's BatchFuser scores only the types its bound leaves open.
+
+    Bounding costs passes over all 2**m * trials cells and a second, smaller
+    subset-sum call, and saves the sums of the types it rules out. It pays
+    from m = 5 up, on at least _BOUND_MIN_TYPES types with at most
+    _BOUND_CELLS_PER_TYPE cells each; with fewer types the extra call, and
+    with more repeats the extra passes, cost more than they save.
+    """
+    cells = 2**m * trials
+    return m >= 5 and types >= _BOUND_MIN_TYPES and cells <= _BOUND_CELLS_PER_TYPE * types
 
 
 @functools.lru_cache(maxsize=2)
@@ -250,10 +286,14 @@ class TypeClasses:
     @functools.cached_property
     def counts(self):
         """Each type's per-node match counts in ascending order, shape (n, types) uint8."""
-        n_types, bins = self.hist.shape
-        labels = np.tile(np.arange(bins, dtype=np.uint8), n_types)
-        counts = np.repeat(labels, self.hist.ravel()).reshape(n_types, self.n)
-        return np.ascontiguousarray(counts.T)
+        return _node_counts(self.hist, self.n)
+
+
+def _node_counts(hist, n):
+    # the per-node match counts of each row of hist, ascending, shape (n, rows) uint8
+    rows, bins = hist.shape
+    labels = np.tile(np.arange(bins, dtype=np.uint8), rows)
+    return np.ascontiguousarray(np.repeat(labels, hist.ravel()).reshape(rows, n).T)
 
 
 class BatchFuser:
@@ -269,6 +309,12 @@ class BatchFuser:
     type as H . w. Fixed-count and bounded priors sum the subset-weighted
     likelihood over the admissible Byzantine counts with
     :func:`byzfusion.dp.subset_sums`, on each type's per-node counts.
+
+    Where ``_decodes_by_bound`` says so (m >= 5, at least 2048 types and at
+    most 16 cells per type), the count priors first bound every type from
+    above by the independent prior (:meth:`_type_bounds`) and sum only the
+    types that can still come within the tie band of their trial's maximum
+    (:meth:`_bounded_type_scores`); the decisions are the same.
     """
 
     MAX_M = 12
@@ -297,6 +343,51 @@ class BatchFuser:
             return _hist_dot(classes.hist, self._weights)
         return dp.subset_sums(self._logb, self._logh, classes.counts, classes.hist, *self._k_range)
 
+    def _type_bounds(self, hist):
+        """An upper bound on the subset priors' :meth:`_type_scores` of each type of `hist`.
+
+        log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)) over the admissible
+        counts k, where w_a are the independent prior's weights at rate a:
+        P_a sums every placement, and weights each admissible one at least
+        that minimum.
+        """
+        weights, shift = self._bound_terms
+        return _hist_dot(hist, weights) + shift
+
+    @functools.cached_property
+    def _bound_terms(self):
+        # w_a and -min_k log(a^k (1 - a)^(n - k)) at a = 1/2 clipped to
+        # [k_lo/n, k_hi/n]; made on first use, as most fusers never bound
+        (k_lo, k_hi), n, asm = self._k_range, self.n, self.assumption
+        alpha = min(max(0.5, k_lo / n), k_hi / n)
+        weights = _independent_mix_weights(alpha, asm.eps, asm.delta_fc, self.m)
+        return weights, -min(xlogy(k, alpha) + xlogy(n - k, 1.0 - alpha) for k in (k_lo, k_hi))
+
+    def _bounded_type_scores(self, classes):
+        # _type_scores of the types some trial could still pick, -inf elsewhere.
+        # Each trial's bound-argmax type is scored exactly, giving a score L_t
+        # the trial reaches; then every type with a cell whose bound is within
+        # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
+        # margin below its trial's maximum, so outside the tie band.
+        inverse = classes.inverse
+        bounds = self._type_bounds(classes.hist)
+        cell_bounds = bounds[inverse]
+        lead = inverse[np.argmax(cell_bounds, axis=0), np.arange(inverse.shape[1])]
+        scores = np.full(bounds.shape[0], -np.inf)
+        scored = np.zeros(bounds.shape[0], dtype=bool)
+        scored[lead] = True
+        self._score_into(scores, classes.hist, scored)
+        reach = np.zeros_like(scored)
+        reach[inverse[cell_bounds >= scores[lead] - _BOUND_MARGIN]] = True
+        self._score_into(scores, classes.hist, reach & ~scored)
+        return scores
+
+    def _score_into(self, scores, hist, picked):
+        # the subset priors' exact scores of the types flagged in `picked`
+        todo = np.flatnonzero(picked)
+        counts = _node_counts(hist[todo], self.n)
+        scores[todo] = dp.subset_sums(self._logb, self._logh, counts, hist[todo], *self._k_range)
+
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
         report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
@@ -314,8 +405,12 @@ class BatchFuser:
         :func:`decide_columns` builds `classes` once per chunk of trials and
         shares it across its fusers.
         """
-        scores = self._type_scores(classes)[classes.inverse]
-        return argmax_lex(scores.T).astype(np.int64, copy=False)
+        trials, types = classes.inverse.shape[1], len(classes.hist)
+        if self._k_range is None or not _decodes_by_bound(self.m, trials, types):
+            scores = self._type_scores(classes)
+        else:
+            scores = self._bounded_type_scores(classes)
+        return argmax_lex(scores[classes.inverse].T).astype(np.int64, copy=False)
 
 
 def decide_columns(fusers, report_ints):

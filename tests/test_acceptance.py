@@ -2,7 +2,7 @@
 
 Each test covers one contract item: reference-value reproductions,
 cross-implementation identities, and reproducibility guarantees. Every
-test records a one-line verdict (A1..A11 plus a slow spot check) and the
+test records a one-line verdict (A1..A12 plus a slow spot check) and the
 conftest hook echoes the scorecard at the end of the run.
 """
 
@@ -18,6 +18,7 @@ from byzfusion import dp
 from byzfusion.dp import naive_subset_sum, subset_sums
 from byzfusion.fusion import FusionAssumption, _independent_mix_weights, fuse
 from byzfusion.game import (
+    MAJORITY_VOTE,
     Scenario,
     StrategyGrid,
     estimate_payoff_and_majority,
@@ -322,6 +323,41 @@ def test_a11_payoff_csv_byte_identical(tmp_path):
     assert verdict("A11 csv-reproducible", ok,
                    "payoff.csv byte-identical across two runs x workers {1,4}: "
                    f"{ok}")
+
+
+# Exact fixed-count games at n=16, m=2, eps=0.1 on GRID: the Byzantines'
+# equilibrium weights {row: p}, the game value, and the worst exact error of
+# majority voting over the Byzantine strategies. At fixed:5 they put weight
+# on pmal_b = 0.5, which carries no information.
+EXACT_GAMES = {
+    2: ({3: 0.568405744, 4: 0.431594256}, 2.6266432868e-4, 6.884e-4),
+    5: ({0: 0.038575198, 5: 0.961424802}, 5.7262639806e-3, 3.552e-2),
+    6: ({5: 1.0}, 3.7306988610e-2, 1.042e-1),
+}
+
+
+@pytest.mark.parametrize("k", sorted(EXACT_GAMES))
+def test_a12_exact_games_beat_majority(k):
+    support, value, worst_majority = EXACT_GAMES[k]
+    model = FixedCount(k)
+
+    def exact(pmal_b, pmal_fc, fc_model):
+        return exact_error_probability(ExactScenario(16, 2, 0.1, pmal_b, pmal_fc, model, fc_model))
+
+    game = np.array([[exact(pb, pfc, model) for pfc in GRID.values] for pb in GRID.values])
+    # majority voting decides the same at any eps below 1/2, so the true eps serves
+    majority = max(exact(pb, MAJORITY_VOTE.pmal_fc, MAJORITY_VOTE.model) for pb in GRID.values)
+    eq = solve_mixed(game)
+    p = {int(i): float(eq.p[i]) for i in np.flatnonzero(eq.p > 1e-9)}
+    ok = (p.keys() == support.keys()
+          and all(abs(p[i] - w) <= 1e-6 for i, w in support.items())
+          and math.isclose(eq.value, value, rel_tol=1e-9)
+          and math.isclose(majority, worst_majority, rel_tol=1e-3)
+          and eq.value < majority)
+    rows = ", ".join(f"{GRID.values[i]}: {w:.4f}" for i, w in p.items())
+    assert verdict(f"A12 exact-game fixed:{k}", ok,
+                   f"n=16, m=2: Byzantines {{{rows}}}, value {eq.value:.4e} vs {value:.4e} "
+                   f"(rel 1e-9), below worst majority {majority:.3e}")
 
 
 @pytest.mark.slow

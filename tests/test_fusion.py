@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzfusion import fusion
+from byzfusion import fusion, model as model_module
 from byzfusion.bits import all_bit_vectors, pack_bits, unpack_bits
 from byzfusion.dp import naive_subset_sum, subset_sums
 from byzfusion.fusion import (
@@ -26,6 +26,7 @@ from byzfusion.model import (
     IndependentAlpha,
     UnconstrainedMaxEntropy,
     placement_law,
+    sample_rows,
 )
 from byzfusion.game import MAJORITY_VOTE, Scenario, StrategyGrid, estimate_payoff_matrix
 from byzfusion.oracle import (
@@ -532,6 +533,121 @@ class TestTypeClassRoutes:
             mapped |= {fusion._ranks_from_map(n, m, chunk) for chunk in chunks}
         assert counted == {True, False}
         assert mapped == {True, False}
+
+
+def count_priors(n):
+    """FixedCount 0, 1, n // 3, n - 1 and n; BoundedBelowHalf by default, at k_max 1 and n - 1."""
+    return ([FixedCount(k) for k in (0, 1, n // 3, n - 1, n)]
+            + [BoundedBelowHalf(), BoundedBelowHalf(1), BoundedBelowHalf(n - 1)])
+
+
+def count_prior_batch(rng, model, n, m, trials):
+    """`trials` rows drawn from `model` (eps 0.1, pmal_b 0.8), then as many
+    uniform ones, a quarter of them unanimous: (2 * trials, n) packed."""
+    _, drawn = sample_rows(rng, model, n, m, 0.1, 0.8, trials)
+    uniform = rng.integers(0, 2**m, size=(trials, n))
+    uniform[: trials // 4] = uniform[: trials // 4, :1]
+    return np.concatenate([drawn, uniform])
+
+
+class TestDecodeRoutes:
+    """Count priors decode the same by full scoring and by bound-and-verify."""
+
+    N = 7
+    # eps 0 and pmal_fc 0 or 1 give -inf weights; eps 0.5 a blind center
+    ASSUMPTIONS = [(eps, pfc) for eps in (0.0, 0.1, 0.5) for pfc in (0.0, 0.5, 1.0)]
+
+    def fusers(self, model, m):
+        return [BatchFuser(FusionAssumption(model, eps, pfc), self.N, m)
+                for eps, pfc in self.ASSUMPTIONS]
+
+    @pytest.mark.parametrize("model", count_priors(N), ids=repr)
+    def test_bound_covers_every_type(self, model):
+        rng = np.random.default_rng(21)
+        for m in (1, 3, 5, 8):
+            classes = TypeClasses(count_prior_batch(rng, model, self.N, m, 20), self.N, m)
+            for fuser in self.fusers(model, m):
+                exact = fuser._type_scores(classes)
+                bound = fuser._type_bounds(classes.hist)
+                # a -inf bound admits only a -inf score
+                assert (exact <= bound + 1e-9).all()
+                if model in (FixedCount(0), FixedCount(self.N)):
+                    # one admissible count at rate 0 or 1: the bound is the score
+                    np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("model", count_priors(N), ids=repr)
+    def test_forced_routes_agree(self, monkeypatch, model, m):
+        ints = count_prior_batch(np.random.default_rng(m), model, self.N, m, 30)
+        fusers = self.fusers(model, m)
+        scored = []
+
+        def counted(logb, logh, counts, hist, k_lo, k_hi):
+            scored[-1] += len(hist)
+            return subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+
+        monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+        decided = []
+        for bounded in (False, True):
+            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda m, trials, types: bounded)
+            scored.append(0)
+            decided.append(decide_columns(fusers, ints))
+        np.testing.assert_array_equal(decided[1], decided[0])
+        # bound-and-verify scores each type at most once, and skips some from m = 3
+        assert scored[1] <= scored[0]
+        assert m < 3 or scored[1] < scored[0]
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_routes_agree_across_chunks(self, monkeypatch, m):
+        ints = count_prior_batch(np.random.default_rng(22), BoundedBelowHalf(), self.N, m, 25)
+        fusers = self.fusers(BoundedBelowHalf(), m)
+        whole = decide_columns(fusers, ints)
+        builds = count_type_class_builds(monkeypatch, chunk_cells=7 * self.N * 2**m)
+        for bounded in (False, True):
+            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda m, trials, types: bounded)
+            np.testing.assert_array_equal(decide_columns(fusers, ints), whole)
+        assert builds == 2 * ([7] * 7 + [1])
+
+    def test_predicate_edges(self):
+        route = fusion._decodes_by_bound
+        # m <= 4 scores every type, however many there are and few cells share one
+        assert not any(route(m, 2048 // 2**m, 2048) for m in range(1, 5))
+        assert route(5, 2048 // 2**5, 2048)
+        # from m = 5, bounding needs at least _BOUND_MIN_TYPES = 2048 types
+        # and at most _BOUND_CELLS_PER_TYPE = 16 cells per type
+        assert (fusion._BOUND_MIN_TYPES, fusion._BOUND_CELLS_PER_TYPE) == (2048, 16)
+        assert route(5, 1024, 2048) and not route(5, 1025, 2048)
+        assert route(5, 1000, 2048) and not route(5, 1000, 2047)
+        assert route(8, 128, 2048) and not route(8, 129, 2048)
+        assert route(8, 100, 2048) and not route(8, 100, 2047)
+        assert route(12, 8, 2048) and not route(12, 9, 2048)
+
+    def test_benchmark_decodes_by_both_routes(self, monkeypatch):
+        workloads = load_perfbench("workloads")
+        routes = []
+        route = fusion._decodes_by_bound
+
+        def recorded(m, trials, types):
+            routes.append(route(m, trials, types))
+            return routes[-1]
+
+        monkeypatch.setattr(fusion, "_decodes_by_bound", recorded)
+        grid = StrategyGrid(workloads.GRID)
+        taken = {}
+        for name, ((cls, args), m, trials, *_) in workloads.PAYOFF.items():
+            model = getattr(model_module, cls)(*args)
+            routes.clear()
+            estimate_payoff_matrix(Scenario(workloads.N, m, workloads.EPS, model, model),
+                                   grid, grid, trials=trials, seed=1)
+            taken[name] = set(routes)
+        # independent priors never ask
+        assert taken == {"indep-m4": set(), "fixed6-m4": {False}, "bounded-m8": {True}}
+        routes.clear()
+        for n, m, pmal_b, pmal_fc, (cls, args) in workloads.exact_specs():
+            model = getattr(model_module, cls)(*args)
+            scenario = ExactScenario(n, m, workloads.EPS, pmal_b, pmal_fc, model, model)
+            exact_error_probability(scenario)
+        assert routes and not any(routes)
 
 
 def test_tracer_counts_every_decoded_trial():
