@@ -16,6 +16,9 @@ pure product f(i, 0) as boundary. :func:`subset_sums` runs it for a whole
 batch of node multisets at once, one numpy row per count, and visits only
 the cells that can still end in the requested count range
 (:func:`live_cells`): k * (n - k + 1) two-term combinations for one count k.
+Each node updates all its live counts with one slice operation across the
+batch (a few, top first, where one slice would outgrow the cache), with the
+same floating-point operations per cell as a count-by-count loop.
 It works on linear Byzantine/honest likelihood ratios while they stay far
 from overflow and underflow, and in the log domain otherwise.
 
@@ -38,6 +41,10 @@ _NAIVE_LIMIT = 1_000_000
 # stays below this, far from the exp(+-709) float range; bounding |log(b/h)|,
 # not just its positive side, keeps small ratios from underflowing too
 _RATIO_HEADROOM = 600.0
+# subset_sums updates a node's counts in slices across the whole batch of at
+# most this many bytes, so a slice and its step buffer stay in cache; that is
+# one slice per node up to 3,640 multisets at k_hi = 9
+_SLICE_BYTES = 1 << 18
 
 
 def live_cells(n, k_lo, k_hi):
@@ -80,23 +87,35 @@ def subset_sums(logb, logh, counts, hist, k_lo, k_hi):
         headroom = math.lgamma(n + 1) - math.lgamma(k_hi + 1) - math.lgamma(n - k_hi + 1)
         # a product of up to k_hi ratios; one ratio must fit even when k_hi = 0
         headroom += max(k_hi, 1) * widest
+    # Each node updates its live counts ks a slice of `rows` counts at a time,
+    # top slice first. Every right-hand side reads counts from before the node
+    # joined, so each cell gets the operations of a count-by-count loop.
+    rows = max(1, _SLICE_BYTES // max(8 * batch, 1))
+    step = np.empty((min(rows, k_hi), batch))
     if headroom < _RATIO_HEADROOM:
         ratio = np.exp(ratios)
+        r_i = np.empty(batch, ratio.dtype)
         esym = np.zeros((k_hi + 1, batch))
         esym[0] = 1.0
         for i, ks in live_cells(n, k_lo, k_hi):
-            r_i = ratio[counts[i]]
-            for k in ks:
-                esym[k] += r_i * esym[k - 1]
+            ratio.take(counts[i], out=r_i)
+            for top in ks[::rows]:
+                lo, hi = max(top + 1 - rows, ks[-1]), top + 1
+                np.multiply(esym[lo - 1 : hi - 1], r_i, out=step[: hi - lo])
+                esym[lo:hi] += step[: hi - lo]
         with np.errstate(divide="ignore"):
             return hist @ logh + np.log(esym[k_lo:].sum(axis=0))
     g = np.full((k_hi + 1, batch), -np.inf)
     g[0] = 0.0
+    lh_i, lb_i = np.empty(batch, logh.dtype), np.empty(batch, logb.dtype)
     for i, ks in live_cells(n, k_lo, k_hi):
-        lh_i = logh[counts[i]]
-        lb_i = logb[counts[i]]
-        for k in ks:
-            g[k] = np.logaddexp(g[k] + lh_i, g[k - 1] + lb_i)
+        logh.take(counts[i], out=lh_i)
+        logb.take(counts[i], out=lb_i)
+        for top in ks[::rows]:
+            lo, hi = max(top + 1 - rows, ks[-1]), top + 1
+            np.add(g[lo - 1 : hi - 1], lb_i, out=step[: hi - lo])
+            g[lo:hi] += lh_i
+            np.logaddexp(g[lo:hi], step[: hi - lo], out=g[lo:hi])
         g[0] += lh_i
     return np.logaddexp.reduce(g[k_lo:], axis=0)
 

@@ -16,7 +16,9 @@ At any rate a the independent prior sums every placement, each admissible
 one weighted at least min_k a^k (1 - a)^(n - k) over the admissible counts
 k, so the subset sum U of a type is bounded by one dot product:
 log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)), with a = 1/2 clipped to
-[k_lo/n, k_hi/n]. Bound-and-verify decoding uses it for the count priors:
+[k_lo/n, k_hi/n]. The dot products read ``TypeClasses.float_hist``, a
+float64 copy of the chunk's histograms made once and shared by every
+column. Bound-and-verify decoding uses it for the count priors:
 the type of each trial's largest bound is scored exactly, which gives a
 score L_t that trial t reaches, and the subset sums run only on types with
 a cell whose bound is within ``_BOUND_MARGIN`` (1e-6) of its trial's L_t.
@@ -86,9 +88,10 @@ _MAP_ENTRIES_PER_CELL = 64
 # already reaches is left unscored; far above SCORE_TIE_TOL plus rounding
 _BOUND_MARGIN = 1e-6
 # bounding pays only on chunks with at least this many types, and at most
-# this many cells per type; at n = 20 it broke even from 1,200 to 2,500
-# types (m = 5 to 8) and from 16 to 24 cells per type (m = 5)
-_BOUND_MIN_TYPES = 2048
+# this many cells per type; at n = 20 it broke even from 1,000 to 1,550
+# types for the bounded prior and from 1,750 to 2,250 for fixed:6 (m = 5
+# to 8), and from 11 to 17 cells per type (m = 5 and 6)
+_BOUND_MIN_TYPES = 1536
 _BOUND_CELLS_PER_TYPE = 16
 
 
@@ -288,6 +291,11 @@ class TypeClasses:
         """Each type's per-node match counts in ascending order, shape (n, types) uint8."""
         return _node_counts(self.hist, self.n)
 
+    @functools.cached_property
+    def float_hist(self):
+        """``hist`` as float64, shared by every fuser that bounds these types."""
+        return self.hist.astype(np.float64)
+
 
 def _node_counts(hist, n):
     # the per-node match counts of each row of hist, ascending, shape (n, rows) uint8
@@ -310,7 +318,7 @@ class BatchFuser:
     likelihood over the admissible Byzantine counts with
     :func:`byzfusion.dp.subset_sums`, on each type's per-node counts.
 
-    Where ``_decodes_by_bound`` says so (m >= 5, at least 2048 types and at
+    Where ``_decodes_by_bound`` says so (m >= 5, at least 1536 types and at
     most 16 cells per type), the count priors first bound every type from
     above by the independent prior (:meth:`_type_bounds`) and sum only the
     types that can still come within the tie band of their trial's maximum
@@ -370,7 +378,7 @@ class BatchFuser:
         # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
         # margin below its trial's maximum, so outside the tie band.
         inverse = classes.inverse
-        bounds = self._type_bounds(classes.hist)
+        bounds = self._type_bounds(classes.float_hist)
         cell_bounds = bounds[inverse]
         lead = inverse[np.argmax(cell_bounds, axis=0), np.arange(inverse.shape[1])]
         scores = np.full(bounds.shape[0], -np.inf)

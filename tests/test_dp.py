@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from byzfusion import dp
 from byzfusion.dp import live_cells, naive_subset_sum, subset_sums
 
 
@@ -34,6 +35,42 @@ def per_node_sums(w, k_lo, k_hi):
 def subset_sum(w, k):
     """log f(n, k) through subset_sums."""
     return per_node_sums(w, k, k)
+
+
+def count_by_count_sums(logb, logh, counts, hist, k_lo, k_hi):
+    """subset_sums with one numpy operation per live (node, count) cell.
+
+    The reference the slice updates must match bit for bit: the same domain
+    choice, and the same floating-point operations on every cell.
+    """
+    n, batch = counts.shape
+    with np.errstate(invalid="ignore"):
+        ratios = logb - logh
+    finite = np.isfinite(ratios)
+    headroom = np.inf
+    if np.isfinite(logh).all():
+        widest = np.abs(ratios[finite]).max(initial=0.0)
+        headroom = math.lgamma(n + 1) - math.lgamma(k_hi + 1) - math.lgamma(n - k_hi + 1)
+        headroom += max(k_hi, 1) * widest
+    if headroom < dp._RATIO_HEADROOM:
+        ratio = np.exp(ratios)
+        esym = np.zeros((k_hi + 1, batch))
+        esym[0] = 1.0
+        for i, ks in live_cells(n, k_lo, k_hi):
+            r_i = ratio[counts[i]]
+            for k in ks:
+                esym[k] += r_i * esym[k - 1]
+        with np.errstate(divide="ignore"):
+            return hist @ logh + np.log(esym[k_lo:].sum(axis=0))
+    g = np.full((k_hi + 1, batch), -np.inf)
+    g[0] = 0.0
+    for i, ks in live_cells(n, k_lo, k_hi):
+        lh_i = logh[counts[i]]
+        lb_i = logb[counts[i]]
+        for k in ks:
+            g[k] = np.logaddexp(g[k] + lh_i, g[k - 1] + lb_i)
+        g[0] += lh_i
+    return np.logaddexp.reduce(g[k_lo:], axis=0)
 
 
 def interior_evals(n, k):
@@ -150,6 +187,49 @@ class TestSubsetSum:
             w = (logb[counts[:, t]], logh[counts[:, t]])
             want = np.logaddexp.reduce([naive_subset_sum(*w, k) for k in range(1, 4)])
             assert got[t] == pytest.approx(float(want), rel=1e-12)
+
+    # the default slice, one count per slice, and two counts per slice at batch 40
+    @pytest.mark.parametrize("slice_bytes", [dp._SLICE_BYTES, 8, 8 * 40 * 2])
+    @pytest.mark.parametrize("domain", ["ratio", "log"])
+    def test_slices_match_count_by_count_bitwise(self, monkeypatch, domain, slice_bytes):
+        # random multisets of up to 24 nodes over up to 9 bins, batches of
+        # 0 to 40, count ranges that include [0, n], [k, n] and [0, 0], and
+        # -inf weights; the log domain comes from a zero honest weight or a
+        # Byzantine/honest ratio of e^700
+        monkeypatch.setattr(dp, "_SLICE_BYTES", slice_bytes)
+        rng = np.random.default_rng(11 if domain == "ratio" else 12)
+        for case in range(300):
+            n = int(rng.integers(1, 25))
+            bins = int(rng.integers(1, 10))
+            batch = int(rng.integers(0, 41))
+            k_lo = 0 if case % 4 == 0 else int(rng.integers(0, n + 1))
+            k_hi = n if case % 4 == 1 else 0 if case % 4 == 2 else int(rng.integers(k_lo, n + 1))
+            k_lo = min(k_lo, k_hi)
+            logb = rng.normal(size=bins)
+            logh = rng.normal(size=bins)
+            logb[rng.random(bins) < 0.2] = -np.inf
+            if domain == "log":
+                if rng.random() < 0.5:
+                    logh[rng.integers(bins)] = -np.inf
+                else:
+                    logb[rng.integers(bins)] = logh.max() + 700.0
+            counts = np.sort(rng.integers(0, bins, size=(n, batch)), axis=0).astype(np.uint8)
+            hist = (counts[:, :, None] == np.arange(bins)).sum(axis=0)
+            want = count_by_count_sums(logb, logh, counts, hist, k_lo, k_hi)
+            got = subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+            assert got.shape == (batch,)
+            assert np.array_equal(got, want), (n, bins, batch, k_lo, k_hi)
+
+    def test_float32_weights_match_count_by_count(self):
+        # the weights keep their dtype through the gathers, in both domains
+        rng = np.random.default_rng(13)
+        counts = np.sort(rng.integers(0, 5, size=(9, 12)), axis=0)
+        hist = (counts[:, :, None] == np.arange(5)).sum(axis=0)
+        logb = rng.normal(size=5).astype(np.float32)
+        logh = rng.normal(size=5).astype(np.float32)
+        for honest in (logh, np.append(logh[:4], np.float32(-np.inf))):
+            want = count_by_count_sums(logb, honest, counts, hist, 2, 6)
+            assert np.array_equal(subset_sums(logb, honest, counts, hist, 2, 6), want)
 
     def test_naive_refuses_huge_enumerations(self):
         w = random_weights(np.random.default_rng(6), 40)

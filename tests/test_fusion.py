@@ -611,16 +611,16 @@ class TestDecodeRoutes:
     def test_predicate_edges(self):
         route = fusion._decodes_by_bound
         # m <= 4 scores every type, however many there are and few cells share one
-        assert not any(route(m, 2048 // 2**m, 2048) for m in range(1, 5))
-        assert route(5, 2048 // 2**5, 2048)
-        # from m = 5, bounding needs at least _BOUND_MIN_TYPES = 2048 types
+        assert not any(route(m, 1536 // 2**m, 1536) for m in range(1, 5))
+        assert route(5, 1536 // 2**5, 1536)
+        # from m = 5, bounding needs at least _BOUND_MIN_TYPES = 1536 types
         # and at most _BOUND_CELLS_PER_TYPE = 16 cells per type
-        assert (fusion._BOUND_MIN_TYPES, fusion._BOUND_CELLS_PER_TYPE) == (2048, 16)
-        assert route(5, 1024, 2048) and not route(5, 1025, 2048)
-        assert route(5, 1000, 2048) and not route(5, 1000, 2047)
-        assert route(8, 128, 2048) and not route(8, 129, 2048)
-        assert route(8, 100, 2048) and not route(8, 100, 2047)
-        assert route(12, 8, 2048) and not route(12, 9, 2048)
+        assert (fusion._BOUND_MIN_TYPES, fusion._BOUND_CELLS_PER_TYPE) == (1536, 16)
+        assert route(5, 768, 1536) and not route(5, 769, 1536)
+        assert route(5, 700, 1536) and not route(5, 700, 1535)
+        assert route(8, 96, 1536) and not route(8, 97, 1536)
+        assert route(8, 90, 1536) and not route(8, 90, 1535)
+        assert route(12, 6, 1536) and not route(12, 7, 1536)
 
     def test_benchmark_decodes_by_both_routes(self, monkeypatch):
         workloads = load_perfbench("workloads")
