@@ -18,7 +18,10 @@ the cells that can still end in the requested count range
 (:func:`live_cells`): k * (n - k + 1) two-term combinations for one count k.
 Each node updates all its live counts with one slice operation across the
 batch (a few, top first, where one slice would outgrow the cache), with the
-same floating-point operations per cell as a count-by-count loop.
+same floating-point operations per cell as a count-by-count loop. No
+operation mixes the multisets of a batch or depends on their position, so
+a multiset's sum is bitwise the same in any batch, which lets a decoder
+keep it.
 It works on linear Byzantine/honest likelihood ratios while they stay far
 from overflow and underflow, and in the log domain otherwise.
 
@@ -103,8 +106,12 @@ def subset_sums(logb, logh, counts, hist, k_lo, k_hi):
                 lo, hi = max(top + 1 - rows, ks[-1]), top + 1
                 np.multiply(esym[lo - 1 : hi - 1], r_i, out=step[: hi - lo])
                 esym[lo:hi] += step[: hi - lo]
+        # hist @ logh and esym[k_lo:].sum(axis=0) would round a multiset by
+        # where it sits in the batch (a BLAS product, and a pairwise sum for a
+        # batch of one); a row sum and a running sum over counts do not
+        honest = (hist * logh).sum(axis=1)
         with np.errstate(divide="ignore"):
-            return hist @ logh + np.log(esym[k_lo:].sum(axis=0))
+            return honest + np.log(np.cumsum(esym[k_lo:], axis=0)[-1])
     g = np.full((k_hi + 1, batch), -np.inf)
     g[0] = 0.0
     lh_i, lb_i = np.empty(batch, logh.dtype), np.empty(batch, logb.dtype)

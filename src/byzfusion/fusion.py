@@ -45,11 +45,19 @@ assumption, so the Monte Carlo game engine decodes every column of a row in
 one call; ``fuse`` calls it with a single fuser. The exact oracle shares the
 grouping and ``decide_ints`` but not the scores: it sums its likelihoods.
 
+A count-prior fuser keeps the score of every type it has summed, as an
+ascending (keys, scores) pair, and on each chunk sums only the types it has
+not met (``TypeClasses.meet``). The game engine builds one fuser per column
+for a whole payoff matrix, and the oracle one per call, so a score is kept
+for one matrix or one call. ``dp.subset_sums`` gives a type the same bits in
+any batch, so a kept score is the one a fresh fuser would sum.
+
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
 number (``_key_table``), and equal keys form a type. How keys are built
 (``_keys_from_row_counts``) and ranked (``_ranks_from_map``) is chosen from
-the batch's shape alone. Cells are stored hypothesis-major, (2**m, T), so
-the per-trial argmax reduces across contiguous rows of trials.
+the batch's shape alone. Cells are stored hypothesis-major, (2**m, T):
+``decide_ints`` gathers them in that layout and ``argmax_lex`` reduces over
+axis 0, across contiguous rows of trials, with no transposed copy.
 """
 
 from __future__ import annotations
@@ -131,16 +139,23 @@ def _independent_mix_weights(alpha, eps, delta_fc, m):
     return np.logaddexp(lna + honest_log_weights(eps, m), la + honest_log_weights(delta_fc, m))
 
 
-def argmax_lex(scores):
-    """Index of the first entry within SCORE_TIE_TOL of the maximum, along the last axis.
+def argmax_lex(scores, axis=-1):
+    """Index of the first entry within SCORE_TIE_TOL of the maximum, along `axis`.
 
-    A row whose entries are all -inf picks index 0.
+    A lane whose entries are all -inf picks index 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 0 or scores.shape[-1] == 0:
+    if scores.ndim == 0 or scores.shape[axis] == 0:
         raise ValueError("scores must be a nonempty array")
-    best = scores.max(axis=-1, keepdims=True)
-    return np.argmax(scores >= best - SCORE_TIE_TOL, axis=-1)
+    best = scores.max(axis=axis, keepdims=True)
+    hit = scores >= best - SCORE_TIE_TOL
+    # the first hit is the one farthest from the end; a max over small ints
+    # finds it without the contiguous copy np.argmax makes along an outer axis
+    last = scores.shape[axis] - 1
+    shape = [1] * scores.ndim
+    shape[axis] = last + 1
+    to_end = np.arange(last, -1, -1, dtype=np.min_scalar_type(last)).reshape(shape)
+    return last - (hit * to_end).max(axis=axis).astype(np.intp)
 
 
 def fuse(reports, assumption):
@@ -237,7 +252,8 @@ class TypeClasses:
     Keys are built from :func:`_key_table` by row counts or node by node
     (``_keys_from_row_counts``) and ranked through a presence map or by
     ``np.unique`` (``_ranks_from_map``). Either way a one-word key ranks in
-    ascending order, lexicographic on (H[m], ..., H[1]).
+    ascending order, lexicographic on (H[m], ..., H[1]). ``keys`` holds each
+    type's one-word key, ascending, or is None where a key takes more words.
     """
 
     def __init__(self, report_ints, n, m):
@@ -274,7 +290,9 @@ class TypeClasses:
         else:
             uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
             uniq = uniq.T
-        # only the distinct keys are split into digits H[1..m]
+        # one-word keys are kept, ascending; only the distinct keys are split
+        # into digits H[1..m]
+        self.keys = uniq[0].copy() if uniq.shape[0] == 1 else None
         hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
         for c in range(1, m + 1):
             word = (c - 1) // per_word
@@ -285,15 +303,30 @@ class TypeClasses:
         hist[:, 0] = n - hist[:, 1:].sum(axis=1)
         self.hist = hist
         self.inverse = inverse.reshape(2**m, trials)
+        self._met = None
 
-    @functools.cached_property
-    def counts(self):
-        """Each type's per-node match counts in ascending order, shape (n, types) uint8."""
-        return _node_counts(self.hist, self.n)
+    def meet(self, known):
+        """These types against `known`, a nonempty array of ascending one-word keys.
+
+        Returns (at, new, merged, order): known[at] is each type's key where
+        `known` holds it, `new` indexes the types whose key it does not hold,
+        and merged = concatenate([known, keys[new]])[order] is ascending.
+        Fusers that have met the same types share one `known` array, so the
+        answer to the last array asked is kept for the next fuser.
+        """
+        if self._met is not None and self._met[0] is known:
+            return self._met[1]
+        at = np.searchsorted(known, self.keys).clip(max=known.shape[0] - 1)
+        new = np.flatnonzero(known[at] != self.keys)
+        merged = np.concatenate([known, self.keys[new]])
+        # both parts are ascending, so the stable sort is one merge
+        order = merged.argsort(kind="stable")
+        self._met = known, (at, new, merged[order], order)
+        return self._met[1]
 
     @functools.cached_property
     def float_hist(self):
-        """``hist`` as float64, shared by every fuser that bounds these types."""
+        """``hist`` as float64, shared by every fuser that reads H . w."""
         return self.hist.astype(np.float64)
 
 
@@ -316,7 +349,8 @@ class BatchFuser:
     hypothesis) cell then reads its type's score. Independent priors score a
     type as H . w. Fixed-count and bounded priors sum the subset-weighted
     likelihood over the admissible Byzantine counts with
-    :func:`byzfusion.dp.subset_sums`, on each type's per-node counts.
+    :func:`byzfusion.dp.subset_sums`, on each type's per-node counts, and
+    keep each sum for the chunks that follow.
 
     Where ``_decodes_by_bound`` says so (m >= 5, at least 1536 types and at
     most 16 cells per type), the count priors first bound every type from
@@ -340,16 +374,39 @@ class BatchFuser:
             return
         self._logh = honest_log_weights(assumption.eps, m)
         self._logb = honest_log_weights(assumption.delta_fc, m)
+        # (keys, scores) of every type summed so far, keys ascending, or None;
+        # replaced in one assignment, so a fuser can be shared across threads
+        # (a lost update only costs a recomputation)
+        self._known = None
 
     def _type_scores(self, classes):
         """Log score of each type of `classes`, shape (types,).
 
         For the subset priors this is the log of P(r | s) times the number
-        of admissible placements; :meth:`scores` divides that out.
+        of admissible placements; :meth:`scores` divides that out. Where
+        `classes` keeps one-word keys, they sum only the types this fuser
+        has not met before and read the rest.
         """
         if self._k_range is None:
-            return _hist_dot(classes.hist, self._weights)
-        return dp.subset_sums(self._logb, self._logh, classes.counts, classes.hist, *self._k_range)
+            return _hist_dot(classes.float_hist, self._weights)
+        if classes.keys is None:
+            return self._subset_sums(classes.hist)
+        if self._known is None:
+            scores = self._subset_sums(classes.hist)
+            self._known = (classes.keys, scores)
+            return scores
+        known_keys, known_scores = self._known
+        at, new, merged, order = classes.meet(known_keys)
+        scores = known_scores[at]
+        if new.shape[0]:
+            scores[new] = self._subset_sums(classes.hist[new])
+            self._known = (merged, np.concatenate([known_scores, scores[new]])[order])
+        return scores
+
+    def _subset_sums(self, hist):
+        # the subset priors' exact scores of the types of `hist`
+        counts = _node_counts(hist, self.n)
+        return dp.subset_sums(self._logb, self._logh, counts, hist, *self._k_range)
 
     def _type_bounds(self, hist):
         """An upper bound on the subset priors' :meth:`_type_scores` of each type of `hist`.
@@ -393,8 +450,7 @@ class BatchFuser:
     def _score_into(self, scores, hist, picked):
         # the subset priors' exact scores of the types flagged in `picked`
         todo = np.flatnonzero(picked)
-        counts = _node_counts(hist[todo], self.n)
-        scores[todo] = dp.subset_sums(self._logb, self._logh, counts, hist[todo], *self._k_range)
+        scores[todo] = self._subset_sums(hist[todo])
 
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
@@ -418,7 +474,7 @@ class BatchFuser:
             scores = self._type_scores(classes)
         else:
             scores = self._bounded_type_scores(classes)
-        return argmax_lex(scores[classes.inverse].T).astype(np.int64, copy=False)
+        return argmax_lex(scores.take(classes.inverse), axis=0).astype(np.int64, copy=False)
 
 
 def decide_columns(fusers, report_ints):

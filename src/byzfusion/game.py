@@ -260,11 +260,10 @@ def simulate_row(scenario, pmal_b, trials, rng):
     )
 
 
-def _row_errors(scenario, pmal_b, assumptions, trials, row_seed):
-    # (4, len(assumptions)) error stats of one row's draws, a column per assumption
+def _row_errors(scenario, pmal_b, fusers, trials, row_seed):
+    # (4, len(fusers)) error stats of one row's draws, a column per fuser
     rng = np.random.default_rng(row_seed)
     states, rows = simulate_row(scenario, pmal_b, trials, rng)
-    fusers = [BatchFuser(a, scenario.n, scenario.m) for a in assumptions]
     return _error_stats(decide_columns(fusers, rows), states, scenario.m)
 
 
@@ -276,8 +275,11 @@ def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):
     if trials < 1:
         raise ValueError("trials must be positive")
     columns = [FusionAssumption(scenario.fc_model, scenario.eps, p) for p in grid_fc.values]
+    # one fuser per column for the whole matrix: each keeps the type scores
+    # it has summed, and every row reads them
+    fusers = [BatchFuser(a, scenario.n, scenario.m) for a in columns + extra]
     jobs = [
-        (scenario, pmal_b, columns + extra, trials, mix64(seed, i))
+        (scenario, pmal_b, fusers, trials, mix64(seed, i))
         for i, pmal_b in enumerate(grid_b.values)
     ]
     if workers > 1:

@@ -307,22 +307,27 @@ def test_a10_lp_duality_and_best_response():
 
 
 def test_a11_payoff_csv_byte_identical(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "n = 20\nm = 4\neps = 0.1\ntrue_model = unconstrained\n"
-        "trials = 10000\nseed = 123\n"
-    )
-    blobs = []
-    for tag, workers in (("r1w1", 1), ("r2w1", 1), ("r1w4", 4), ("r2w4", 4)):
-        out = tmp_path / tag
-        rc = cli_main(["payoff", "--config", str(cfg), "--workers", str(workers),
-                       "--out", str(out)])
-        assert rc == 0
-        blobs.append((out / "payoff.csv").read_bytes())
-    ok = all(b == blobs[0] for b in blobs)
+    # unconstrained scores by a dot product; fixed:6 sums subsets and keeps
+    # each column's type scores across the rows that threads decode
+    same = {}
+    for model in ("unconstrained", "fixed:6"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"n = 20\nm = 4\neps = 0.1\ntrue_model = {model}\n"
+            "trials = 10000\nseed = 123\n"
+        )
+        blobs = []
+        for tag, workers in (("r1w1", 1), ("r2w1", 1), ("r1w4", 4), ("r2w4", 4)):
+            out = tmp_path / model.replace(":", "") / tag
+            rc = cli_main(["payoff", "--config", str(cfg), "--workers", str(workers),
+                           "--out", str(out)])
+            assert rc == 0
+            blobs.append((out / "payoff.csv").read_bytes())
+        same[model] = all(b == blobs[0] for b in blobs)
+    ok = all(same.values())
     assert verdict("A11 csv-reproducible", ok,
                    "payoff.csv byte-identical across two runs x workers {1,4}: "
-                   f"{ok}")
+                   + ", ".join(f"{model} {v}" for model, v in same.items()))
 
 
 # Exact fixed-count games at n=16, m=2, eps=0.1 on GRID: the Byzantines'

@@ -61,7 +61,7 @@ def count_by_count_sums(logb, logh, counts, hist, k_lo, k_hi):
             for k in ks:
                 esym[k] += r_i * esym[k - 1]
         with np.errstate(divide="ignore"):
-            return hist @ logh + np.log(esym[k_lo:].sum(axis=0))
+            return (hist * logh).sum(axis=1) + np.log(np.cumsum(esym[k_lo:], axis=0)[-1])
     g = np.full((k_hi + 1, batch), -np.inf)
     g[0] = 0.0
     for i, ks in live_cells(n, k_lo, k_hi):

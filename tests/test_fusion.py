@@ -230,6 +230,49 @@ class TestArgmaxLex:
         scores = np.array([[-np.inf, -np.inf], [1.0, 2.0], [5.0, 5.0 + 1e-12]])
         np.testing.assert_array_equal(argmax_lex(scores), [0, 1, 0])
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_hypothesis_major_decisions_match_row_by_row(self, m):
+        # decide_ints reduces (2**m, T) cells over axis 0; on constructed ties
+        # it must pick what argmax_lex picks trial by trial, and what the
+        # rule says: the first hypothesis within SCORE_TIE_TOL of the maximum
+        hyps, trials = 2**m, 400
+        rng = np.random.default_rng(30 + m)
+        cells = rng.normal(-40.0, 10.0, size=(hyps, trials))
+        for t in range(trials):
+            col, pos = cells[:, t], rng.permutation(hyps)
+            top = col.max()
+            kind = t % 6
+            if kind == 0:  # exact ties with the maximum
+                col[pos[: rng.integers(1, hyps + 1)]] = top
+            elif kind == 1:  # at the edge of the tie band, and one ulp either side
+                edge = top - SCORE_TIE_TOL
+                col[pos[0]] = top
+                for p, v in zip(pos[1:], (edge, np.nextafter(edge, -np.inf),
+                                          np.nextafter(edge, np.inf))):
+                    col[p] = v
+            elif kind == 2:  # a > b > c: b ties a and c ties b, but c does not tie a
+                for p, v in zip(pos, (top, top - 0.6 * SCORE_TIE_TOL, top - 1.2 * SCORE_TIE_TOL)):
+                    col[p] = v
+            elif kind == 3:
+                col[:] = -np.inf
+            elif kind == 4:  # -inf beside a tie band
+                col[pos[: hyps // 2]] = -np.inf
+                col[pos[hyps // 2 :]] = top - rng.uniform(0, 2 * SCORE_TIE_TOL, hyps - hyps // 2)
+        # scattered over types the way TypeClasses maps cells
+        cell_types = rng.permutation(hyps * trials).reshape(hyps, trials)
+        type_scores = np.empty(hyps * trials)
+        type_scores[cell_types] = cells
+        classes = TypeClasses(np.zeros((trials, 1), dtype=np.int64), 1, m)
+        classes.inverse, classes.hist = cell_types, np.zeros((hyps * trials, m + 1))
+        fuser = BatchFuser(FusionAssumption(IndependentAlpha(0.3), 0.1, 0.8), 1, m)
+        fuser._type_scores = lambda _: type_scores
+        want = [next(h for h, v in enumerate(col) if v >= max(col) - SCORE_TIE_TOL)
+                for col in cells.T.tolist()]
+        np.testing.assert_array_equal(fuser.decide_ints(classes), want)
+        np.testing.assert_array_equal([argmax_lex(col) for col in cells.T], want)
+        np.testing.assert_array_equal(argmax_lex(cells.T), want)
+        np.testing.assert_array_equal(argmax_lex(cells, axis=0), want)
+
 
 class TestFuse:
     def test_unanimous_reports_win(self):
@@ -365,6 +408,19 @@ class TestBatchFuser:
             reports[0, : n // 2] = reports[0, 0]  # a clear majority
             scalar = np.stack([scalar_decision(r, asm, recursion_subset_sum) for r in reports])
             np.testing.assert_array_equal(decode(BatchFuser(asm, n, m), reports), scalar)
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_independent_scores_from_the_float_histogram_are_bitwise(self, m):
+        # the shared float64 histogram gives the int64 histogram's H . w bit for bit
+        rng = np.random.default_rng(16)
+        n = 20
+        for model in (UnconstrainedMaxEntropy(), IndependentAlpha(0.3)):
+            _, rows = sample_rows(rng, model, n, m, 0.1, 0.8, 16_384 // 2**m)
+            classes = TypeClasses(rows, n, m)
+            for eps, pfc in ((0.1, 0.8), (0.0, 1.0), (0.3, 0.0)):
+                fuser = BatchFuser(FusionAssumption(model, eps, pfc), n, m)
+                want = fusion._hist_dot(classes.hist, fuser._weights)
+                assert np.array_equal(fuser._type_scores(classes), want)
 
     def test_scores_match_log_score(self):
         # normalized log P(r | s) against the oracle's placement-by-placement sum
@@ -648,6 +704,55 @@ class TestDecodeRoutes:
             scenario = ExactScenario(n, m, workloads.EPS, pmal_b, pmal_fc, model, model)
             exact_error_probability(scenario)
         assert routes and not any(routes)
+
+
+class TestTypeMemo:
+    """Count-prior fusers sum each type once and read it back bit for bit."""
+
+    N = 7
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("model", [FixedCount(2), FixedCount(5), BoundedBelowHalf()], ids=repr)
+    def test_kept_scores_match_a_fresh_fuser(self, monkeypatch, model, m):
+        rng = np.random.default_rng(40 + m)
+        # chunks drawn at several flip rates and sizes, one of a single trial
+        chunks = []
+        for pmal_b, trials in ((0.5, 40), (0.8, 25), (1.0, 1), (0.7, 9), (0.6, 60)):
+            _, rows = sample_rows(rng, model, self.N, m, 0.1, pmal_b, trials)
+            chunks.append(TypeClasses(rows, self.N, m))
+        distinct = np.unique(np.concatenate([c.keys for c in chunks])).shape[0]
+        summed = []
+
+        def counted(logb, logh, counts, hist, k_lo, k_hi):
+            summed[-1] += len(hist)
+            return subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+
+        # eps 0.1 sums in the ratio domain, eps 0 in the log domain
+        for eps, pmal_fc in ((0.1, 0.7), (0.1, 1.0), (0.0, 0.8), (0.0, 1.0)):
+            asm = FusionAssumption(model, eps, pmal_fc)
+            fresh = [BatchFuser(asm, self.N, m)._type_scores(c) for c in chunks]
+            # two fusers in step share each chunk's lookup; a third lags a chunk behind
+            fusers = [BatchFuser(asm, self.N, m) for _ in range(3)]
+            monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+            summed.append(0)
+            for visit, i in enumerate(np.concatenate([rng.permutation(5), rng.permutation(5)])):
+                for fuser in fusers[: 2 + (visit > 0)]:
+                    assert np.array_equal(fuser._type_scores(chunks[i]), fresh[i])
+            monkeypatch.undo()
+            assert summed[-1] == 3 * distinct
+
+    @pytest.mark.parametrize("n", [N, 17])
+    def test_chunk_scores_do_not_depend_on_the_batch(self, n):
+        # every type of a chunk, summed in the chunk's batch and in batches of
+        # one; at n = 17 the bounded prior sums 9 counts
+        rng = np.random.default_rng(41)
+        for model in (FixedCount(3), BoundedBelowHalf()):
+            for eps in (0.1, 0.0):
+                fuser = BatchFuser(FusionAssumption(model, eps, 0.9), n, 6)
+                _, rows = sample_rows(rng, model, n, 6, 0.1, 0.8, 30)
+                hist = TypeClasses(rows, n, 6).hist
+                alone = np.concatenate([fuser._subset_sums(h[None]) for h in hist])
+                assert np.array_equal(fuser._subset_sums(hist), alone)
 
 
 def test_tracer_counts_every_decoded_trial():

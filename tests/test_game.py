@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from byzfusion.fusion import BatchFuser, FusionAssumption
 from byzfusion.game import (
     MAJORITY_VOTE,
     METRICS,
@@ -13,6 +14,7 @@ from byzfusion.game import (
     Scenario,
     StrategyGrid,
     _error_stats,
+    _row_errors,
     dominance_report,
     eliminate_dominated,
     estimate_payoff_and_majority,
@@ -26,9 +28,9 @@ from byzfusion.game import (
     solve_mixed_enum,
     trial_errors,
 )
-from byzfusion.model import FixedCount, IndependentAlpha, UnconstrainedMaxEntropy
+from byzfusion.model import FixedCount, IndependentAlpha, UnconstrainedMaxEntropy, mix64
 from byzfusion.oracle import ExactScenario, exact_error_probability
-from test_fusion import load_perfbench
+from test_fusion import count_type_class_builds, load_perfbench
 
 
 def small_scenario(**kw):
@@ -120,6 +122,27 @@ class TestSimulation:
         b = estimate_payoff_matrix(sc, trials=500, seed=3, workers=4)
         np.testing.assert_array_equal(a.pe_component, b.pe_component)
         np.testing.assert_array_equal(a.se_sequence, b.se_sequence)
+
+    def test_count_prior_matrix_is_the_same_at_any_workers(self, monkeypatch):
+        # the columns' fusers keep type scores across rows and chunks; at 3
+        # or more chunks per row, any worker count and fresh fusers for
+        # every row must give the same matrix
+        sc = small_scenario(n=8, m=3, true_model=FixedCount(2), fc_model=FixedCount(2))
+        builds = count_type_class_builds(monkeypatch, chunk_cells=150 * sc.n * 2**sc.m)
+        grid = StrategyGrid()
+        got = [estimate_payoff_matrix(sc, trials=500, seed=8, workers=w) for w in (1, 3)]
+        # four chunks per row, in any order across threads
+        assert sorted(builds) == sorted(2 * len(grid) * [150, 150, 150, 50])
+        fresh = [
+            _row_errors(sc, pmal_b, [BatchFuser(FusionAssumption(sc.fc_model, sc.eps, p),
+                                                sc.n, sc.m) for p in grid.values],
+                        500, mix64(8, i))
+            for i, pmal_b in enumerate(grid.values)
+        ]
+        want = np.stack(fresh, axis=1)
+        for pm in got:
+            stats = [pm.pe_component, pm.pe_sequence, pm.se_component, pm.se_sequence]
+            np.testing.assert_array_equal(np.stack(stats), want)
 
     def test_common_random_numbers_across_columns(self):
         # adding a column must not perturb existing ones
