@@ -11,10 +11,15 @@ __all__ = ["pack_bits", "unpack_bits", "all_bit_vectors"]
 
 
 def pack_bits(bits):
-    """Collapse the last axis of a 0/1 array into integers (first bit = MSB)."""
+    """Collapse the last axis of a 0/1 array into integers (first bit = MSB).
+
+    Any other entry is a ValueError: a 2 would carry into the next bit.
+    """
     bits = np.asarray(bits)
     if bits.ndim == 0:
         raise ValueError("need at least one axis of bits")
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
     out = np.zeros(bits.shape[:-1], dtype=np.int64)
     for j in range(bits.shape[-1]):
         out = (out << 1) | bits[..., j].astype(np.int64)

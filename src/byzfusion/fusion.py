@@ -247,7 +247,8 @@ class TypeClasses:
     under any assumption (the method of types). ``hist`` has one row per
     distinct type, shape (types, m + 1); ``inverse`` maps each cell to its
     type, hypothesis-major, shape (2**m, T). One instance can be shared by
-    every BatchFuser that decodes the same batch.
+    every BatchFuser that decodes the same batch. A report int outside
+    [0, 2**m) is a ValueError on either key route.
 
     Keys are built from :func:`_key_table` by row counts or node by node
     (``_keys_from_row_counts``) and ranked through a presence map or by
@@ -260,7 +261,10 @@ class TypeClasses:
         report_ints = np.asarray(report_ints, dtype=np.int64)
         if report_ints.ndim != 2 or report_ints.shape[1] != n:
             raise ValueError("report_ints must be (trials, n)")
-        self.n = n
+        # read as unsigned, a negative int lies above 2**63, so one max finds
+        # any int outside [0, 2**m)
+        if report_ints.view(np.uint64).max(initial=0) >> m:
+            raise ValueError(f"report ints must lie in [0, 2**m) = [0, {2**m})")
         per_word, table = _key_table(n, m)
         trials = report_ints.shape[0]
         if _keys_from_row_counts(n, m):
@@ -330,13 +334,6 @@ class TypeClasses:
         return self.hist.astype(np.float64)
 
 
-def _node_counts(hist, n):
-    # the per-node match counts of each row of hist, ascending, shape (n, rows) uint8
-    rows, bins = hist.shape
-    labels = np.tile(np.arange(bins, dtype=np.uint8), rows)
-    return np.ascontiguousarray(np.repeat(labels, hist.ravel()).reshape(rows, n).T)
-
-
 class BatchFuser:
     """Vectorized MAP decoding of many report matrices under one assumption.
 
@@ -349,8 +346,8 @@ class BatchFuser:
     hypothesis) cell then reads its type's score. Independent priors score a
     type as H . w. Fixed-count and bounded priors sum the subset-weighted
     likelihood over the admissible Byzantine counts with
-    :func:`byzfusion.dp.subset_sums`, on each type's per-node counts, and
-    keep each sum for the chunks that follow.
+    :func:`byzfusion.dp.subset_sums`, and keep each sum for the chunks that
+    follow; :meth:`_subset_sums` is their one call into it.
 
     Where ``_decodes_by_bound`` says so (m >= 5, at least 1536 types and at
     most 16 cells per type), the count priors first bound every type from
@@ -405,8 +402,7 @@ class BatchFuser:
 
     def _subset_sums(self, hist):
         # the subset priors' exact scores of the types of `hist`
-        counts = _node_counts(hist, self.n)
-        return dp.subset_sums(self._logb, self._logh, counts, hist, *self._k_range)
+        return dp.subset_sums(self._logb, self._logh, hist, *self._k_range)
 
     def _type_bounds(self, hist):
         """An upper bound on the subset priors' :meth:`_type_scores` of each type of `hist`.
@@ -441,16 +437,13 @@ class BatchFuser:
         scores = np.full(bounds.shape[0], -np.inf)
         scored = np.zeros(bounds.shape[0], dtype=bool)
         scored[lead] = True
-        self._score_into(scores, classes.hist, scored)
+        first = np.flatnonzero(scored)
+        scores[first] = self._subset_sums(classes.hist[first])
         reach = np.zeros_like(scored)
         reach[inverse[cell_bounds >= scores[lead] - _BOUND_MARGIN]] = True
-        self._score_into(scores, classes.hist, reach & ~scored)
+        rest = np.flatnonzero(reach & ~scored)
+        scores[rest] = self._subset_sums(classes.hist[rest])
         return scores
-
-    def _score_into(self, scores, hist, picked):
-        # the subset priors' exact scores of the types flagged in `picked`
-        todo = np.flatnonzero(picked)
-        scores[todo] = self._subset_sums(hist[todo])
 
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""

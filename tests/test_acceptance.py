@@ -91,9 +91,7 @@ def table_fixed8():
 
 def per_node_subset_sum(logb, logh, k):
     """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
-    n = len(logb)
-    counts = np.arange(n)[:, None]
-    return subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64), k, k)[0]
+    return subset_sums(logb, logh, np.ones((1, len(logb)), dtype=np.int64), k, k)[0]
 
 
 def test_a1_dp_matches_naive_enumeration():

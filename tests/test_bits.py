@@ -34,6 +34,15 @@ def test_pack_rejects_scalar():
         pack_bits(np.array(1))
 
 
+def test_pack_rejects_entries_other_than_0_and_1():
+    # a 2 would carry into the bit above it, and a -1 set every higher bit
+    for bad in ([0, 2, 1], [0, -1, 1], [[0, 1], [1, 3]], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            pack_bits(np.array(bad))
+    assert pack_bits(np.array([True, False, True])) == 5
+    assert pack_bits(np.array([1.0, 0.0])) == 2
+
+
 @given(st.integers(min_value=0, max_value=2**20 - 1), st.integers(min_value=20, max_value=24))
 def test_pack_unpack_roundtrip(value, width):
     assert pack_bits(unpack_bits(value, width)) == value

@@ -27,9 +27,7 @@ def per_node_sums(w, k_lo, k_hi):
     """subset_sums on one multiset in which every node has a bin of its own."""
     logb, logh = w
     n = len(logb)
-    counts = np.arange(n)[:, None]
-    return float(subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64),
-                             k_lo, k_hi)[0])
+    return float(subset_sums(logb, logh, np.ones((1, n), dtype=np.int64), k_lo, k_hi)[0])
 
 
 def subset_sum(w, k):
@@ -126,6 +124,28 @@ class TestSubsetSum:
         with pytest.raises(ValueError, match="equal length"):
             naive_subset_sum(np.zeros(3), np.zeros(4), 1)
 
+    def test_multisets_of_unequal_size_are_rejected(self):
+        hist = np.array([[2, 1, 0], [1, 1, 0]])
+        with pytest.raises(ValueError, match="same number of nodes"):
+            subset_sums(np.zeros(3), np.zeros(3), hist, 0, 2)
+        with pytest.raises(ValueError, match="same number of nodes"):
+            subset_sums(np.zeros(3), np.zeros(3), hist[::-1], 0, 2)
+
+    def test_empty_batch(self):
+        # no multiset gives no n to check k_hi against, only 0 <= k_lo <= k_hi
+        for bins in (1, 5):
+            empty = np.zeros((0, bins), dtype=np.int64)
+            got = subset_sums(np.zeros(bins), np.zeros(bins), empty, 0, 3)
+            assert got.shape == (0,) and got.dtype == np.float64
+            for k_lo, k_hi in ((3, 2), (-1, 2)):
+                with pytest.raises(ValueError):
+                    subset_sums(np.zeros(bins), np.zeros(bins), empty, k_lo, k_hi)
+
+    def test_more_bins_than_a_byte_holds(self):
+        # 300 nodes in bins of their own: labels past 255 must not wrap
+        w = random_weights(np.random.default_rng(14), 300)
+        assert subset_sum(w, 1) == pytest.approx(naive_subset_sum(*w, 1), rel=1e-12)
+
     def test_interior_eval_bound(self):
         for n, k in [(1, 0), (1, 1), (5, 2), (12, 6), (30, 9), (30, 30), (25, 1)]:
             assert interior_evals(n, k) <= k * (n - k + 1)
@@ -164,13 +184,12 @@ class TestSubsetSum:
             w = random_weights(rng, n)
             want = float(np.logaddexp.reduce([naive_subset_sum(*w, k)
                                               for k in range(k_lo, k_hi + 1)]))
-            counts = np.arange(n)[:, None]
             hist = np.ones((1, n), dtype=np.int64)
-            ratio = subset_sums(*w, counts, hist, k_lo, k_hi)[0]
+            ratio = subset_sums(*w, hist, k_lo, k_hi)[0]
             logb = np.append(w[0], 0.0)
             logh = np.append(w[1], -np.inf)
             hist = np.append(hist, [[0]], axis=1)
-            logd = subset_sums(logb, logh, counts, hist, k_lo, k_hi)[0]
+            logd = subset_sums(logb, logh, hist, k_lo, k_hi)[0]
             assert ratio == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert logd == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -182,7 +201,7 @@ class TestSubsetSum:
         logh = np.log(rng.random(4))
         counts = np.sort(rng.integers(0, 4, size=(7, 25)), axis=0)
         hist = np.stack([np.bincount(col, minlength=4) for col in counts.T])
-        got = subset_sums(logb, logh, counts, hist, 1, 3)
+        got = subset_sums(logb, logh, hist, 1, 3)
         for t in range(25):
             w = (logb[counts[:, t]], logh[counts[:, t]])
             want = np.logaddexp.reduce([naive_subset_sum(*w, k) for k in range(1, 4)])
@@ -216,7 +235,7 @@ class TestSubsetSum:
             counts = np.sort(rng.integers(0, bins, size=(n, batch)), axis=0).astype(np.uint8)
             hist = (counts[:, :, None] == np.arange(bins)).sum(axis=0)
             want = count_by_count_sums(logb, logh, counts, hist, k_lo, k_hi)
-            got = subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+            got = subset_sums(logb, logh, hist, k_lo, k_hi)
             assert got.shape == (batch,)
             assert np.array_equal(got, want), (n, bins, batch, k_lo, k_hi)
 
@@ -229,7 +248,7 @@ class TestSubsetSum:
         logh = rng.normal(size=5).astype(np.float32)
         for honest in (logh, np.append(logh[:4], np.float32(-np.inf))):
             want = count_by_count_sums(logb, honest, counts, hist, 2, 6)
-            assert np.array_equal(subset_sums(logb, honest, counts, hist, 2, 6), want)
+            assert np.array_equal(subset_sums(logb, honest, hist, 2, 6), want)
 
     def test_naive_refuses_huge_enumerations(self):
         w = random_weights(np.random.default_rng(6), 40)

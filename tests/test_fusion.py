@@ -50,9 +50,7 @@ def random_reports(rng, n, m):
 
 def recursion_subset_sum(logb, logh, k):
     """log f(n, k) through dp.subset_sums, every node in a bin of its own."""
-    n = len(logb)
-    counts = np.arange(n)[:, None]
-    return subset_sums(logb, logh, counts, np.ones((1, n), dtype=np.int64), k, k)[0]
+    return subset_sums(logb, logh, np.ones((1, len(logb)), dtype=np.int64), k, k)[0]
 
 
 def scalar_decision(reports, asm, subset_sum=naive_subset_sum):
@@ -294,6 +292,14 @@ class TestFuse:
         asm = FusionAssumption(IndependentAlpha(0.05), 0.1, 1.0)
         reports = np.array([[1, 0], [1, 0], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
         np.testing.assert_array_equal(fuse(reports, asm), [1, 0])
+
+    def test_out_of_range_reports_are_rejected(self):
+        # a 2 once packed into the next bit: [[0, 1], [0, 2], [1, 0]] decoded
+        # as [[0, 1], [1, 0], [1, 0]]
+        asm = FusionAssumption(FixedCount(1), 0.1, 0.8)
+        for reports in ([[0, 1], [0, 2], [1, 0]], [[0, 1], [0, -1], [1, 0]]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                fuse(reports, asm)
 
     def test_m_cap(self):
         asm = FusionAssumption(UnconstrainedMaxEntropy(), 0.1, 0.8)
@@ -556,6 +562,24 @@ class TestTypeClassRoutes:
             np.testing.assert_array_equal(forced.hist, native.hist)
             np.testing.assert_array_equal(forced.inverse, native.inverse)
 
+    @pytest.mark.parametrize("counted", [True, False])
+    @pytest.mark.parametrize("n,m", [(3, 2), (20, 4)])
+    def test_out_of_range_ints_are_rejected(self, monkeypatch, n, m, counted):
+        # (3, 2) keys node by node and (20, 4) by row counts, each also forced
+        # onto the other route; node by node, a -1 once read as 2**m - 1
+        monkeypatch.setattr(fusion, "_keys_from_row_counts", lambda n, m: counted)
+        ints = np.random.default_rng(n).integers(0, 2**m, size=(5, n))
+        ints[0, 0], ints[-1, -1] = 0, 2**m - 1
+        classes = TypeClasses(ints, n, m)
+        np.testing.assert_array_equal(classes.hist[classes.inverse], brute_histograms(ints, m))
+        fuser = BatchFuser(FusionAssumption(FixedCount(1), 0.1, 0.8), n, m)
+        for bad in (-1, -(2**m), 2**m, 2**m + 1, 2**62):
+            ints[2, 1] = bad
+            with pytest.raises(ValueError, match=rf"\[0, {2**m}\)"):
+                TypeClasses(ints, n, m)
+            with pytest.raises(ValueError, match=rf"\[0, {2**m}\)"):
+                decide_columns([fuser], ints)
+
     @pytest.mark.parametrize("n,m", MAPPED)
     def test_mapped_shapes_never_sort(self, monkeypatch, n, m):
         def no_unique(*args, **kwargs):
@@ -638,9 +662,9 @@ class TestDecodeRoutes:
         fusers = self.fusers(model, m)
         scored = []
 
-        def counted(logb, logh, counts, hist, k_lo, k_hi):
+        def counted(logb, logh, hist, k_lo, k_hi):
             scored[-1] += len(hist)
-            return subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+            return subset_sums(logb, logh, hist, k_lo, k_hi)
 
         monkeypatch.setattr(fusion.dp, "subset_sums", counted)
         decided = []
@@ -723,9 +747,9 @@ class TestTypeMemo:
         distinct = np.unique(np.concatenate([c.keys for c in chunks])).shape[0]
         summed = []
 
-        def counted(logb, logh, counts, hist, k_lo, k_hi):
+        def counted(logb, logh, hist, k_lo, k_hi):
             summed[-1] += len(hist)
-            return subset_sums(logb, logh, counts, hist, k_lo, k_hi)
+            return subset_sums(logb, logh, hist, k_lo, k_hi)
 
         # eps 0.1 sums in the ratio domain, eps 0 in the log domain
         for eps, pmal_fc in ((0.1, 0.7), (0.1, 1.0), (0.0, 0.8), (0.0, 1.0)):

@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from byzfusion.bits import all_bit_vectors, pack_bits
-from byzfusion.fusion import BatchFuser, FusionAssumption, fuse
+from byzfusion import oracle
+from byzfusion.fusion import BatchFuser, FusionAssumption, TypeClasses, fuse
 from byzfusion.game import Scenario, StrategyGrid, estimate_payoff_matrix
 from byzfusion.model import (
     BoundedBelowHalf,
@@ -148,6 +149,25 @@ class TestExactErrorProbability:
         seq = exact_error_probability(sc, metric="per-sequence")
         assert 0.0 < bit < 0.5
         assert bit <= seq <= 1.0
+
+    def test_type_blocks_pass_the_range_check(self, monkeypatch):
+        # the report types reach TypeClasses in blocks of in-range row ints
+        # that together run from 0 to 2**m - 1; blocking keeps the value
+        sc = self.scenario()
+        whole = exact_error_probability(sc)
+        ends = []
+
+        class Recorded(TypeClasses):
+            def __init__(self, report_ints, n, m):
+                ends.append((report_ints.min(), report_ints.max()))
+                super().__init__(report_ints, n, m)
+
+        monkeypatch.setattr(oracle, "TypeClasses", Recorded)
+        # 7 of the C(6, 3) = 20 types per block
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 7 * sc.n * 2**sc.m)
+        assert exact_error_probability(sc) == pytest.approx(whole, rel=1e-12)
+        assert len(ends) == 3
+        assert min(lo for lo, _ in ends) == 0 and max(hi for _, hi in ends) == 2**sc.m - 1
 
     def test_blinded_center_is_coin_flip(self):
         # n=16 sums 2**16 placements for each of 2**16 report matrices
