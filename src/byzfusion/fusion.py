@@ -37,13 +37,24 @@ perfectly balanced reports) deterministic across this decoder and the
 exhaustive reference implementations, which may round differently.
 
 ``decide_columns`` is the one loop that turns a packed report batch into
-decisions. Chunk by chunk it groups the batch's cells by type
-(``TypeClasses``), and each ``BatchFuser``, which fixes one assumption,
-scores every distinct histogram of the chunk once
-(``BatchFuser.decide_ints``). The histograms do not depend on the
-assumption, so the Monte Carlo game engine decodes every column of a row in
-one call; ``fuse`` calls it with a single fuser. The exact oracle shares the
-grouping and ``decide_ints`` but not the scores: it sums its likelihoods.
+decisions. Chunk by chunk (``chunk_trials`` trials, ``_CHUNK_CELLS`` cells)
+it groups the batch's cells by type (``TypeClasses``), and each
+``BatchFuser``, which fixes one assumption, scores every distinct histogram
+of the chunk once (``BatchFuser.decide_ints``). The histograms do not
+depend on the assumption, so the Monte Carlo game engine decodes every
+column of a chunk in one call; ``fuse`` calls it with a single fuser. The
+exact oracle shares the grouping and ``decide_ints`` but not the scores: it
+sums its likelihoods.
+
+The game engine streams each payoff row: it draws one chunk of trials
+(``model.stream_rows``), decodes it with every column, and draws the next.
+Each chunk's large work arrays, from the report rows through the gathered
+cell scores, are views of buffers kept per thread (``scratch.KEPT``), so
+after the first chunk they are not allocated again. ``argmax_lex``'s masks,
+``np.unique``'s sort and the per-type arrays stay fresh. What a thread
+keeps is bounded by the chunk, whatever the trial count: about 10 MB at
+n = 20, m = 4. ``fuse``, ``BatchFuser.scores`` and the oracle take fresh
+arrays (``scratch.FRESH``) through the same code.
 
 A count-prior fuser keeps the score of every type it has summed, as an
 ascending (keys, scores) pair, and on each chunk sums only the types it has
@@ -72,6 +83,7 @@ from scipy.special import xlogy
 from . import dp
 from .bits import pack_bits, unpack_bits
 from .model import crossover_delta, placement_law
+from .scratch import FRESH
 
 __all__ = [
     "SCORE_TIE_TOL",
@@ -82,6 +94,7 @@ __all__ = [
     "TypeClasses",
     "BatchFuser",
     "decide_columns",
+    "chunk_trials",
 ]
 
 SCORE_TIE_TOL = 1e-9
@@ -248,7 +261,9 @@ class TypeClasses:
     distinct type, shape (types, m + 1); ``inverse`` maps each cell to its
     type, hypothesis-major, shape (2**m, T). One instance can be shared by
     every BatchFuser that decodes the same batch. A report int outside
-    [0, 2**m) is a ValueError on either key route.
+    [0, 2**m) is a ValueError on either key route. ``inverse`` and the work
+    arrays come from `scratch` (``scratch.FRESH`` or ``scratch.KEPT``); from
+    ``KEPT`` the instance is valid until the thread's next build.
 
     Keys are built from :func:`_key_table` by row counts or node by node
     (``_keys_from_row_counts``) and ranked through a presence map or by
@@ -257,7 +272,7 @@ class TypeClasses:
     type's one-word key, ascending, or is None where a key takes more words.
     """
 
-    def __init__(self, report_ints, n, m):
+    def __init__(self, report_ints, n, m, scratch=FRESH):
         report_ints = np.asarray(report_ints, dtype=np.int64)
         if report_ints.ndim != 2 or report_ints.shape[1] != n:
             raise ValueError("report_ints must be (trials, n)")
@@ -267,27 +282,45 @@ class TypeClasses:
             raise ValueError(f"report ints must lie in [0, 2**m) = [0, {2**m})")
         per_word, table = _key_table(n, m)
         trials = report_ints.shape[0]
+        cells = (2**m, trials)
+        # work arrays come from `scratch`, in the slots its module lists
         if _keys_from_row_counts(n, m):
-            # N[v, t] nodes of trial t report v, from one bincount; keys = table.T @ N
-            flat = report_ints * trials
+            # N[v, t] nodes of trial t report v, counted into a zeroed float
+            # table; keys = table.T @ N, exact below 2**53
+            flat = scratch.take("found", report_ints.shape, np.int64)
+            np.multiply(report_ints, trials, out=flat)
             flat += np.arange(trials)[:, None]
-            row_counts = np.bincount(flat.ravel(), minlength=2**m * trials).reshape(2**m, trials)
-            keys = table[0].T.astype(np.float64) @ row_counts.astype(np.float64)
-            keys = keys.astype(np.int64).reshape(1, -1)
+            row_counts = scratch.take("cells_f", cells, np.float64)
+            row_counts.fill(0.0)
+            np.add.at(row_counts.reshape(-1), flat.reshape(-1), 1.0)
+            float_keys = np.matmul(
+                table[0].T.astype(np.float64), row_counts,
+                out=scratch.take("cells_g", cells, np.float64),
+            )
+            keys = scratch.take("cells_i", (1, 2**m * trials), np.int64)
+            np.copyto(keys, float_keys.reshape(1, -1), casting="unsafe")
         else:
             # each node adds its table row to every word of its trial's keys
-            keys = np.zeros((table.shape[0], trials, 2**m), dtype=np.int64)
+            acc = scratch.take("cells_f", (table.shape[0], trials, 2**m), np.int64)
+            acc.fill(0)
+            add = scratch.take("cells_g", (trials, 2**m), np.int64)
             for r_i in report_ints.T:
-                for word, word_table in zip(keys, table):
-                    word += word_table[r_i]
-            keys = keys.transpose(0, 2, 1).reshape(table.shape[0], -1)
+                for word, word_table in zip(acc, table):
+                    word += word_table.take(r_i, axis=0, out=add, mode="clip")
+            keys = scratch.take("cells_i", (table.shape[0], 2**m * trials), np.int64)
+            keys.reshape(table.shape[0], 2**m, trials)[...] = acc.transpose(0, 2, 1)
         if _ranks_from_map(n, m, trials):
-            present = np.zeros((n + 1) ** m, dtype=bool)
+            present = scratch.take("mask", ((n + 1) ** m,), bool)
+            present.fill(False)
             present[keys[0]] = True
             uniq = np.flatnonzero(present)
-            rank = np.empty(present.shape[0], dtype=np.intp)
+            rank = scratch.take("found", present.shape, np.intp)
             rank[uniq] = np.arange(uniq.shape[0])
-            uniq, inverse = uniq[None], rank[keys[0]]
+            # every key is below (n + 1)**m, and mode="clip" keeps take from
+            # buffering its output
+            inverse = scratch.take("cells_f", (2**m * trials,), np.intp)
+            rank.take(keys[0], out=inverse, mode="clip")
+            uniq = uniq[None]
         elif keys.shape[0] == 1:
             uniq, inverse = np.unique(keys[0], return_inverse=True)
             uniq = uniq[None]
@@ -306,7 +339,8 @@ class TypeClasses:
             uniq[word] = q
         hist[:, 0] = n - hist[:, 1:].sum(axis=1)
         self.hist = hist
-        self.inverse = inverse.reshape(2**m, trials)
+        self.inverse = inverse.reshape(cells)
+        self.scratch = scratch
         self._met = None
 
     def meet(self, known):
@@ -430,19 +464,26 @@ class BatchFuser:
         # the trial reaches; then every type with a cell whose bound is within
         # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
         # margin below its trial's maximum, so outside the tie band.
-        inverse = classes.inverse
+        inverse, scratch = classes.inverse, classes.scratch
         bounds = self._type_bounds(classes.float_hist)
-        cell_bounds = bounds[inverse]
+        cell_bounds = bounds.take(
+            inverse, out=scratch.take("cells_g", inverse.shape, np.float64), mode="clip"
+        )
         lead = inverse[np.argmax(cell_bounds, axis=0), np.arange(inverse.shape[1])]
         scores = np.full(bounds.shape[0], -np.inf)
         scored = np.zeros(bounds.shape[0], dtype=bool)
         scored[lead] = True
         first = np.flatnonzero(scored)
         scores[first] = self._subset_sums(classes.hist[first])
+        near = np.greater_equal(
+            cell_bounds, scores[lead] - _BOUND_MARGIN,
+            out=scratch.take("mask", inverse.shape, bool),
+        )
         reach = np.zeros_like(scored)
-        reach[inverse[cell_bounds >= scores[lead] - _BOUND_MARGIN]] = True
+        reach[inverse[near]] = True
         rest = np.flatnonzero(reach & ~scored)
-        scores[rest] = self._subset_sums(classes.hist[rest])
+        if rest.shape[0]:
+            scores[rest] = self._subset_sums(classes.hist[rest])
         return scores
 
     def scores(self, report_ints):
@@ -467,30 +508,45 @@ class BatchFuser:
             scores = self._type_scores(classes)
         else:
             scores = self._bounded_type_scores(classes)
-        return argmax_lex(scores.take(classes.inverse), axis=0).astype(np.int64, copy=False)
+        # every type index is in range, and mode="clip" keeps take from
+        # buffering its output
+        cells = scores.take(
+            classes.inverse, out=classes.scratch.take("cells_g", classes.inverse.shape, np.float64),
+            mode="clip",
+        )
+        return argmax_lex(cells, axis=0).astype(np.int64, copy=False)
 
 
-def decide_columns(fusers, report_ints):
+def decide_columns(fusers, report_ints, scratch=FRESH):
     """Decisions of several fusers on one report batch, shape (len(fusers), T) int64.
 
     Chunk by chunk, the batch's TypeClasses are built once and shared by
     every fuser, so each distinct histogram is scored once per fuser and
-    chunk. The fusers must agree on n and m.
+    chunk. The fusers must agree on n and m. The work arrays and the result
+    come from `scratch`; from ``KEPT`` the result is valid until the next
+    call, and the payoff game passes one chunk at a time, so that its slot
+    stays the size of a chunk.
     """
     n, m = fusers[0].n, fusers[0].m
     if any((f.n, f.m) != (n, m) for f in fusers):
         raise ValueError("fusers must share n and m")
     report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
-    out = np.empty((len(fusers), report_ints.shape[0]), dtype=np.int64)
-    for rows, classes in _typed_chunks(report_ints, n, m):
+    out = scratch.take("decisions", (len(fusers), report_ints.shape[0]), np.int64)
+    for rows, classes in _typed_chunks(report_ints, n, m, scratch):
         for j, fuser in enumerate(fusers):
             out[j, rows] = fuser.decide_ints(classes)
     return out
 
 
-def _typed_chunks(report_ints, n, m):
-    # (rows, TypeClasses of those rows) for consecutive chunks of trials
-    step = max(1, _CHUNK_CELLS // (n * 2**m))
+def chunk_trials(n, m):
+    """Trials per TypeClasses build: n * 2**m cells each, _CHUNK_CELLS cells in all."""
+    return max(1, _CHUNK_CELLS // (n * 2**m))
+
+
+def _typed_chunks(report_ints, n, m, scratch=FRESH):
+    # (rows, TypeClasses of those rows) for consecutive chunks of trials; a
+    # chunk's classes are used up before the next is built
+    step = chunk_trials(n, m)
     for start in range(0, report_ints.shape[0], step):
         rows = slice(start, start + step)
-        yield rows, TypeClasses(report_ints[rows], n, m)
+        yield rows, TypeClasses(report_ints[rows], n, m, scratch)

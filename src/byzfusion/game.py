@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .fusion import BatchFuser, FusionAssumption, decide_columns
-from .model import IndependentAlpha, mix64, placement_law, sample_rows
+from .fusion import BatchFuser, FusionAssumption, chunk_trials, decide_columns
+from .model import IndependentAlpha, mix64, placement_law, sample_rows, stream_rows
+from .scratch import KEPT
 
 __all__ = [
     "DEFAULT_GRID",
@@ -238,12 +239,32 @@ def _error_stats(decisions, states, m):
     """(4, C): rows pe_component, pe_sequence, se_component, se_sequence, a column per decoder.
 
     decisions (C, T) and states (T,) are packed. Standard errors use ddof=1,
-    or ddof=0 for a single trial.
+    or ddof=0 for a single trial. Each column's errors pass, one metric at a
+    time, through one lane of T floats, by the steps of ``errors.mean`` and
+    ``errors.std`` over ``trial_errors``: the same sums in the same order, so
+    the same bits, without a (2, C, T) array.
     """
-    errors = trial_errors(decisions ^ states, m)
     trials = states.shape[0]
     ddof = 1 if trials > 1 else 0
-    return np.concatenate([errors.mean(axis=-1), errors.std(axis=-1, ddof=ddof) / np.sqrt(trials)])
+    stats = np.empty((4, decisions.shape[0]))
+    diff = np.empty(trials, dtype=np.int64)
+    wrong = np.empty(trials, dtype=np.uint8)
+    lane = np.empty(trials)
+    for c, column in enumerate(decisions):
+        np.bitwise_count(np.bitwise_xor(column, states, out=diff), out=wrong)
+        # METRICS order, with the errors trial_errors gives
+        stats[0::2, c] = _mean_and_se(np.divide(wrong, m, out=lane), ddof)
+        stats[1::2, c] = _mean_and_se(np.not_equal(wrong, 0, out=lane), ddof)
+    return stats
+
+
+def _mean_and_se(lane, ddof):
+    # the steps of lane.mean() and lane.std(ddof=ddof) / sqrt(T); overwrites lane
+    trials = lane.shape[0]
+    mean = np.add.reduce(lane) / trials
+    lane -= mean
+    lane *= lane
+    return mean, np.sqrt(np.add.reduce(lane) / (trials - ddof)) / np.sqrt(trials)
 
 
 def fmt(v):
@@ -251,20 +272,31 @@ def fmt(v):
     return f"{v:.6g}"
 
 
-def simulate_row(scenario, pmal_b, trials, rng):
-    """Draw all realizations for one row, packed: states (T,) and node rows (T, n)."""
+def simulate_row(scenario, pmal_b, trials, rng, step=None):
+    """Draw all realizations for one row, packed: states (T,) and node rows (T, n).
+
+    With `step`, the node rows come as ``model.stream_rows``' chunks instead,
+    `step` trials at a time in this thread's kept buffers, from the same draws.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    return sample_rows(
-        rng, scenario.true_model, scenario.n, scenario.m, scenario.eps, pmal_b, trials
-    )
+    args = (rng, scenario.true_model, scenario.n, scenario.m, scenario.eps, pmal_b, trials)
+    if step is None:
+        return sample_rows(*args)
+    return stream_rows(*args, step, KEPT)
 
 
 def _row_errors(scenario, pmal_b, fusers, trials, row_seed):
-    # (4, len(fusers)) error stats of one row's draws, a column per fuser
+    # (4, len(fusers)) error stats of one row's draws, a column per fuser.
+    # Each chunk is drawn, then decoded by every column, in kept buffers; the
+    # row keeps only its packed decisions, < 2**m <= 2**12
     rng = np.random.default_rng(row_seed)
-    states, rows = simulate_row(scenario, pmal_b, trials, rng)
-    return _error_stats(decide_columns(fusers, rows), states, scenario.m)
+    step = chunk_trials(scenario.n, scenario.m)
+    states, chunks = simulate_row(scenario, pmal_b, trials, rng, step)
+    decisions = np.empty((len(fusers), trials), dtype=np.uint16)
+    for block, rows in chunks:
+        decisions[:, block] = decide_columns(fusers, rows, KEPT)
+    return _error_stats(decisions, states, scenario.m)
 
 
 def _estimate(scenario, grid_b, grid_fc, trials, seed, metric, workers, extra):

@@ -36,8 +36,12 @@ to C(n, k), the count law of a uniform placement (Chen, Dempster & Liu
 s, and each draw is one guide-table lookup, exact: it returns what a binary
 search of the CDF returns (indexed search; Chen & Asau, AIIE Trans. 6,
 1974; Devroye 1986, sec. III.2.4). Draw order: every trial's state, then k
-where the range holds more than one count, then one (count, n) block of
-uniforms.
+where the range holds more than one count, then the (count, n) uniforms in
+row order. :func:`stream_rows` draws the uniforms, and searches them, a
+chunk of trials at a time into the buffers it is given: the generator's
+stream is sequential, so any chunk size gives the same rows. The payoff
+game streams its rows through buffers kept per thread (``scratch.KEPT``),
+and :func:`sample_rows` draws one chunk of fresh arrays.
 
 The sampler is a pure function of the generator handed to it, so a run is
 reproducible from its seed alone.
@@ -51,6 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scratch import FRESH, KEPT
+
 __all__ = [
     "crossover_delta",
     "UnconstrainedMaxEntropy",
@@ -60,6 +66,7 @@ __all__ = [
     "placement_law",
     "mix64",
     "sample_rows",
+    "stream_rows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -182,7 +189,8 @@ def _search(cdf, u):
     b keeps the count of entries below (b + 1) / 2**B. Every u in the bucket
     has that many entries at or below it, unless an entry lies strictly
     inside the bucket; such buckets are marked -1, and only their draws are
-    searched. Scaling by 2**B is exact. u is scaled in place.
+    searched. Scaling by 2**B is exact. u is scaled in place, and the result
+    is a view of this thread's kept ``found`` slot, valid until the next call.
     """
     scale = 2.0**_GUIDE_BITS
     buckets = int(np.ceil(cdf[-1])) << _GUIDE_BITS
@@ -196,19 +204,36 @@ def _search(cdf, u):
     # each bucket index is read before its own slot is written, so the
     # lookup can land in the index array; every index is in range, and
     # mode="clip" keeps take from buffering its output
-    found = u.astype(np.intp)
+    found = KEPT.take("found", u.shape, np.intp)
+    np.copyto(found, u, casting="unsafe")
     table.take(found, out=found, mode="clip")
-    slow = np.flatnonzero(found < 0)
-    found.ravel()[slow] = np.searchsorted(cdf, u.ravel()[slow] / scale, side="right")
+    slow = np.flatnonzero(np.less(found, 0, out=KEPT.take("mask", u.shape, bool)))
+    found.reshape(-1)[slow] = np.searchsorted(cdf, u.reshape(-1)[slow] / scale, side="right")
     return found
 
 
 def sample_rows(rng, model, n, m, eps, pmal_b, count):
     """count trials of one network, packed as ``bits.pack_bits`` packs: (states, rows).
 
-    states has shape (count,) and rows (count, n), both int64, drawn as the
-    module docstring says. The Byzantines' uniforms are shifted up by 1
-    into the flipped channel's CDF, which follows the honest one in one table.
+    states has shape (count,) and rows (count, n), both int64 and new, drawn
+    as the module docstring says: :func:`stream_rows` in one chunk.
+    """
+    states, chunks = stream_rows(rng, model, n, m, eps, pmal_b, count, max(count, 1), FRESH)
+    _, rows = next(chunks)
+    return states, rows
+
+
+def stream_rows(rng, model, n, m, eps, pmal_b, count, step, scratch):
+    """(states, chunks): :func:`sample_rows`' draws, node rows `step` trials at a time.
+
+    Every trial's state, then every trial's Byzantine count where the range
+    holds more than one, are drawn at once. ``chunks`` then yields (trials,
+    rows) for consecutive slices of at most `step` trials, drawing each
+    chunk's uniforms as it goes. The generator's stream is sequential, so the
+    draws are the same at any `step`. The uniforms, and rows (t, n) int64,
+    come from `scratch`; from ``KEPT``, rows are valid until the next chunk.
+    The Byzantines' uniforms are shifted up by 1 into the flipped channel's
+    CDF, which follows the honest one in one table.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -218,23 +243,39 @@ def sample_rows(rng, model, n, m, eps, pmal_b, count):
     honest = (1.0 - eps) ** (m - d) * eps**d
     flipped = (1.0 - delta) ** (m - d) * delta**d
     states = rng.integers(2**m, size=count)
+    # at least one block, so that sample_rows gets a chunk even for count 0
+    blocks = [slice(start, start + step) for start in range(0, max(count, 1), step)]
     if k_range is None:
-        cdf = _pattern_cdf((1.0 - alpha) * honest + alpha * flipped)
-        u = rng.random((count, n))
+        cdf, k = _pattern_cdf((1.0 - alpha) * honest + alpha * flipped), None
     else:
         k_lo, k_hi = k_range
         k = k_lo
         if k_hi > k_lo:
             cum = list(itertools.accumulate(math.comb(n, j) for j in range(k_lo, k_hi + 1)))
             k_cdf = np.array([c / cum[-1] for c in cum])
-            k = k_lo + _search(k_cdf, rng.random(count))[:, None]
+            k = np.empty((count, 1), dtype=np.intp)
+            for block in blocks:
+                u = rng.random(out=scratch.take("nodes", k[block, 0].shape, np.float64))
+                k[block, 0] = _search(k_cdf, u)
+            k += k_lo
         cdf = np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(flipped)])
-        u = rng.random((count, n))
-        u += np.arange(n) < k
-        # 1 + u rounds to 2.0 for u = 1 - 2**-53; below 2.0 the search stops
-        # at the first table entry that reaches 2.0, a value of probability > 0
-        np.minimum(u, np.nextafter(2.0, 0.0), out=u)
-    rows = _search(cdf, u)
-    rows &= 2**m - 1
-    rows ^= states[:, None]
-    return states, rows
+    return states, _node_rows(rng, cdf, states, k, n, m, blocks, scratch)
+
+
+def _node_rows(rng, cdf, states, k, n, m, blocks, scratch):
+    # stream_rows' chunks: nodes 0..k-1 of a trial are Byzantine, or none
+    # where k is None (an independent law's mixture CDF)
+    for block in blocks:
+        shape = (states[block].shape[0], n)
+        u = rng.random(out=scratch.take("nodes", shape, np.float64))
+        if k is not None:
+            byzantine = k[block] if isinstance(k, np.ndarray) else k
+            u += np.less(np.arange(n), byzantine, out=scratch.take("mask", shape, bool))
+            # 1 + u rounds to 2.0 for u = 1 - 2**-53; below 2.0 the search
+            # stops at the first table entry that reaches 2.0, a value of
+            # probability > 0
+            np.minimum(u, np.nextafter(2.0, 0.0), out=u)
+        # the uniforms are spent once searched, so their slot takes the rows
+        rows = np.bitwise_and(_search(cdf, u), 2**m - 1, out=scratch.take("nodes", shape, np.int64))
+        rows ^= states[block, None]
+        yield block, rows

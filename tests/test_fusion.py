@@ -29,6 +29,7 @@ from byzfusion.model import (
     sample_rows,
 )
 from byzfusion.game import MAJORITY_VOTE, Scenario, StrategyGrid, estimate_payoff_matrix
+from byzfusion.scratch import FRESH, KEPT
 from byzfusion.oracle import (
     ExactScenario,
     exact_error_probability,
@@ -120,9 +121,9 @@ def count_type_class_builds(monkeypatch, chunk_cells):
     builds = []
 
     class Counted(TypeClasses):
-        def __init__(self, report_ints, n, m):
+        def __init__(self, report_ints, n, m, scratch=FRESH):
             builds.append(len(report_ints))
-            super().__init__(report_ints, n, m)
+            super().__init__(report_ints, n, m, scratch)
 
     monkeypatch.setattr(fusion, "_CHUNK_CELLS", chunk_cells)
     monkeypatch.setattr(fusion, "TypeClasses", Counted)
@@ -562,6 +563,18 @@ class TestTypeClassRoutes:
             np.testing.assert_array_equal(forced.hist, native.hist)
             np.testing.assert_array_equal(forced.inverse, native.inverse)
 
+    def test_kept_buffers_give_fresh_classes(self):
+        # one thread's kept slots, taken by every shape in turn and by the
+        # first two again, leave nothing behind: each build equals a fresh one
+        rng = np.random.default_rng(12)
+        for n, m in self.SHAPES + self.SHAPES[:2]:
+            for trials in (40, 7):
+                ints = rng.integers(0, 2**m, size=(trials, n))
+                kept, fresh = TypeClasses(ints, n, m, KEPT), TypeClasses(ints, n, m)
+                np.testing.assert_array_equal(kept.hist, fresh.hist)
+                np.testing.assert_array_equal(kept.inverse, fresh.inverse)
+                np.testing.assert_array_equal(kept.keys, fresh.keys)
+
     @pytest.mark.parametrize("counted", [True, False])
     @pytest.mark.parametrize("n,m", [(3, 2), (20, 4)])
     def test_out_of_range_ints_are_rejected(self, monkeypatch, n, m, counted):
@@ -676,6 +689,36 @@ class TestDecodeRoutes:
         # bound-and-verify scores each type at most once, and skips some from m = 3
         assert scored[1] <= scored[0]
         assert m < 3 or scored[1] < scored[0]
+
+    def test_bound_route_sums_no_empty_batch(self, monkeypatch):
+        # the second exact pass is skipped where no type beyond the trials'
+        # lead types comes within the margin; on the benchmark's bounded-m8
+        # shape (n = 20, m = 8, 100 trials a row) that holds for some columns
+        n, m = 20, 8
+        sizes = []
+
+        def counted(logb, logh, hist, k_lo, k_hi):
+            sizes.append(len(hist))
+            return subset_sums(logb, logh, hist, k_lo, k_hi)
+
+        routes = []
+        by_bound = fusion._decodes_by_bound
+
+        def recorded(m, trials, types):
+            routes.append(by_bound(m, trials, types))
+            return routes[-1]
+
+        monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+        monkeypatch.setattr(fusion, "_decodes_by_bound", recorded)
+        grid = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        fusers = [BatchFuser(FusionAssumption(BoundedBelowHalf(), 0.1, p), n, m) for p in grid]
+        for i, pmal_b in enumerate(grid):
+            rng = np.random.default_rng(i)
+            decide_columns(fusers, sample_rows(rng, BoundedBelowHalf(), n, m, 0.1, pmal_b, 100)[1])
+        assert routes == [True] * len(grid) ** 2
+        # a call per row and column for its lead types, and not always a second
+        assert len(grid) ** 2 <= len(sizes) < 2 * len(grid) ** 2
+        assert 0 not in sizes
 
     @pytest.mark.parametrize("m", [5, 8])
     def test_routes_agree_across_chunks(self, monkeypatch, m):

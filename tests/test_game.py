@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from byzfusion.fusion import BatchFuser, FusionAssumption
+from byzfusion import fusion
+from byzfusion.fusion import BatchFuser, FusionAssumption, decide_columns
 from byzfusion.game import (
     MAJORITY_VOTE,
     METRICS,
@@ -28,8 +31,15 @@ from byzfusion.game import (
     solve_mixed_enum,
     trial_errors,
 )
-from byzfusion.model import FixedCount, IndependentAlpha, UnconstrainedMaxEntropy, mix64
+from byzfusion.model import (
+    BoundedBelowHalf,
+    FixedCount,
+    IndependentAlpha,
+    UnconstrainedMaxEntropy,
+    mix64,
+)
 from byzfusion.oracle import ExactScenario, exact_error_probability
+from byzfusion.scratch import KEPT
 from test_fusion import count_type_class_builds, load_perfbench
 
 
@@ -263,6 +273,27 @@ class TestErrorRule:
             assert got[:, c] == pytest.approx([pe_c, pe_s, se_c, se_s], rel=1e-12, abs=1e-15)
         if trials == 1:
             assert (got[2:] == 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    @pytest.mark.parametrize("trials", [1, 2, 1001])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_error_stats_keep_numpys_bits(self, m, trials, dtype):
+        # the lane-by-lane steps against errors.mean and errors.std themselves,
+        # bit for bit; at m = 3 the per-component errors are not dyadic, so a
+        # sum in any other order would round differently. The game passes
+        # its decisions as uint16
+        rng = np.random.default_rng(100 * m + trials)
+        states = rng.integers(2**m, size=trials)
+        decisions = rng.integers(2**m, size=(5, trials))
+        right = rng.random((5, trials)) < 0.7
+        decisions[right] = np.broadcast_to(states, decisions.shape)[right]
+        errors = trial_errors(decisions ^ states, m)
+        ddof = 1 if trials > 1 else 0
+        want = np.concatenate(
+            [errors.mean(axis=-1), errors.std(axis=-1, ddof=ddof) / np.sqrt(trials)]
+        )
+        got = _error_stats(decisions.astype(dtype), states, m)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def dominant_row_by_deletion(a, strict):
@@ -576,3 +607,71 @@ def test_scenario_validation():
         small_scenario(m=0)
     with pytest.raises(ValueError):
         small_scenario(true_model=FixedCount(9))
+
+
+def in_fresh_thread(call):
+    """call() in a new thread, which starts with no kept buffers."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+class TestKeptBuffers:
+    # m = 4 by row counts, m = 8 node by node and bound-and-verify, and
+    # m = 5 at n = 10 bound-and-verify on presence-mapped chunks
+    CALLS = [
+        (Scenario(20, 4, 0.1, IndependentAlpha(0.3), IndependentAlpha(0.3)), 2000),
+        (Scenario(20, 8, 0.1, BoundedBelowHalf(), BoundedBelowHalf()), 120),
+        (Scenario(20, 4, 0.1, FixedCount(6), FixedCount(6)), 1000),
+        (Scenario(10, 5, 0.1, BoundedBelowHalf(), BoundedBelowHalf()), 2000),
+    ]
+
+    def test_no_call_reads_what_an_earlier_one_kept(self, monkeypatch):
+        # m = 4, then m = 8, then m = 4 again with other trial counts and
+        # priors, then m = 5, in one thread: every slot is grown, taken at
+        # other shapes and dtypes, and taken smaller than it is. Chunks of
+        # 2**18 cells give rows of several chunks, last ones short, and both
+        # of TypeClasses' rankers at m = 4 (the presence map needs 190 trials
+        # a chunk). Four workers, more than the cores, switching often, would
+        # mix their chunks if threads shared a slot
+        monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1 << 18)
+        assert [fusion.chunk_trials(sc.n, sc.m) for sc, _ in self.CALLS] == [819, 51, 819, 819]
+        grid = StrategyGrid((0.5, 0.8, 1.0))
+        fields = ("pe_component", "pe_sequence", "se_component", "se_sequence")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 4):
+                for sc, trials in self.CALLS:
+                    def estimate():
+                        return estimate_payoff_matrix(sc, grid, grid, trials, 5, workers=workers)
+
+                    got, fresh = estimate(), in_fresh_thread(estimate)
+                    for field in fields:
+                        np.testing.assert_array_equal(getattr(got, field), getattr(fresh, field))
+                        # what a call returns never lives in this thread's kept buffers
+                        assert not any(np.shares_memory(getattr(got, field), slot)
+                                       for slot in KEPT.slots.values())
+        finally:
+            sys.setswitchinterval(interval)
+        # the workers=1 calls ran their rows in this thread, so it keeps slots
+        assert KEPT.slots
+
+    def test_rows_match_one_block_fresh_decodes(self, monkeypatch):
+        # a row streamed through the kept slots against the same draws taken
+        # in one block of fresh arrays and decoded with fresh work arrays:
+        # an array that overwrote another's slot while it was still read
+        # would change the decisions here, in any thread
+        monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1 << 18)
+        for sc, trials in self.CALLS:
+            fusers = [BatchFuser(FusionAssumption(sc.fc_model, sc.eps, p), sc.n, sc.m)
+                      for p in (0.5, 0.8, 1.0)]
+            fresh = [BatchFuser(f.assumption, sc.n, sc.m) for f in fusers]
+            for i, pmal_b in enumerate((0.6, 1.0)):
+                got = _row_errors(sc, pmal_b, fusers, trials, mix64(9, i))
+                states, rows = simulate_row(sc, pmal_b, trials, np.random.default_rng(mix64(9, i)))
+                want = _error_stats(decide_columns(fresh, rows), states, sc.m)
+                np.testing.assert_array_equal(got, want)

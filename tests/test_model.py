@@ -17,9 +17,11 @@ from byzfusion.model import (
     mix64,
     placement_law,
     sample_rows,
+    stream_rows,
 )
 from byzfusion.model import _GUIDE_BITS, _pattern_cdf, _search
 from byzfusion.oracle import enumerate_placements, exact_likelihood
+from byzfusion.scratch import KEPT
 
 
 class TestCrossover:
@@ -147,8 +149,10 @@ class FixedUniform:
     def integers(self, high, size):
         return np.zeros(size, dtype=np.int64)
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, out):
+        # the sampler draws every block of uniforms into an array it passes
+        out[...] = self.u
+        return out
 
 
 class TestSamplers:
@@ -369,6 +373,73 @@ class TestSamplers:
             s2, r2 = draw(17, model, 20, 100, m=4, eps=0.1, pmal_b=0.7)
             np.testing.assert_array_equal(s1, s2)
             np.testing.assert_array_equal(r1, r2)
+
+
+def one_block_rows(seed, model, n, m, eps, pmal_b, count):
+    """sample_rows' draws with every node uniform from one generator call and a
+    plain search: (states, rows, generator)."""
+    rng = np.random.default_rng(seed)
+    alpha, k_range = placement_law(model, n)
+    d = np.bitwise_count(np.arange(2**m))
+    delta = crossover_delta(eps, pmal_b)
+    honest = (1.0 - eps) ** (m - d) * eps**d
+    flipped = (1.0 - delta) ** (m - d) * delta**d
+    states = rng.integers(2**m, size=count)
+    if k_range is None:
+        cdf = _pattern_cdf((1.0 - alpha) * honest + alpha * flipped)
+        u = rng.random((count, n))
+    else:
+        k_lo, k_hi = k_range
+        k = k_lo
+        if k_hi > k_lo:
+            cum = np.cumsum([math.comb(n, j) for j in range(k_lo, k_hi + 1)])
+            k = k_lo + np.searchsorted(cum / cum[-1], rng.random(count), side="right")[:, None]
+        cdf = np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(flipped)])
+        u = np.minimum(rng.random((count, n)) + (np.arange(n) < k), np.nextafter(2.0, 0.0))
+    rows = (np.searchsorted(cdf, u, side="right") & (2**m - 1)) ^ states[:, None]
+    return states, rows, rng
+
+
+class TestStreamedRows:
+    """Rows drawn chunk by chunk through kept buffers are the one-block draws."""
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize(
+        "model", [IndependentAlpha(0.3), FixedCount(6), BoundedBelowHalf()], ids=repr
+    )
+    def test_chunks_are_the_one_block_draws(self, model, m):
+        n, count = 20, 1000
+        states, rows, rest = one_block_rows(31, model, n, m, 0.1, 0.8, count)
+        after = rest.random()  # the draw that follows the row's
+        got = sample_rows(np.random.default_rng(31), model, n, m, 0.1, 0.8, count)
+        np.testing.assert_array_equal(got[0], states)
+        np.testing.assert_array_equal(got[1], rows)
+        # 300 does not divide the row, and 1500 is longer than it
+        for step in (300, 1500):
+            drawn = np.random.default_rng(31)
+            got_states, chunks = stream_rows(drawn, model, n, m, 0.1, 0.8, count, step, KEPT)
+            np.testing.assert_array_equal(got_states, states)
+            start = 0
+            for block, chunk in chunks:
+                assert block.start == start and chunk.shape == (min(step, count - start), n)
+                np.testing.assert_array_equal(chunk, rows[block])
+                start += chunk.shape[0]
+            assert start == count
+            # the generator ends where the one-block draws leave it
+            assert drawn.random() == after
+
+    def test_sample_rows_returns_new_arrays(self):
+        # a kept chunk is overwritten by the next; sample_rows' rows never are
+        first = sample_rows(np.random.default_rng(1), FixedCount(2), 5, 3, 0.1, 0.8, 40)
+        copy = [a.copy() for a in first]
+        second = sample_rows(np.random.default_rng(2), FixedCount(2), 5, 3, 0.1, 0.8, 40)
+        _, chunks = stream_rows(
+            np.random.default_rng(3), FixedCount(2), 5, 3, 0.1, 0.8, 40, 7, KEPT
+        )
+        kept = [chunk for _, chunk in chunks]
+        for a, b in zip(first, copy):
+            np.testing.assert_array_equal(a, b)
+            assert not any(np.shares_memory(a, c) for c in [*second, *kept, *KEPT.slots.values()])
 
 
 def searched_tables(m):
