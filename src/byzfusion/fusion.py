@@ -16,9 +16,9 @@ At any rate a the independent prior sums every placement, each admissible
 one weighted at least min_k a^k (1 - a)^(n - k) over the admissible counts
 k, so the subset sum U of a type is bounded by one dot product:
 log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)), with a = 1/2 clipped to
-[k_lo/n, k_hi/n]. The dot products read ``TypeClasses.float_hist``, a
-float64 copy of the chunk's histograms made once and shared by every
-column. Bound-and-verify decoding uses it for the count priors:
+[k_lo/n, k_hi/n]. The dot products read ``TypeClasses.float_hist``, the
+float64 histograms; over the type universe a fuser takes its bounds once.
+Bound-and-verify decoding uses it for the count priors:
 the type of each trial's largest bound is scored exactly, which gives a
 score L_t that trial t reaches, and the subset sums run only on types with
 a cell whose bound is within ``_BOUND_MARGIN`` (1e-6) of its trial's L_t.
@@ -39,8 +39,8 @@ exhaustive reference implementations, which may round differently.
 ``decide_columns`` is the one loop that turns a packed report batch into
 decisions. Chunk by chunk (``chunk_trials`` trials, ``_CHUNK_CELLS`` cells)
 it groups the batch's cells by type (``TypeClasses``), and each
-``BatchFuser``, which fixes one assumption, scores every distinct histogram
-of the chunk once (``BatchFuser.decide_ints``). The histograms do not
+``BatchFuser``, which fixes one assumption, scores each of the chunk's
+types once (``BatchFuser.decide_ints``). The histograms do not
 depend on the assumption, so the Monte Carlo game engine decodes every
 column of a chunk in one call; ``fuse`` calls it with a single fuser. The
 exact oracle shares the grouping and ``decide_ints`` but not the scores: it
@@ -56,17 +56,15 @@ keeps is bounded by the chunk, whatever the trial count: about 10 MB at
 n = 20, m = 4. ``fuse``, ``BatchFuser.scores`` and the oracle take fresh
 arrays (``scratch.FRESH``) through the same code.
 
-A count-prior fuser keeps the score of every type it has summed, as an
-ascending (keys, scores) pair, and on each chunk sums only the types it has
-not met (``TypeClasses.meet``). The game engine builds one fuser per column
-for a whole payoff matrix, and the oracle one per call, so a score is kept
-for one matrix or one call. ``dp.subset_sums`` gives a type the same bits in
-any batch, so a kept score is the one a fresh fuser would sum.
-
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
-number (``_key_table``), and equal keys form a type. How keys are built
-(``_keys_from_row_counts``) and ranked (``_ranks_from_map``) is chosen from
-the batch's shape alone. Cells are stored hypothesis-major, (2**m, T):
+number (``_key_table``), and equal keys form a type. Where the key range is
+small against the chunk (``_ranks_from_universe``), a cached table ranks
+each key among all C(n + m, m) histograms of n nodes (``_universe``), and a
+count-prior fuser, one per column of a payoff matrix or per oracle call,
+sums a type only on the first chunk that has it. Elsewhere ``np.unique``
+sorts the keys and each chunk's types are summed whole. ``dp.subset_sums``
+gives a type the same bits in any batch, so a kept score is the one a fresh
+fuser would sum. Cells are stored hypothesis-major, (2**m, T):
 ``decide_ints`` gathers them in that layout and ``argmax_lex`` reduces over
 axis 0, across contiguous rows of trials, with no transposed copy.
 """
@@ -101,10 +99,14 @@ SCORE_TIE_TOL = 1e-9
 # trials per TypeClasses build are capped so that trials * n * 2**m, the size
 # of its per-node count table when every cell is its own type, stays below this
 _CHUNK_CELLS = 1 << 22
-# a presence map over the key range is used only where it has at most this
-# many entries per (trial, hypothesis) cell; sorting was measured faster from
-# about 125 to 250 entries per cell up, at m = 4 and 5
-_MAP_ENTRIES_PER_CELL = 64
+# the universe ranks a chunk's keys only where the key range has at most this
+# many entries per cell; sorting beat a presence map from 125-250 up (m = 4, 5)
+_TABLE_ENTRIES_PER_CELL = 64
+# a chunk of more cells than this per universe type counts every type present,
+# so each count-prior fuser sums the whole universe once, in one call
+_DENSE_CELLS_PER_TYPE = 16
+# (n, m) shapes whose key table and universe stay cached: an exact sweep's four
+_CACHED_SHAPES = 4
 # a count-prior cell whose upper bound falls this far below a score its trial
 # already reaches is left unscored; far above SCORE_TIE_TOL plus rounding
 _BOUND_MARGIN = 1e-6
@@ -195,15 +197,14 @@ def _keys_from_row_counts(n, m):
     return 2**m <= n and (n + 1) ** m <= 2**53
 
 
-def _ranks_from_map(n, m, trials):
-    """Whether TypeClasses ranks the keys of `trials` trials through a presence map.
+def _ranks_from_universe(n, m, trials):
+    """Whether TypeClasses ranks the keys of `trials` trials through the type universe.
 
-    The map has one entry per key value, (n + 1)**m, and is kept within
-    _CHUNK_CELLS, so the key is one word. It pays only against sorting at
-    least one cell per _MAP_ENTRIES_PER_CELL entries; smaller batches, and
-    wider key ranges, sort with ``np.unique``.
+    Its rank table has one entry per key value, (n + 1)**m, kept within
+    _CHUNK_CELLS so the key is one word, and serves only batches of at least
+    a cell per _TABLE_ENTRIES_PER_CELL entries; others sort with np.unique.
     """
-    return (n + 1) ** m <= min(_CHUNK_CELLS, _MAP_ENTRIES_PER_CELL * trials * 2**m)
+    return (n + 1) ** m <= min(_CHUNK_CELLS, _TABLE_ENTRIES_PER_CELL * trials * 2**m)
 
 
 def _decodes_by_bound(m, trials, types):
@@ -219,7 +220,7 @@ def _decodes_by_bound(m, trials, types):
     return m >= 5 and types >= _BOUND_MIN_TYPES and cells <= _BOUND_CELLS_PER_TYPE * types
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
 def _key_table(n, m):
     # A cell's key holds H[1..m] as base-(n + 1) digits (H[0] is n minus the
     # rest), `per_word` digits to an int64 word, as many as keep every word
@@ -243,6 +244,27 @@ def _key_table(n, m):
     return per_word, table
 
 
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _universe(n, m):
+    """All C(n + m, m) types of n nodes, read-only: (hist, float_hist, rank).
+
+    hist lists each histogram H[0..m] once, ascending by one-word key, and
+    float_hist is its float64 copy; rank[key] is the row with that key.
+    """
+    # stars and bars, H[m] first: each row splits by its next digit, in key order
+    hist = np.array([[n]])
+    for _ in range(m):
+        parent = np.repeat(np.arange(hist.shape[0]), hist[:, 0] + 1)
+        digit = np.arange(parent.shape[0]) - np.searchsorted(parent, parent)
+        hist = np.column_stack([hist[parent, 0] - digit, digit, hist[parent, 1:]])
+    rank = np.empty((n + 1) ** m, dtype=np.intp)
+    rank[hist[:, 1:] @ (n + 1) ** np.arange(m)] = np.arange(hist.shape[0])
+    float_hist = hist.astype(np.float64)
+    for a in (hist, float_hist, rank):
+        a.setflags(write=False)
+    return hist, float_hist, rank
+
+
 def _hist_dot(hist, w):
     # sum_c H[c] * w[c] per row; an empty bin adds 0 even where w[c] = -inf
     finite = np.isfinite(w)
@@ -258,18 +280,21 @@ class TypeClasses:
     report agrees with the hypothesis in exactly c of the m bits. Every prior
     here is symmetric in the nodes, so two cells of one type score the same
     under any assumption (the method of types). ``hist`` has one row per
-    distinct type, shape (types, m + 1); ``inverse`` maps each cell to its
-    type, hypothesis-major, shape (2**m, T). One instance can be shared by
-    every BatchFuser that decodes the same batch. A report int outside
-    [0, 2**m) is a ValueError on either key route. ``inverse`` and the work
-    arrays come from `scratch` (``scratch.FRESH`` or ``scratch.KEPT``); from
-    ``KEPT`` the instance is valid until the thread's next build.
+    type, shape (types, m + 1), with a float64 copy ``float_hist``, and
+    ``inverse`` maps each cell to its type, hypothesis-major, shape (2**m, T).
+    One instance can be shared by every BatchFuser that decodes the same
+    batch. A report int outside [0, 2**m) is a ValueError on either key
+    route. ``inverse`` and the work arrays come from `scratch`
+    (``scratch.FRESH`` or ``scratch.KEPT``); from ``KEPT`` the instance is
+    valid until the thread's next build.
 
     Keys are built from :func:`_key_table` by row counts or node by node
-    (``_keys_from_row_counts``) and ranked through a presence map or by
-    ``np.unique`` (``_ranks_from_map``). Either way a one-word key ranks in
-    ascending order, lexicographic on (H[m], ..., H[1]). ``keys`` holds each
-    type's one-word key, ascending, or is None where a key takes more words.
+    (``_keys_from_row_counts``). Where ``_ranks_from_universe`` says so, the
+    rank table of :func:`_universe` ranks them into its ``hist``, and
+    ``present`` marks the types some cell has, or all on more than
+    ``_DENSE_CELLS_PER_TYPE`` cells per type. Elsewhere ``np.unique`` ranks
+    them, ``hist`` holds the chunk's types, and ``present`` is None. Either
+    way one-word keys rank ascending, lexicographic on (H[m], ..., H[1]).
     """
 
     def __init__(self, report_ints, n, m, scratch=FRESH):
@@ -309,63 +334,34 @@ class TypeClasses:
                     word += word_table.take(r_i, axis=0, out=add, mode="clip")
             keys = scratch.take("cells_i", (table.shape[0], 2**m * trials), np.int64)
             keys.reshape(table.shape[0], 2**m, trials)[...] = acc.transpose(0, 2, 1)
-        if _ranks_from_map(n, m, trials):
-            present = scratch.take("mask", ((n + 1) ** m,), bool)
-            present.fill(False)
-            present[keys[0]] = True
-            uniq = np.flatnonzero(present)
-            rank = scratch.take("found", present.shape, np.intp)
-            rank[uniq] = np.arange(uniq.shape[0])
-            # every key is below (n + 1)**m, and mode="clip" keeps take from
+        if _ranks_from_universe(n, m, trials):
+            self.hist, self.float_hist, rank = _universe(n, m)
+            # every key is a histogram's, and mode="clip" keeps take from
             # buffering its output
-            inverse = scratch.take("cells_f", (2**m * trials,), np.intp)
+            inverse = scratch.take("cells_f", keys[0].shape, np.intp)
             rank.take(keys[0], out=inverse, mode="clip")
-            uniq = uniq[None]
-        elif keys.shape[0] == 1:
-            uniq, inverse = np.unique(keys[0], return_inverse=True)
-            uniq = uniq[None]
+            dense = inverse.size > _DENSE_CELLS_PER_TYPE * self.hist.shape[0]
+            self.present = np.full(self.hist.shape[0], dense)
+            if not dense:
+                self.present[inverse] = True
         else:
-            uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
-            uniq = uniq.T
-        # one-word keys are kept, ascending; only the distinct keys are split
-        # into digits H[1..m]
-        self.keys = uniq[0].copy() if uniq.shape[0] == 1 else None
-        hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
-        for c in range(1, m + 1):
-            word = (c - 1) // per_word
-            # floor division and a multiply-subtract beat np.divmod on int64
-            q = uniq[word] // (n + 1)
-            hist[:, c] = uniq[word] - q * (n + 1)
-            uniq[word] = q
-        hist[:, 0] = n - hist[:, 1:].sum(axis=1)
-        self.hist = hist
+            if keys.shape[0] == 1:
+                uniq, inverse = np.unique(keys[0], return_inverse=True)
+            else:
+                uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
+            # the distinct keys, words x types, are split into digits H[1..m]
+            uniq = uniq.reshape(-1, keys.shape[0]).T
+            hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
+            for c in range(1, m + 1):
+                word = (c - 1) // per_word
+                # floor division and a multiply-subtract beat np.divmod on int64
+                q = uniq[word] // (n + 1)
+                hist[:, c] = uniq[word] - q * (n + 1)
+                uniq[word] = q
+            hist[:, 0] = n - hist[:, 1:].sum(axis=1)
+            self.hist, self.float_hist, self.present = hist, hist.astype(np.float64), None
         self.inverse = inverse.reshape(cells)
         self.scratch = scratch
-        self._met = None
-
-    def meet(self, known):
-        """These types against `known`, a nonempty array of ascending one-word keys.
-
-        Returns (at, new, merged, order): known[at] is each type's key where
-        `known` holds it, `new` indexes the types whose key it does not hold,
-        and merged = concatenate([known, keys[new]])[order] is ascending.
-        Fusers that have met the same types share one `known` array, so the
-        answer to the last array asked is kept for the next fuser.
-        """
-        if self._met is not None and self._met[0] is known:
-            return self._met[1]
-        at = np.searchsorted(known, self.keys).clip(max=known.shape[0] - 1)
-        new = np.flatnonzero(known[at] != self.keys)
-        merged = np.concatenate([known, self.keys[new]])
-        # both parts are ascending, so the stable sort is one merge
-        order = merged.argsort(kind="stable")
-        self._met = known, (at, new, merged[order], order)
-        return self._met[1]
-
-    @functools.cached_property
-    def float_hist(self):
-        """``hist`` as float64, shared by every fuser that reads H . w."""
-        return self.hist.astype(np.float64)
 
 
 class BatchFuser:
@@ -375,13 +371,13 @@ class BatchFuser:
     :func:`decide_columns` returns decisions packed the same way. m is
     capped at MAX_M.
 
-    Decoding goes by type class (see :class:`TypeClasses`): only the distinct
-    match-count histograms of a batch are scored, and each (trial,
+    Decoding goes by type class (see :class:`TypeClasses`): the match-count
+    histograms of a batch are scored, not its cells, and each (trial,
     hypothesis) cell then reads its type's score. Independent priors score a
     type as H . w. Fixed-count and bounded priors sum the subset-weighted
     likelihood over the admissible Byzantine counts with
-    :func:`byzfusion.dp.subset_sums`, and keep each sum for the chunks that
-    follow; :meth:`_subset_sums` is their one call into it.
+    :func:`byzfusion.dp.subset_sums`, keeping one score per universe type;
+    :meth:`_subset_sums` is their one call into it.
 
     Where ``_decodes_by_bound`` says so (m >= 5, at least 1536 types and at
     most 16 cells per type), the count priors first bound every type from
@@ -405,33 +401,25 @@ class BatchFuser:
             return
         self._logh = honest_log_weights(assumption.eps, m)
         self._logb = honest_log_weights(assumption.delta_fc, m)
-        # (keys, scores) of every type summed so far, keys ascending, or None;
-        # replaced in one assignment, so a fuser can be shared across threads
-        # (a lost update only costs a recomputation)
-        self._known = None
 
     def _type_scores(self, classes):
         """Log score of each type of `classes`, shape (types,).
 
         For the subset priors this is the log of P(r | s) times the number
-        of admissible placements; :meth:`scores` divides that out. Where
-        `classes` keeps one-word keys, they sum only the types this fuser
-        has not met before and read the rest.
+        of admissible placements; :meth:`scores` divides that out. On a
+        universe chunk one call sums the present types not summed before, and
+        the fuser's kept scores come back, for reading only; a type not yet
+        summed, which no cell has, reads -inf.
         """
         if self._k_range is None:
             return _hist_dot(classes.float_hist, self._weights)
-        if classes.keys is None:
+        if classes.present is None:
             return self._subset_sums(classes.hist)
-        if self._known is None:
-            scores = self._subset_sums(classes.hist)
-            self._known = (classes.keys, scores)
-            return scores
-        known_keys, known_scores = self._known
-        at, new, merged, order = classes.meet(known_keys)
-        scores = known_scores[at]
+        scores, summed = self._memo
+        new = np.flatnonzero(classes.present & ~summed)
         if new.shape[0]:
             scores[new] = self._subset_sums(classes.hist[new])
-            self._known = (merged, np.concatenate([known_scores, scores[new]])[order])
+            summed[new] = True
         return scores
 
     def _subset_sums(self, hist):
@@ -450,9 +438,22 @@ class BatchFuser:
         return _hist_dot(hist, weights) + shift
 
     @functools.cached_property
+    def _memo(self):
+        # the count priors' score of each universe type, -inf until summed, and
+        # a mark of the types summed, written in place by the threads sharing
+        # the fuser: a type is marked once its batch-invariant sum is written
+        types = math.comb(self.n + self.m, self.m)
+        return np.full(types, -np.inf), np.zeros(types, dtype=bool)
+
+    @functools.cached_property
+    def _bounds(self):
+        # _type_bounds of every universe type, the same on each universe chunk
+        return self._type_bounds(_universe(self.n, self.m)[1])
+
+    @functools.cached_property
     def _bound_terms(self):
         # w_a and -min_k log(a^k (1 - a)^(n - k)) at a = 1/2 clipped to
-        # [k_lo/n, k_hi/n]; made on first use, as most fusers never bound
+        # [k_lo/n, k_hi/n]; made on first use
         (k_lo, k_hi), n, asm = self._k_range, self.n, self.assumption
         alpha = min(max(0.5, k_lo / n), k_hi / n)
         weights = _independent_mix_weights(alpha, asm.eps, asm.delta_fc, self.m)
@@ -465,7 +466,7 @@ class BatchFuser:
         # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
         # margin below its trial's maximum, so outside the tie band.
         inverse, scratch = classes.inverse, classes.scratch
-        bounds = self._type_bounds(classes.float_hist)
+        bounds = self._type_bounds(classes.float_hist) if classes.present is None else self._bounds
         cell_bounds = bounds.take(
             inverse, out=scratch.take("cells_g", inverse.shape, np.float64), mode="clip"
         )
@@ -503,8 +504,8 @@ class BatchFuser:
         :func:`decide_columns` builds `classes` once per chunk of trials and
         shares it across its fusers.
         """
-        trials, types = classes.inverse.shape[1], len(classes.hist)
-        if self._k_range is None or not _decodes_by_bound(self.m, trials, types):
+        types = len(classes.hist) if classes.present is None else np.count_nonzero(classes.present)
+        if self._k_range is None or not _decodes_by_bound(self.m, classes.inverse.shape[1], types):
             scores = self._type_scores(classes)
         else:
             scores = self._bounded_type_scores(classes)

@@ -19,11 +19,10 @@ public call returns does. The slots, per chunk of t trials on n nodes and
 * ``nodes`` (t, n): the chunk's uniforms, then its report rows, which live
   until every column has decoded the chunk (``model.stream_rows``);
 * ``found`` (t, n): the guide-table search's indices (``model._search``),
-  then ``TypeClasses``' count index, then its presence map's ranks ((n + 1)**m
-  entries);
+  then ``TypeClasses``' count index;
 * ``mask``, one byte an entry: the Byzantine nodes, then the draws the guide
-  table leaves to a full search, then ``TypeClasses``' presence map, then
-  each column's cells near their trial's score on the bound route;
+  table leaves to a full search, then each column's cells near their
+  trial's score on the bound route;
 * ``cells_f``, ``cells_g``, ``cells_i`` (2**m, t), times the key words:
   ``TypeClasses``' row counts (or node-by-node key sums), float keys (or
   one node's key rows) and keys; then ``cells_f`` holds
@@ -33,10 +32,9 @@ public call returns does. The slots, per chunk of t trials on n nodes and
 
 Every slot is sized by a chunk (``fusion.chunk_trials``), never by a row, so
 what a thread keeps does not grow with the trial count: each slot holds at
-most 8 bytes per key word and per one of ``fusion._CHUNK_CELLS`` cells, or
-per presence-map entry, which ``_CHUNK_CELLS`` also bounds. ``decisions``
-has a slot of its own, so ``decide_columns`` stays correct on a batch of
-several chunks even from ``KEPT``.
+most 8 bytes per key word and per one of ``fusion._CHUNK_CELLS`` cells.
+``decisions`` has a slot of its own, so ``decide_columns`` stays correct on
+a batch of several chunks even from ``KEPT``.
 """
 
 from __future__ import annotations

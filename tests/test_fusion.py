@@ -512,8 +512,8 @@ class TestTypeClassRoutes:
     # (2, 9), (3, 2), (2, 3) and (20, 8) have more row values than nodes, and
     # (250, 8) and (256, 8) need two key words, which a float64 product
     # cannot build exactly. (64, 6), (45, 4) and (20, 8) have too many keys
-    # for the presence map; (20, 4), (20, 5) and (44, 4) have too many for
-    # it at 40 trials, but not at a full chunk.
+    # for the universe's rank table; (20, 4), (20, 5) and (44, 4) have too
+    # many for it at 40 trials, but not at a full chunk.
     SHAPES = [(20, 4), (20, 5), (4, 2), (64, 6), (44, 4), (45, 4),
               (2, 9), (3, 2), (2, 3), (20, 8), (250, 8), (256, 8)]
     MAPPED = [(2, 9), (3, 2), (2, 3), (20, 4)]
@@ -521,8 +521,8 @@ class TestTypeClassRoutes:
     def test_predicate_edges(self):
         def routes(n, m):
             chunk = fusion._CHUNK_CELLS // (n * 2**m)
-            return (fusion._keys_from_row_counts(n, m), fusion._ranks_from_map(n, m, 40),
-                    fusion._ranks_from_map(n, m, chunk))
+            return (fusion._keys_from_row_counts(n, m), fusion._ranks_from_universe(n, m, 40),
+                    fusion._ranks_from_universe(n, m, chunk))
 
         assert {shape: routes(*shape) for shape in self.SHAPES} == {
             (20, 4): (True, False, True), (20, 5): (False, False, True),
@@ -532,9 +532,9 @@ class TestTypeClassRoutes:
             (2, 3): (False, True, True), (20, 8): (False, False, False),
             (250, 8): (False, False, False), (256, 8): (False, False, False),
         }
-        # the map needs a cell per 64 key values: 21**4 / (64 * 2**4) = 189.9 trials
-        assert not fusion._ranks_from_map(20, 4, 189)
-        assert fusion._ranks_from_map(20, 4, 190)
+        # the table needs a cell per 64 key values: 21**4 / (64 * 2**4) = 189.9 trials
+        assert not fusion._ranks_from_universe(20, 4, 189)
+        assert fusion._ranks_from_universe(20, 4, 190)
 
     @pytest.mark.parametrize("n,m", SHAPES)
     def test_routes_agree(self, monkeypatch, n, m):
@@ -548,7 +548,7 @@ class TestTypeClassRoutes:
             order = np.lexsort(native.hist[:, 1:].T)
             np.testing.assert_array_equal(order, np.arange(len(native.hist)))
         counted = fusion._keys_from_row_counts(n, m)
-        mapped = fusion._ranks_from_map(n, m, len(ints))
+        ranked = fusion._ranks_from_universe(n, m, len(ints))
         # the other builder, where its float64 product stays exact
         if counted or (n + 1) ** m <= 2**53:
             monkeypatch.setattr(fusion, "_keys_from_row_counts", lambda n, m: not counted)
@@ -556,12 +556,37 @@ class TestTypeClassRoutes:
             np.testing.assert_array_equal(forced.hist, native.hist)
             np.testing.assert_array_equal(forced.inverse, native.inverse)
             monkeypatch.undo()
-        # the other ranker, where a presence map over the key range is small
-        if mapped or (n + 1) ** m < 1 << 23:
-            monkeypatch.setattr(fusion, "_ranks_from_map", lambda n, m, trials: not mapped)
+        # the other ranker, where the universe's rank table is small. The
+        # universe lists every type and the sort only the chunk's, so the two
+        # agree on each cell's histogram, and the sort's types are the
+        # present ones, or some of them where every type counts as present
+        if ranked or (n + 1) ** m < 1 << 23:
+            monkeypatch.setattr(fusion, "_ranks_from_universe", lambda n, m, trials: not ranked)
             forced = TypeClasses(ints, n, m)
-            np.testing.assert_array_equal(forced.hist, native.hist)
-            np.testing.assert_array_equal(forced.inverse, native.inverse)
+            np.testing.assert_array_equal(forced.hist[forced.inverse], native.hist[native.inverse])
+            universal, sorted_ = (native, forced) if ranked else (forced, native)
+            assert sorted_.present is None
+            assert len(universal.hist) == math.comb(n + m, m)
+            if 40 * 2**m > fusion._DENSE_CELLS_PER_TYPE * len(universal.hist):
+                assert universal.present.all()
+            else:
+                np.testing.assert_array_equal(universal.hist[universal.present], sorted_.hist)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_universe_lists_every_type_once(self, m):
+        # every shape whose key range fits the rank table, up to n = 20
+        for n in range(1, 21):
+            if (n + 1) ** m > fusion._CHUNK_CELLS:
+                continue
+            hist, float_hist, rank = fusion._universe(n, m)
+            assert hist.shape == (math.comb(n + m, m), m + 1)
+            assert (hist >= 0).all() and (hist.sum(axis=1) == n).all()
+            keys = hist[:, 1:] @ (n + 1) ** np.arange(m)
+            # strictly ascending keys: each histogram once, in key order
+            assert (np.diff(keys) > 0).all()
+            np.testing.assert_array_equal(rank[keys], np.arange(len(hist)))
+            np.testing.assert_array_equal(float_hist, hist)
+            assert not any(a.flags.writeable for a in (hist, float_hist, rank))
 
     def test_kept_buffers_give_fresh_classes(self):
         # one thread's kept slots, taken by every shape in turn and by the
@@ -573,7 +598,9 @@ class TestTypeClassRoutes:
                 kept, fresh = TypeClasses(ints, n, m, KEPT), TypeClasses(ints, n, m)
                 np.testing.assert_array_equal(kept.hist, fresh.hist)
                 np.testing.assert_array_equal(kept.inverse, fresh.inverse)
-                np.testing.assert_array_equal(kept.keys, fresh.keys)
+                assert (kept.present is None) == (fresh.present is None)
+                if fresh.present is not None:
+                    np.testing.assert_array_equal(kept.present, fresh.present)
 
     @pytest.mark.parametrize("counted", [True, False])
     @pytest.mark.parametrize("n,m", [(3, 2), (20, 4)])
@@ -596,7 +623,7 @@ class TestTypeClassRoutes:
     @pytest.mark.parametrize("n,m", MAPPED)
     def test_mapped_shapes_never_sort(self, monkeypatch, n, m):
         def no_unique(*args, **kwargs):
-            raise AssertionError("np.unique called where the key range fits the presence map")
+            raise AssertionError("np.unique called where the key range fits the rank table")
 
         # 200 trials give every shape here a cell per 64 key values
         ints = np.random.default_rng(17).integers(0, 2**m, size=(200, n))
@@ -623,9 +650,28 @@ class TestTypeClassRoutes:
             step = fusion._CHUNK_CELLS // (n * 2**m)
             chunks = {min(step, trials - start) for start in range(0, trials, step)}
             counted.add(fusion._keys_from_row_counts(n, m))
-            mapped |= {fusion._ranks_from_map(n, m, chunk) for chunk in chunks}
+            mapped |= {fusion._ranks_from_universe(n, m, chunk) for chunk in chunks}
         assert counted == {True, False}
         assert mapped == {True, False}
+
+    def test_exact_sweep_builds_each_table_once(self):
+        # the benchmark's exact sweep visits four shapes; once one sweep has
+        # built their key tables and universes, the next builds none
+        workloads = load_perfbench("workloads")
+
+        def sweep():
+            for n, m, pmal_b, pmal_fc, (cls, args) in workloads.exact_specs():
+                model = getattr(model_module, cls)(*args)
+                exact_error_probability(
+                    ExactScenario(n, m, workloads.EPS, pmal_b, pmal_fc, model, model))
+
+        def misses():
+            return fusion._key_table.cache_info().misses, fusion._universe.cache_info().misses
+
+        sweep()
+        built = misses()
+        sweep()
+        assert misses() == built
 
 
 def count_priors(n):
@@ -659,6 +705,8 @@ class TestDecodeRoutes:
         rng = np.random.default_rng(21)
         for m in (1, 3, 5, 8):
             classes = TypeClasses(count_prior_batch(rng, model, self.N, m, 20), self.N, m)
+            # the types some cell has; a universe type outside `present` scores -inf
+            seen = np.unique(classes.inverse)
             for fuser in self.fusers(model, m):
                 exact = fuser._type_scores(classes)
                 bound = fuser._type_bounds(classes.hist)
@@ -666,7 +714,7 @@ class TestDecodeRoutes:
                 assert (exact <= bound + 1e-9).all()
                 if model in (FixedCount(0), FixedCount(self.N)):
                     # one admissible count at rate 0 or 1: the bound is the score
-                    np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(bound[seen], exact[seen], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("model", count_priors(N), ids=repr)
@@ -774,7 +822,7 @@ class TestDecodeRoutes:
 
 
 class TestTypeMemo:
-    """Count-prior fusers sum each type once and read it back bit for bit."""
+    """Count-prior fusers sum each universe type once and read it back bit for bit."""
 
     N = 7
 
@@ -782,12 +830,19 @@ class TestTypeMemo:
     @pytest.mark.parametrize("model", [FixedCount(2), FixedCount(5), BoundedBelowHalf()], ids=repr)
     def test_kept_scores_match_a_fresh_fuser(self, monkeypatch, model, m):
         rng = np.random.default_rng(40 + m)
-        # chunks drawn at several flip rates and sizes, one of a single trial
+        # chunks drawn at several flip rates and sizes, all ranked through the
+        # universe: 440 and 500 trials have more than 16 cells per universe
+        # type at every m here, and 64 to 100 trials fewer from m = 2
         chunks = []
-        for pmal_b, trials in ((0.5, 40), (0.8, 25), (1.0, 1), (0.7, 9), (0.6, 60)):
+        for pmal_b, trials in ((0.5, 64), (0.8, 500), (1.0, 100), (0.7, 440), (0.6, 70)):
             _, rows = sample_rows(rng, model, self.N, m, 0.1, pmal_b, trials)
             chunks.append(TypeClasses(rows, self.N, m))
-        distinct = np.unique(np.concatenate([c.keys for c in chunks])).shape[0]
+        assert all(c.present is not None for c in chunks)
+        dense = [c.inverse.size > fusion._DENSE_CELLS_PER_TYPE * len(c.hist) for c in chunks]
+        assert dense[1] and dense[3] and (m == 1 or not any(dense[::2]))
+        # a dense chunk counts every type as present
+        assert all(c.present.all() for c, d in zip(chunks, dense) if d)
+        distinct = np.count_nonzero(np.logical_or.reduce([c.present for c in chunks]))
         summed = []
 
         def counted(logb, logh, hist, k_lo, k_hi):
@@ -798,13 +853,19 @@ class TestTypeMemo:
         for eps, pmal_fc in ((0.1, 0.7), (0.1, 1.0), (0.0, 0.8), (0.0, 1.0)):
             asm = FusionAssumption(model, eps, pmal_fc)
             fresh = [BatchFuser(asm, self.N, m)._type_scores(c) for c in chunks]
-            # two fusers in step share each chunk's lookup; a third lags a chunk behind
+            # every universe type's score, summed in one batch
+            whole = BatchFuser(asm, self.N, m)._subset_sums(chunks[0].hist)
+            # two fusers in step; a third lags a chunk behind
             fusers = [BatchFuser(asm, self.N, m) for _ in range(3)]
             monkeypatch.setattr(fusion.dp, "subset_sums", counted)
             summed.append(0)
             for visit, i in enumerate(np.concatenate([rng.permutation(5), rng.permutation(5)])):
+                present = chunks[i].present
                 for fuser in fusers[: 2 + (visit > 0)]:
-                    assert np.array_equal(fuser._type_scores(chunks[i]), fresh[i])
+                    kept = fuser._type_scores(chunks[i])
+                    assert np.array_equal(kept[present], fresh[i][present])
+                    # a type no cell has reads its score once summed, else -inf
+                    assert (np.isneginf(kept) | (kept == whole))[~present].all()
             monkeypatch.undo()
             assert summed[-1] == 3 * distinct
 

@@ -1,13 +1,14 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from byzfusion import fusion
-from byzfusion.fusion import BatchFuser, FusionAssumption, decide_columns
+from byzfusion.fusion import BatchFuser, FusionAssumption, TypeClasses, decide_columns
 from byzfusion.game import (
     MAJORITY_VOTE,
     METRICS,
@@ -621,7 +622,7 @@ def in_fresh_thread(call):
 
 class TestKeptBuffers:
     # m = 4 by row counts, m = 8 node by node and bound-and-verify, and
-    # m = 5 at n = 10 bound-and-verify on presence-mapped chunks
+    # m = 5 at n = 10 bound-and-verify on chunks ranked through the universe
     CALLS = [
         (Scenario(20, 4, 0.1, IndependentAlpha(0.3), IndependentAlpha(0.3)), 2000),
         (Scenario(20, 8, 0.1, BoundedBelowHalf(), BoundedBelowHalf()), 120),
@@ -634,8 +635,8 @@ class TestKeptBuffers:
         # priors, then m = 5, in one thread: every slot is grown, taken at
         # other shapes and dtypes, and taken smaller than it is. Chunks of
         # 2**18 cells give rows of several chunks, last ones short, and both
-        # of TypeClasses' rankers at m = 4 (the presence map needs 190 trials
-        # a chunk). Four workers, more than the cores, switching often, would
+        # of TypeClasses' rankers at m = 4 (the universe needs 190 trials a
+        # chunk). Four workers, more than the cores, switching often, would
         # mix their chunks if threads shared a slot
         monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1 << 18)
         assert [fusion.chunk_trials(sc.n, sc.m) for sc, _ in self.CALLS] == [819, 51, 819, 819]
@@ -659,6 +660,52 @@ class TestKeptBuffers:
             sys.setswitchinterval(interval)
         # the workers=1 calls ran their rows in this thread, so it keeps slots
         assert KEPT.slots
+
+    def test_shared_fusers_match_fresh_ones_on_every_rank_route(self, monkeypatch):
+        # n = 10, m = 4 has 1,001 universe types. Chunks of 1,100 trials have
+        # more than 16 cells per type, so they count every type as present;
+        # a last chunk of 40 to 500 trials marks its types, and one of 10
+        # trials is sorted. The rows share their fusers as a payoff matrix's
+        # rows do, in 1 worker or in 3 switching often, and each
+        # row equals its decode by fusers of its own
+        n, m = 10, 4
+        monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1100 * n * 2**m)
+        routes = set()
+
+        class Recorded(TypeClasses):
+            def __init__(self, report_ints, n, m, scratch):
+                super().__init__(report_ints, n, m, scratch)
+                present = self.present
+                routes.add("sorted" if present is None else
+                           "dense" if self.inverse.size > 16 * len(present) else "sparse")
+
+        monkeypatch.setattr(fusion, "TypeClasses", Recorded)
+        sc = Scenario(n, m, 0.1, FixedCount(3), FixedCount(3))
+        # fixed and bounded priors, the last one summed in the log domain
+        assumptions = [FusionAssumption(FixedCount(3), 0.1, p) for p in (0.6, 1.0)] + [
+            FusionAssumption(BoundedBelowHalf(), 0.1, 0.8),
+            FusionAssumption(FixedCount(3), 0.0, 0.9),
+        ]
+        rows = [(pmal_b, trials, mix64(11, i)) for i, (pmal_b, trials) in enumerate(
+            [(0.5, 1600), (0.7, 2210), (0.9, 40), (1.0, 1110), (0.6, 500), (0.8, 1600)])]
+        want = [_row_errors(sc, pmal_b, [BatchFuser(a, n, m) for a in assumptions], trials, seed)
+                for pmal_b, trials, seed in rows]
+        assert routes == {"dense", "sparse", "sorted"}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 3):
+                fusers = [BatchFuser(a, n, m) for a in assumptions]
+
+                def row(args):
+                    return _row_errors(sc, args[0], fusers, args[1], args[2])
+
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    got = list(pool.map(row, rows))
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rows_match_one_block_fresh_decodes(self, monkeypatch):
         # a row streamed through the kept slots against the same draws taken
