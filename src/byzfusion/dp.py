@@ -36,7 +36,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = ["live_cells", "subset_sums", "naive_subset_sum"]
 
@@ -158,4 +157,7 @@ def naive_subset_sum(logb, logh, k):
         for i in range(n):
             acc += logb[i] if i in chosen else logh[i]
         terms[t] = acc
-    return float(logsumexp(terms))
+    top = terms.max()
+    if top == -np.inf:
+        return -math.inf
+    return float(top + np.log(np.exp(terms - top).sum()))

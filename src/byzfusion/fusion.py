@@ -76,7 +76,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import dp
 from .bits import pack_bits, unpack_bits
@@ -137,13 +136,19 @@ class FusionAssumption:
         return crossover_delta(self.eps, self.pmal_fc)
 
 
+def _xlogy(x, y):
+    # x * log(y) with 0 * log(y) = 0, also at y = 0; for y >= 0
+    if x == 0:
+        return 0.0
+    return x * math.log(y) if y > 0 else -math.inf
+
+
 def honest_log_weights(eps, m):
-    """log[(1-eps)^c * eps^(m-c)] for c = 0..m; xlogy keeps 0*log(0) = 0.
+    """log[(1-eps)^c * eps^(m-c)] for c = 0..m; 0*log(0) counts as 0.
 
     With eps set to a crossover delta, the same table is a flipping node's.
     """
-    c = np.arange(m + 1, dtype=np.float64)
-    return xlogy(c, 1.0 - eps) + xlogy(m - c, eps)
+    return np.array([_xlogy(c, 1.0 - eps) + _xlogy(m - c, eps) for c in range(m + 1)])
 
 
 def _independent_mix_weights(alpha, eps, delta_fc, m):
@@ -457,7 +462,7 @@ class BatchFuser:
         (k_lo, k_hi), n, asm = self._k_range, self.n, self.assumption
         alpha = min(max(0.5, k_lo / n), k_hi / n)
         weights = _independent_mix_weights(alpha, asm.eps, asm.delta_fc, self.m)
-        return weights, -min(xlogy(k, alpha) + xlogy(n - k, 1.0 - alpha) for k in (k_lo, k_hi))
+        return weights, -min(_xlogy(k, alpha) + _xlogy(n - k, 1.0 - alpha) for k in (k_lo, k_hi))
 
     def _bounded_type_scores(self, classes):
         # _type_scores of the types some trial could still pick, -inf elsewhere.

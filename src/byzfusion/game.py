@@ -10,10 +10,12 @@ which keeps results identical under any worker count.
 
 The solving side is standard finite zero-sum machinery: dominance checks,
 pure saddle points, and mixed equilibria via a pair of linear programs with
-a support-enumeration fallback used for cross-validation. Each two-player
-rule is written once, for the maximizer: the minimizer's dominance sweep and
-saddle test are the maximizer's on -a^T, and its LP is the maximizer's on
--b^T for the shifted matrix b.
+a support-enumeration fallback used for cross-validation. Each LP is solved
+by a small dense tableau simplex under Bland's rule (``_maximin``), with
+numpy alone; the strategies it returns certify the value from both sides,
+and the gap between the two bounds is checked. Each two-player rule is
+written once, for the maximizer: the minimizer's dominance sweep, saddle
+test and LP are the maximizer's on -a^T.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .fusion import BatchFuser, FusionAssumption, chunk_trials, decide_columns
 from .model import IndependentAlpha, mix64, placement_law, sample_rows, stream_rows
@@ -67,7 +68,11 @@ METRICS = ("per-component", "per-sequence")
 
 # estimated entries closer than this many combined standard errors count as tied
 NOISE_SIGMAS = 3.0
-_DUALITY_TOL = 1e-9  # largest LP duality gap solve_mixed accepts
+_DUALITY_TOL = 1e-9  # largest LP duality gap solve_mixed accepts, per unit of max(1, |a|)
+# the simplex pivots at most this many times per row and column of the game;
+# Bland's rule cannot cycle, so the cap only guards against rounding
+_PIVOTS_PER_LINE = 50
+_PIVOT_TOL = 1e-12  # reduced costs and pivot entries within this of 0 count as 0
 _ENUM_TOL = 1e-8  # slack of the support checks in solve_mixed_enum
 
 
@@ -462,38 +467,53 @@ def saddle_points_within_noise(pm):
 
 
 def _maximin(b):
-    # maximize v subject to b^T p >= v, p a distribution; returns (p, v)
+    # The maximizer's optimal mixture p on b, by a dense tableau simplex with
+    # Bland's rule. b is shifted and scaled to c in [1, 2], which keeps the
+    # optimal strategies. The LP max 1.y s.t. c y <= 1, y >= 0 is then
+    # feasible at the origin and bounded; at its optimum the slacks' reduced
+    # costs x solve the dual min 1.x s.t. c^T x >= 1, x >= 0, so p = x / sum(x)
+    # and c's value is 1 / sum(x) (Dantzig 1951). Raises RuntimeError at the
+    # pivot cap.
     nr, nc = b.shape
-    c = np.zeros(nr + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([-b.T, np.ones((nc, 1))]),
-        b_ub=np.zeros(nc),
-        A_eq=np.concatenate([np.ones(nr), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * nr + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"maximin LP failed: {res.message}")
-    p = np.clip(res.x[:nr], 0.0, None)
-    return p / p.sum(), res.x[-1]
+    t = np.zeros((nr + 1, nc + nr + 1))
+    t[:nr, :nc] = 1.0 + (b - b.min()) / (np.ptp(b) or 1.0)
+    t[:nr, nc:-1] = np.eye(nr)
+    t[:nr, -1] = 1.0
+    t[nr, :nc] = -1.0
+    basis = np.arange(nc, nc + nr)
+    for _ in range(_PIVOTS_PER_LINE * (nr + nc)):
+        entering = np.flatnonzero(t[nr, :-1] < -_PIVOT_TOL)
+        if entering.size == 0:
+            x = np.clip(t[nr, nc:-1], 0.0, None)
+            return x / x.sum()
+        # Bland: the first improving column, and of the rows tied for the
+        # least ratio the one whose basic variable comes first
+        j = entering[0]
+        rows = np.flatnonzero(t[:nr, j] > _PIVOT_TOL)
+        ratios = t[rows, -1] / t[rows, j]
+        ties = rows[ratios == ratios.min()]
+        i = ties[np.argmin(basis[ties])]
+        t[i] /= t[i, j]
+        col = t[:, j].copy()
+        col[i] = 0.0
+        t -= np.outer(col, t[i])
+        basis[i] = j
+    raise RuntimeError(f"simplex reached its pivot cap on a {nr}x{nc} game")
 
 
 def solve_lp_pair(a):
     """Maximin and minimax linear programs; returns (p, v_row, q, v_col).
 
-    Entries are shifted to be positive before solving (pure conditioning,
-    the shift is removed from the values). The minimizer's LP is the
-    maximizer's on -b^T for the same shifted matrix b.
+    The minimizer's LP is the maximizer's on -a^T. The values certify the
+    strategies themselves: v_row = min(p @ a) is what p guarantees and
+    v_col = max(a @ q) what q concedes, so v_row <= value <= v_col up to
+    rounding, and v_col - v_row is the duality gap of the pair. Raises
+    RuntimeError if the simplex reaches its pivot cap.
     """
     a = _entries(a)
-    shift = 1.0 - a.min()
-    b = a + shift
-    p, v = _maximin(b)
-    q, u = _maximin(-b.T)
-    return p, float(v - shift), q, float(-u - shift)
+    p = _maximin(a)
+    q = _maximin(-a.T)
+    return p, float((p @ a).min()), q, float((a @ q).max())
 
 
 @dataclass(frozen=True)
@@ -511,8 +531,9 @@ def solve_mixed(pm):
 
     A saddle point short-circuits to the degenerate mixture on its profile
     (value taken exactly from the entry). Otherwise the LP pair is solved
-    and must agree within _DUALITY_TOL; support enumeration backs it up on
-    small matrices if it does not.
+    and must agree within _DUALITY_TOL * max(1, |a|); support enumeration
+    backs it up on small matrices if it does not, or if the simplex reaches
+    its pivot cap.
     """
     a = _entries(pm)
     saddles = find_pure_equilibria(a)
@@ -523,17 +544,19 @@ def solve_mixed(pm):
         p[r] = 1.0
         q[c] = 1.0
         return Equilibrium(p=p, q=q, value=float(a[r, c]), pure=(r, c))
-    p, v_row, q, v_col = solve_lp_pair(a)
-    if abs(v_row - v_col) > _DUALITY_TOL:
-        fallback = solve_mixed_enum(a) if max(a.shape) <= 10 else None
-        if fallback is None:
-            raise RuntimeError(
-                f"LP duality gap {abs(v_row - v_col):.3e} exceeds tol and no fallback applies"
-            )
-        p, q, value = fallback
-        return Equilibrium(p=p, q=q, value=value, pure=None)
-    value = 0.5 * (v_row + v_col)
-    return Equilibrium(p=p, q=q, value=float(value), pure=None)
+    try:
+        p, v_row, q, v_col = solve_lp_pair(a)
+    except RuntimeError as err:
+        failure = str(err)
+    else:
+        if abs(v_row - v_col) <= _DUALITY_TOL * max(1.0, np.abs(a).max()):
+            return Equilibrium(p=p, q=q, value=0.5 * (v_row + v_col), pure=None)
+        failure = f"LP duality gap {abs(v_row - v_col):.3e} exceeds tol"
+    fallback = solve_mixed_enum(a) if max(a.shape) <= 10 else None
+    if fallback is None:
+        raise RuntimeError(f"{failure} and no fallback applies")
+    p, q, value = fallback
+    return Equilibrium(p=p, q=q, value=value, pure=None)
 
 
 def solve_mixed_enum(a):

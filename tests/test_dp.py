@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from byzfusion import dp
 from byzfusion.dp import live_cells, naive_subset_sum, subset_sums
@@ -100,6 +102,26 @@ class TestSubsetSum:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_naive_sum_matches_scipy_logsumexp(self):
+        # scipy's logsumexp over the same subset terms is a test-only
+        # reference for the naive sum's own: zero weights, empty sums, and
+        # terms near -4,000, whose exp underflows unless shifted
+        rng = np.random.default_rng(14)
+        cases = [(random_weights(rng, n, allow_zero=True), k)
+                 for n in range(1, 10) for k in range(n + 1) for _ in range(3)]
+        cases.append((from_linear([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]), 2))
+        cases += [(tuple(w - 800.0 for w in random_weights(rng, 5)), k) for k in range(6)]
+        for (logb, logh), k in cases:
+            n = len(logb)
+            terms = [sum(logb[i] if i in s else logh[i] for i in range(n))
+                     for s in map(set, itertools.combinations(range(n), k))]
+            want = float(logsumexp(terms))
+            got = naive_subset_sum(logb, logh, k)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_bernoulli_identity(self):
         # equal weights across nodes: f(n, k) reduces to C(n,k) b^k h^(n-k)

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import xlogy
 
 from byzfusion import fusion, model as model_module
 from byzfusion.bits import all_bit_vectors, pack_bits, unpack_bits
@@ -25,10 +26,17 @@ from byzfusion.model import (
     FixedCount,
     IndependentAlpha,
     UnconstrainedMaxEntropy,
+    crossover_delta,
     placement_law,
     sample_rows,
 )
-from byzfusion.game import MAJORITY_VOTE, Scenario, StrategyGrid, estimate_payoff_matrix
+from byzfusion.game import (
+    DEFAULT_GRID,
+    MAJORITY_VOTE,
+    Scenario,
+    StrategyGrid,
+    estimate_payoff_matrix,
+)
 from byzfusion.scratch import FRESH, KEPT
 from byzfusion.oracle import (
     ExactScenario,
@@ -144,6 +152,31 @@ class TestScores:
             w = honest_log_weights(p, 5)
             total = sum(math.comb(5, c) * math.exp(w[c]) for c in range(6))
             assert total == pytest.approx(1.0)
+
+    def test_weight_tables_are_scipy_xlogy_bits(self):
+        # scipy's xlogy is a test-only reference; the tables hold its bits,
+        # -inf at eps = 0 or 1 included
+        rates = list(np.linspace(0.0, 1.0, 201))
+        rates += [crossover_delta(eps, p) for eps in rates for p in DEFAULT_GRID]
+        for m in range(1, 13):
+            c = np.arange(m + 1, dtype=np.float64)
+            for eps in rates:
+                want = xlogy(c, 1.0 - eps) + xlogy(m - c, eps)
+                np.testing.assert_array_equal(
+                    honest_log_weights(eps, m).view(np.int64), want.view(np.int64)
+                )
+
+    def test_bound_shift_is_scipy_xlogy_bits(self):
+        # the bound's -min_k log(a^k (1 - a)^(n - k)), a clipped to [k_lo/n, k_hi/n],
+        # as scipy's xlogy gives it; a = 0 and a = 1 take 0 * log(0) = 0
+        for n in (1, 4, 9, 20):
+            models = [FixedCount(k) for k in range(n + 1)] + [BoundedBelowHalf()]
+            for model in models + [BoundedBelowHalf(k) for k in range(n)]:
+                fuser = BatchFuser(FusionAssumption(model, 0.1, 0.9), n, 2)
+                k_lo, k_hi = placement_law(model, n)[1]
+                a = min(max(0.5, k_lo / n), k_hi / n)
+                want = -min(xlogy(k, a) + xlogy(n - k, 1.0 - a) for k in (k_lo, k_hi))
+                assert np.float64(fuser._bound_terms[1]).view(np.int64) == want.view(np.int64)
 
     def test_independent_score_manual(self):
         r = np.array([[1, 0], [1, 1]], dtype=np.uint8)

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from byzfusion import fusion
+from byzfusion import fusion, game
 from byzfusion.fusion import BatchFuser, FusionAssumption, TypeClasses, decide_columns
 from byzfusion.game import (
     MAJORITY_VOTE,
@@ -392,6 +393,25 @@ class TestNoisySaddles:
             saddle_points_within_noise(pm)
 
 
+def linprog_maximin(b):
+    """(p, v): the maximizer's optimal mixture and value on b, by scipy's HiGHS."""
+    nr, nc = b.shape
+    c = np.zeros(nr + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c,
+        A_ub=np.hstack([-b.T, np.ones((nc, 1))]),
+        b_ub=np.zeros(nc),
+        A_eq=np.concatenate([np.ones(nr), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0)] * nr + [(None, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    p = np.clip(res.x[:nr], 0.0, None)
+    return p / p.sum(), res.x[-1]
+
+
 class TestSolvers:
     def test_matching_pennies(self):
         eq = solve_mixed(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -427,6 +447,51 @@ class TestSolvers:
             # best-response consistency
             assert (p @ a).min() == pytest.approx(vr, abs=1e-8)
             assert (a @ q).max() == pytest.approx(vc, abs=1e-8)
+
+    def test_lp_pair_matches_linprog(self):
+        # HiGHS through scipy is a test-only reference for the simplex, on
+        # acceptance check A10's family of games. The values agree on every
+        # game; a degenerate integer game may have several optimal
+        # strategies, and each solver may report another one, so p and q are
+        # compared on the normal games, whose equilibrium is unique
+        rng = np.random.default_rng(7)
+        for trial in range(1000):
+            nr = int(rng.integers(1, 9))
+            nc = int(rng.integers(1, 9))
+            if trial % 3 == 0:
+                a = rng.integers(-3, 5, (nr, nc)).astype(float)
+            else:
+                a = rng.normal(0.0, float(rng.uniform(0.5, 4.0)), (nr, nc))
+            p, v_row, q, v_col = solve_lp_pair(a)
+            ref_p, ref_v = linprog_maximin(a)
+            ref_q, ref_u = linprog_maximin(-a.T)
+            assert v_row == pytest.approx(ref_v, abs=1e-9)
+            assert v_col == pytest.approx(-ref_u, abs=1e-9)
+            if trial % 3:
+                np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(q, ref_q, rtol=0, atol=1e-9)
+
+    def test_duality_tolerance_scales_with_the_entries(self):
+        # large entries leave gaps of about 1e-15 relative to the entries,
+        # above an absolute 1e-9, and matrices over 10x10 have no fallback
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            a = rng.normal(size=(12, 12)) * 1e6
+            eq = solve_mixed(a)
+            _, v_row, _, v_col = solve_lp_pair(a)
+            assert eq.pure is None and v_row <= eq.value <= v_col
+
+    def test_pivot_cap_falls_back_to_enumeration(self, monkeypatch):
+        monkeypatch.setattr(game, "_PIVOTS_PER_LINE", 0)
+        pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(RuntimeError, match="pivot cap"):
+            solve_lp_pair(pennies)
+        eq = solve_mixed(pennies)
+        np.testing.assert_allclose(eq.p, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(eq.q, [0.5, 0.5], atol=1e-12)
+        assert eq.value == 0.0 and eq.pure is None
+        with pytest.raises(RuntimeError, match="pivot cap .* no fallback applies"):
+            solve_mixed(np.kron(np.eye(6), pennies))
 
     def test_enum_agrees_with_lp(self):
         rng = np.random.default_rng(9)

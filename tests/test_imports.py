@@ -1,10 +1,13 @@
 """Every name a module of the package imports is used in that module and is
-exported by the sibling it comes from, and every defaulted parameter of the
-package is set by some call."""
+exported by the sibling it comes from, every defaulted parameter of the
+package is set by some call, and the program runs without scipy."""
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "byzfusion"
@@ -32,6 +35,27 @@ def unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= exported_names(path)
     return [(line, name) for line, name in imported if name not in used]
+
+
+def test_program_loads_no_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only: a fresh interpreter that
+    # imports the command line, estimates a matrix and solves a game on the
+    # LP route loads no scipy module
+    code = (
+        "import sys\n"
+        "import byzfusion, byzfusion.cli\n"
+        "from byzfusion import FixedCount, Scenario, estimate_payoff_matrix, solve_mixed\n"
+        "scenario = Scenario(8, 2, 0.1, FixedCount(2), FixedCount(2))\n"
+        "estimate_payoff_matrix(scenario, trials=4)\n"
+        "assert solve_mixed([[1.0, 0.0], [0.0, 1.0]]).pure is None\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_unused_imports():
