@@ -16,18 +16,14 @@ At any rate a the independent prior sums every placement, each admissible
 one weighted at least min_k a^k (1 - a)^(n - k) over the admissible counts
 k, so the subset sum U of a type is bounded by one dot product:
 log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)), with a = 1/2 clipped to
-[k_lo/n, k_hi/n]. The dot products read ``TypeClasses.float_hist``, the
-float64 histograms; over the type universe a fuser takes its bounds once.
-Bound-and-verify decoding uses it for the count priors:
+[k_lo/n, k_hi/n], read off ``TypeClasses.float_hist``, the float64
+histograms. Bound-and-verify decoding uses it for the count priors:
 the type of each trial's largest bound is scored exactly, which gives a
 score L_t that trial t reaches, and the subset sums run only on types with
 a cell whose bound is within ``_BOUND_MARGIN`` (1e-6) of its trial's L_t.
 Every other cell scores below its trial's maximum by more than the margin,
 which is far above ``SCORE_TIE_TOL`` plus rounding, so it is outside the
 tie band and reading it as -inf picks the same hypothesis.
-``_decodes_by_bound`` takes this route from the chunk's shape and type
-count alone: from m = 5 up, on at least ``_BOUND_MIN_TYPES`` types with at
-most ``_BOUND_CELLS_PER_TYPE`` cells each.
 
 Ties are broken toward the lexicographically smallest sequence: any
 hypothesis scoring within ``SCORE_TIE_TOL`` of the maximum counts as tied.
@@ -62,7 +58,9 @@ small against the chunk (``_ranks_from_universe``), a cached table ranks
 each key among all C(n + m, m) histograms of n nodes (``_universe``), and a
 count-prior fuser, one per column of a payoff matrix or per oracle call,
 sums a type only on the first chunk that has it. Elsewhere ``np.unique``
-sorts the keys and each chunk's types are summed whole. ``dp.subset_sums``
+sorts the keys and each chunk's types are summed whole, or, at any m where
+``_decodes_by_bound`` says so (at least ``_BOUND_MIN_TYPES`` types with at
+most ``_BOUND_CELLS_PER_TYPE`` cells each), bound first. ``dp.subset_sums``
 gives a type the same bits in any batch, so a kept score is the one a fresh
 fuser would sum. Cells are stored hypothesis-major, (2**m, T):
 ``decide_ints`` gathers them in that layout and ``argmax_lex`` reduces over
@@ -109,7 +107,7 @@ _CACHED_SHAPES = 4
 # a count-prior cell whose upper bound falls this far below a score its trial
 # already reaches is left unscored; far above SCORE_TIE_TOL plus rounding
 _BOUND_MARGIN = 1e-6
-# bounding pays only on chunks with at least this many types, and at most
+# bounding a sorted chunk pays only on at least this many types, and at most
 # this many cells per type; at n = 20 it broke even from 1,000 to 1,550
 # types for the bounded prior and from 1,750 to 2,250 for fixed:6 (m = 5
 # to 8), and from 11 to 17 cells per type (m = 5 and 6)
@@ -181,8 +179,8 @@ def argmax_lex(scores, axis=-1):
 def fuse(reports, assumption):
     """MAP state sequence for one report matrix (n, m), shape (m,) uint8.
 
-    :func:`decide_columns` applied to a batch of one, so m is capped at
-    BatchFuser.MAX_M.
+    :func:`decide_columns` applied to a batch of one, so m lies in
+    [1, BatchFuser.MAX_M].
     """
     reports = np.asarray(reports)
     if reports.ndim != 2:
@@ -190,6 +188,19 @@ def fuse(reports, assumption):
     n, m = reports.shape
     decision = decide_columns([BatchFuser(assumption, n, m)], pack_bits(reports)[None])[0, 0]
     return unpack_bits(decision, m)
+
+
+def _check_m(m):
+    if not 1 <= m <= BatchFuser.MAX_M:
+        raise ValueError(f"m={m} lies outside [1, {BatchFuser.MAX_M}], the BatchFuser cap")
+
+
+def _as_report_ints(report_ints):
+    # contiguous int64; the cast would truncate or relabel a float, bool or object array
+    dtype = np.asarray(report_ints).dtype
+    if dtype.kind not in "iu":
+        raise ValueError(f"report ints must have an integer dtype, not {dtype}")
+    return np.ascontiguousarray(report_ints, dtype=np.int64)
 
 
 def _keys_from_row_counts(n, m):
@@ -212,17 +223,15 @@ def _ranks_from_universe(n, m, trials):
     return (n + 1) ** m <= min(_CHUNK_CELLS, _TABLE_ENTRIES_PER_CELL * trials * 2**m)
 
 
-def _decodes_by_bound(m, trials, types):
-    """Whether a count prior's BatchFuser scores only the types its bound leaves open.
+def _decodes_by_bound(cells, types):
+    """Whether a count prior's BatchFuser bounds a sorted chunk of `cells` cells and `types` types.
 
-    Bounding costs passes over all 2**m * trials cells and a second, smaller
-    subset-sum call, and saves the sums of the types it rules out. It pays
-    from m = 5 up, on at least _BOUND_MIN_TYPES types with at most
-    _BOUND_CELLS_PER_TYPE cells each; with fewer types the extra call, and
-    with more repeats the extra passes, cost more than they save.
+    Bounding costs passes over every cell and a second, smaller subset-sum
+    call, and saves the sums of the types it rules out. Below _BOUND_MIN_TYPES
+    types the extra call, and above _BOUND_CELLS_PER_TYPE cells per type the
+    extra passes, cost more than they save; m does not enter.
     """
-    cells = 2**m * trials
-    return m >= 5 and types >= _BOUND_MIN_TYPES and cells <= _BOUND_CELLS_PER_TYPE * types
+    return types >= _BOUND_MIN_TYPES and cells <= _BOUND_CELLS_PER_TYPE * types
 
 
 @functools.lru_cache(maxsize=_CACHED_SHAPES)
@@ -288,10 +297,10 @@ class TypeClasses:
     type, shape (types, m + 1), with a float64 copy ``float_hist``, and
     ``inverse`` maps each cell to its type, hypothesis-major, shape (2**m, T).
     One instance can be shared by every BatchFuser that decodes the same
-    batch. A report int outside [0, 2**m) is a ValueError on either key
-    route. ``inverse`` and the work arrays come from `scratch`
-    (``scratch.FRESH`` or ``scratch.KEPT``); from ``KEPT`` the instance is
-    valid until the thread's next build.
+    batch. Non-integer reports, a report int outside [0, 2**m) and an m
+    outside [1, BatchFuser.MAX_M] are ValueErrors. ``inverse`` and the work
+    arrays come from `scratch` (``scratch.FRESH`` or ``scratch.KEPT``); from
+    ``KEPT`` the instance is valid until the thread's next build.
 
     Keys are built from :func:`_key_table` by row counts or node by node
     (``_keys_from_row_counts``). Where ``_ranks_from_universe`` says so, the
@@ -303,7 +312,8 @@ class TypeClasses:
     """
 
     def __init__(self, report_ints, n, m, scratch=FRESH):
-        report_ints = np.asarray(report_ints, dtype=np.int64)
+        _check_m(m)
+        report_ints = _as_report_ints(report_ints)
         if report_ints.ndim != 2 or report_ints.shape[1] != n:
             raise ValueError("report_ints must be (trials, n)")
         # read as unsigned, a negative int lies above 2**63, so one max finds
@@ -384,18 +394,17 @@ class BatchFuser:
     :func:`byzfusion.dp.subset_sums`, keeping one score per universe type;
     :meth:`_subset_sums` is their one call into it.
 
-    Where ``_decodes_by_bound`` says so (m >= 5, at least 1536 types and at
-    most 16 cells per type), the count priors first bound every type from
-    above by the independent prior (:meth:`_type_bounds`) and sum only the
-    types that can still come within the tie band of their trial's maximum
+    On a chunk that ``np.unique`` ranked, where ``_decodes_by_bound`` says so
+    (at least 1536 types, at most 16 cells per type), the count priors bound
+    every type from above (:meth:`_type_bounds`) and sum only the types that
+    can still come within the tie band of their trial's maximum
     (:meth:`_bounded_type_scores`); the decisions are the same.
     """
 
     MAX_M = 12
 
     def __init__(self, assumption, n, m):
-        if m > self.MAX_M:
-            raise ValueError(f"m={m} exceeds the BatchFuser cap {self.MAX_M}")
+        _check_m(m)
         # the admissible Byzantine counts (k_lo, k_hi); None for independent priors
         alpha, self._k_range = placement_law(assumption.model, n)
         self.assumption = assumption
@@ -432,13 +441,7 @@ class BatchFuser:
         return dp.subset_sums(self._logb, self._logh, hist, *self._k_range)
 
     def _type_bounds(self, hist):
-        """An upper bound on the subset priors' :meth:`_type_scores` of each type of `hist`.
-
-        log U <= H . w_a - min_k log(a^k (1 - a)^(n - k)) over the admissible
-        counts k, where w_a are the independent prior's weights at rate a:
-        P_a sums every placement, and weights each admissible one at least
-        that minimum.
-        """
+        """The module docstring's upper bound on :meth:`_type_scores`, per type of `hist`."""
         weights, shift = self._bound_terms
         return _hist_dot(hist, weights) + shift
 
@@ -451,11 +454,6 @@ class BatchFuser:
         return np.full(types, -np.inf), np.zeros(types, dtype=bool)
 
     @functools.cached_property
-    def _bounds(self):
-        # _type_bounds of every universe type, the same on each universe chunk
-        return self._type_bounds(_universe(self.n, self.m)[1])
-
-    @functools.cached_property
     def _bound_terms(self):
         # w_a and -min_k log(a^k (1 - a)^(n - k)) at a = 1/2 clipped to
         # [k_lo/n, k_hi/n]; made on first use
@@ -465,13 +463,13 @@ class BatchFuser:
         return weights, -min(_xlogy(k, alpha) + _xlogy(n - k, 1.0 - alpha) for k in (k_lo, k_hi))
 
     def _bounded_type_scores(self, classes):
-        # _type_scores of the types some trial could still pick, -inf elsewhere.
+        # _type_scores of a sorted chunk's types some trial could pick, else -inf.
         # Each trial's bound-argmax type is scored exactly, giving a score L_t
         # the trial reaches; then every type with a cell whose bound is within
         # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
         # margin below its trial's maximum, so outside the tie band.
         inverse, scratch = classes.inverse, classes.scratch
-        bounds = self._type_bounds(classes.float_hist) if classes.present is None else self._bounds
+        bounds = self._type_bounds(classes.float_hist)
         cell_bounds = bounds.take(
             inverse, out=scratch.take("cells_g", inverse.shape, np.float64), mode="clip"
         )
@@ -494,7 +492,7 @@ class BatchFuser:
 
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
-        report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
+        report_ints = _as_report_ints(report_ints)
         out = np.empty((report_ints.shape[0], 2**self.m))
         for rows, classes in _typed_chunks(report_ints, self.n, self.m):
             out[rows] = self._type_scores(classes)[classes.inverse].T
@@ -509,11 +507,11 @@ class BatchFuser:
         :func:`decide_columns` builds `classes` once per chunk of trials and
         shares it across its fusers.
         """
-        types = len(classes.hist) if classes.present is None else np.count_nonzero(classes.present)
-        if self._k_range is None or not _decodes_by_bound(self.m, classes.inverse.shape[1], types):
-            scores = self._type_scores(classes)
-        else:
+        if (self._k_range is not None and classes.present is None
+                and _decodes_by_bound(classes.inverse.size, len(classes.hist))):
             scores = self._bounded_type_scores(classes)
+        else:
+            scores = self._type_scores(classes)
         # every type index is in range, and mode="clip" keeps take from
         # buffering its output
         cells = scores.take(
@@ -536,7 +534,7 @@ def decide_columns(fusers, report_ints, scratch=FRESH):
     n, m = fusers[0].n, fusers[0].m
     if any((f.n, f.m) != (n, m) for f in fusers):
         raise ValueError("fusers must share n and m")
-    report_ints = np.ascontiguousarray(report_ints, dtype=np.int64)
+    report_ints = _as_report_ints(report_ints)
     out = scratch.take("decisions", (len(fusers), report_ints.shape[0]), np.int64)
     for rows, classes in _typed_chunks(report_ints, n, m, scratch):
         for j, fuser in enumerate(fusers):

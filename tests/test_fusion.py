@@ -653,6 +653,41 @@ class TestTypeClassRoutes:
             with pytest.raises(ValueError, match=rf"\[0, {2**m}\)"):
                 decide_columns([fuser], ints)
 
+    def test_m_outside_the_cap_is_rejected(self, monkeypatch):
+        # m = 0 once failed with an IndexError in _key_table, BatchFuser took
+        # m = -1, and TypeClasses had no cap: at m = 13 it built a 512 MiB key
+        # table before anything checked. The check now comes first
+        def unbuilt(n, m):
+            raise AssertionError(f"key table built at m = {m}")
+
+        monkeypatch.setattr(fusion, "_key_table", unbuilt)
+        asm = FusionAssumption(FixedCount(1), 0.1, 0.8)
+        for m in (0, -1, BatchFuser.MAX_M + 1):
+            with pytest.raises(ValueError, match=r"outside \[1, 12\]"):
+                BatchFuser(asm, 3, m)
+            with pytest.raises(ValueError, match=r"outside \[1, 12\]"):
+                TypeClasses(np.zeros((2, 3), dtype=np.int64), 3, m)
+        with pytest.raises(ValueError, match=r"outside \[1, 12\]"):
+            fuse(np.zeros((3, 0), dtype=np.int64), asm)
+
+    def test_non_integer_reports_are_rejected(self):
+        # the int64 cast once truncated floats: [[0.5, 1.9, 3.2]] decoded as
+        # the reports 0, 1 and 3. Whole-valued floats and bools are refused too
+        fuser = BatchFuser(FusionAssumption(FixedCount(1), 0.1, 0.8), 3, 2)
+        for bad in ([[0.5, 1.9, 3.2]], [[0.0, 1.0, 3.0]], [[False, True, True]]):
+            bad = np.array(bad)
+            for call in (lambda: TypeClasses(bad, 3, 2), lambda: decide_columns([fuser], bad),
+                         lambda: fuser.scores(bad)):
+                with pytest.raises(ValueError, match="integer dtype"):
+                    call()
+        with pytest.raises(ValueError, match="integer dtype"):
+            decide_columns([fuser], np.array([[0, 1, 3]], dtype=object))
+        # integer dtypes of any width, and lists of ints, decode alike
+        want = decide_columns([fuser], np.array([[0, 1, 3]]))
+        for good in ([[0, 1, 3]], np.array([[0, 1, 3]], np.uint8), np.array([[0, 1, 3]], np.int16)):
+            np.testing.assert_array_equal(decide_columns([fuser], good), want)
+            np.testing.assert_array_equal(fuser.scores(good), fuser.scores(np.array([[0, 1, 3]])))
+
     @pytest.mark.parametrize("n,m", MAPPED)
     def test_mapped_shapes_never_sort(self, monkeypatch, n, m):
         def no_unique(*args, **kwargs):
@@ -722,6 +757,29 @@ def count_prior_batch(rng, model, n, m, trials):
     return np.concatenate([drawn, uniform])
 
 
+def record_routes(monkeypatch):
+    """The routes of the count-prior type scorings from here on, one entry a call.
+
+    "full" is a whole-chunk score, "bound" bound-and-verify on a sorted chunk,
+    and "bound-universe" bound-and-verify on a chunk ranked through the universe.
+    """
+    routes = []
+    full, bound = BatchFuser._type_scores, BatchFuser._bounded_type_scores
+
+    def full_recorded(self, classes):
+        if self._k_range is not None:
+            routes.append("full")
+        return full(self, classes)
+
+    def bound_recorded(self, classes):
+        routes.append("bound" if classes.present is None else "bound-universe")
+        return bound(self, classes)
+
+    monkeypatch.setattr(BatchFuser, "_type_scores", full_recorded)
+    monkeypatch.setattr(BatchFuser, "_bounded_type_scores", bound_recorded)
+    return routes
+
+
 class TestDecodeRoutes:
     """Count priors decode the same by full scoring and by bound-and-verify."""
 
@@ -760,12 +818,18 @@ class TestDecodeRoutes:
             scored[-1] += len(hist)
             return subset_sums(logb, logh, hist, k_lo, k_hi)
 
+        # the batch is sorted at every m: a chunk ranked through the universe
+        # never bounds, and would read the fusers' kept scores the second time
+        monkeypatch.setattr(fusion, "_ranks_from_universe", lambda n, m, trials: False)
         monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+        routes = record_routes(monkeypatch)
         decided = []
         for bounded in (False, True):
-            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda m, trials, types: bounded)
+            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: bounded)
             scored.append(0)
+            routes.clear()
             decided.append(decide_columns(fusers, ints))
+            assert routes == ["bound" if bounded else "full"] * len(fusers)
         np.testing.assert_array_equal(decided[1], decided[0])
         # bound-and-verify scores each type at most once, and skips some from m = 3
         assert scored[1] <= scored[0]
@@ -782,21 +846,14 @@ class TestDecodeRoutes:
             sizes.append(len(hist))
             return subset_sums(logb, logh, hist, k_lo, k_hi)
 
-        routes = []
-        by_bound = fusion._decodes_by_bound
-
-        def recorded(m, trials, types):
-            routes.append(by_bound(m, trials, types))
-            return routes[-1]
-
         monkeypatch.setattr(fusion.dp, "subset_sums", counted)
-        monkeypatch.setattr(fusion, "_decodes_by_bound", recorded)
+        routes = record_routes(monkeypatch)
         grid = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
         fusers = [BatchFuser(FusionAssumption(BoundedBelowHalf(), 0.1, p), n, m) for p in grid]
         for i, pmal_b in enumerate(grid):
             rng = np.random.default_rng(i)
             decide_columns(fusers, sample_rows(rng, BoundedBelowHalf(), n, m, 0.1, pmal_b, 100)[1])
-        assert routes == [True] * len(grid) ** 2
+        assert routes == ["bound"] * len(grid) ** 2
         # a call per row and column for its lead types, and not always a second
         assert len(grid) ** 2 <= len(sizes) < 2 * len(grid) ** 2
         assert 0 not in sizes
@@ -807,35 +864,28 @@ class TestDecodeRoutes:
         fusers = self.fusers(BoundedBelowHalf(), m)
         whole = decide_columns(fusers, ints)
         builds = count_type_class_builds(monkeypatch, chunk_cells=7 * self.N * 2**m)
+        routes = record_routes(monkeypatch)
         for bounded in (False, True):
-            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda m, trials, types: bounded)
+            monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: bounded)
             np.testing.assert_array_equal(decide_columns(fusers, ints), whole)
         assert builds == 2 * ([7] * 7 + [1])
+        # chunks of 7 trials sort their keys at m = 5 and 8, so the forced
+        # route bounds every chunk
+        assert routes == ["full" if i < 8 * len(fusers) else "bound" for i in range(len(routes))]
+        assert len(routes) == 16 * len(fusers)
 
     def test_predicate_edges(self):
         route = fusion._decodes_by_bound
-        # m <= 4 scores every type, however many there are and few cells share one
-        assert not any(route(m, 1536 // 2**m, 1536) for m in range(1, 5))
-        assert route(5, 1536 // 2**5, 1536)
-        # from m = 5, bounding needs at least _BOUND_MIN_TYPES = 1536 types
-        # and at most _BOUND_CELLS_PER_TYPE = 16 cells per type
+        # at any m, bounding needs at least _BOUND_MIN_TYPES = 1536 types and
+        # at most _BOUND_CELLS_PER_TYPE = 16 cells, 2**m per trial, per type
         assert (fusion._BOUND_MIN_TYPES, fusion._BOUND_CELLS_PER_TYPE) == (1536, 16)
-        assert route(5, 768, 1536) and not route(5, 769, 1536)
-        assert route(5, 700, 1536) and not route(5, 700, 1535)
-        assert route(8, 96, 1536) and not route(8, 97, 1536)
-        assert route(8, 90, 1536) and not route(8, 90, 1535)
-        assert route(12, 6, 1536) and not route(12, 7, 1536)
+        for m, trials in ((1, 12288), (4, 1536), (8, 96), (12, 6)):
+            assert route(2**m * trials, 1536) and not route(2**m * (trials + 1), 1536)
+            assert route(2**m * (trials - 1), 1536) and not route(2**m * (trials - 1), 1535)
 
     def test_benchmark_decodes_by_both_routes(self, monkeypatch):
         workloads = load_perfbench("workloads")
-        routes = []
-        route = fusion._decodes_by_bound
-
-        def recorded(m, trials, types):
-            routes.append(route(m, trials, types))
-            return routes[-1]
-
-        monkeypatch.setattr(fusion, "_decodes_by_bound", recorded)
+        routes = record_routes(monkeypatch)
         grid = StrategyGrid(workloads.GRID)
         taken = {}
         for name, ((cls, args), m, trials, *_) in workloads.PAYOFF.items():
@@ -844,14 +894,43 @@ class TestDecodeRoutes:
             estimate_payoff_matrix(Scenario(workloads.N, m, workloads.EPS, model, model),
                                    grid, grid, trials=trials, seed=1)
             taken[name] = set(routes)
-        # independent priors never ask
-        assert taken == {"indep-m4": set(), "fixed6-m4": {False}, "bounded-m8": {True}}
+        # an independent prior takes neither count-prior route
+        assert taken == {"indep-m4": set(), "fixed6-m4": {"full"}, "bounded-m8": {"bound"}}
         routes.clear()
         for n, m, pmal_b, pmal_fc, (cls, args) in workloads.exact_specs():
             model = getattr(model_module, cls)(*args)
             scenario = ExactScenario(n, m, workloads.EPS, pmal_b, pmal_fc, model, model)
             exact_error_probability(scenario)
-        assert routes and not any(routes)
+        assert set(routes) == {"full"}
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_universe_chunks_never_bound(self, monkeypatch, m):
+        # a chunk ranked through the universe reads the fusers' kept scores,
+        # even where _decodes_by_bound would say yes
+        ints = count_prior_batch(np.random.default_rng(30 + m), BoundedBelowHalf(), self.N, m, 30)
+        assert fusion._ranks_from_universe(self.N, m, len(ints))
+        want = decide_columns(self.fusers(BoundedBelowHalf(), m), ints)
+        fusers = self.fusers(BoundedBelowHalf(), m)
+        monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: True)
+        routes = record_routes(monkeypatch)
+        np.testing.assert_array_equal(decide_columns(fusers, ints), want)
+        assert routes == ["full"] * len(fusers)
+
+    def test_sorted_chunks_bound_below_m5(self, monkeypatch):
+        # n = 60, m = 4, fixed:20 at 300 trials a row: each row is one sorted
+        # chunk of more than 1536 types, so all 36 decodes bound, and the
+        # payoff matrix is the bits full scoring gives
+        sc = Scenario(60, 4, 0.1, FixedCount(20), FixedCount(20))
+        grid = StrategyGrid(DEFAULT_GRID)
+        routes = record_routes(monkeypatch)
+        got = estimate_payoff_matrix(sc, grid, grid, trials=300, seed=1)
+        assert routes == ["bound"] * 36
+        monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: False)
+        routes.clear()
+        want = estimate_payoff_matrix(sc, grid, grid, trials=300, seed=1)
+        assert routes == ["full"] * 36
+        for field in ("pe_component", "pe_sequence", "se_component", "se_sequence"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestTypeMemo:

@@ -686,8 +686,9 @@ def in_fresh_thread(call):
 
 
 class TestKeptBuffers:
-    # m = 4 by row counts, m = 8 node by node and bound-and-verify, and
-    # m = 5 at n = 10 bound-and-verify on chunks ranked through the universe
+    # m = 4 by row counts, m = 8 node by node and bound-and-verify on sorted
+    # chunks, and m = 5 at n = 10 on chunks ranked through the universe, which
+    # read the fusers' kept scores and never bound
     CALLS = [
         (Scenario(20, 4, 0.1, IndependentAlpha(0.3), IndependentAlpha(0.3)), 2000),
         (Scenario(20, 8, 0.1, BoundedBelowHalf(), BoundedBelowHalf()), 120),
@@ -778,6 +779,14 @@ class TestKeptBuffers:
         # an array that overwrote another's slot while it was still read
         # would change the decisions here, in any thread
         monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1 << 18)
+        bounded = set()
+        bound = BatchFuser._bounded_type_scores
+
+        def recorded(self, classes):
+            bounded.add((self.m, classes.scratch is KEPT))
+            return bound(self, classes)
+
+        monkeypatch.setattr(BatchFuser, "_bounded_type_scores", recorded)
         for sc, trials in self.CALLS:
             fusers = [BatchFuser(FusionAssumption(sc.fc_model, sc.eps, p), sc.n, sc.m)
                       for p in (0.5, 0.8, 1.0)]
@@ -787,3 +796,5 @@ class TestKeptBuffers:
                 states, rows = simulate_row(sc, pmal_b, trials, np.random.default_rng(mix64(9, i)))
                 want = _error_stats(decide_columns(fresh, rows), states, sc.m)
                 np.testing.assert_array_equal(got, want)
+        # the m = 8 rows bound in the kept slots, and their fresh decodes outside
+        assert bounded == {(8, True), (8, False)}
