@@ -55,14 +55,19 @@ arrays (``scratch.FRESH``) through the same code.
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
 number (``_key_table``), and equal keys form a type. Where the key range is
 small against the chunk (``_ranks_from_universe``), a cached table ranks
-each key among all C(n + m, m) histograms of n nodes (``_universe``), and a
-count-prior fuser, one per column of a payoff matrix or per oracle call,
-sums a type only on the first chunk that has it. Elsewhere ``np.unique``
-sorts the keys and each chunk's types are summed whole, or, at any m where
-``_decodes_by_bound`` says so (at least ``_BOUND_MIN_TYPES`` types with at
-most ``_BOUND_CELLS_PER_TYPE`` cells each), bound first. ``dp.subset_sums``
-gives a type the same bits in any batch, so a kept score is the one a fresh
-fuser would sum. Cells are stored hypothesis-major, (2**m, T):
+each key among all C(n + m, m) histograms of n nodes (``_universe``), and
+every fuser, one per column of a payoff matrix or per oracle call, reads
+one score table over that universe, kept for its life. An independent prior
+fills it whole on first use; a count prior sums a type only on the first
+chunk that has it, reading the chunk's presence marks (made on first read)
+until its table holds every type. Elsewhere ``np.unique`` sorts the keys
+and each chunk's types are scored whole, or, for a count prior at any m
+where ``_decodes_by_bound`` says so (at least ``_BOUND_MIN_TYPES`` types
+with at most ``_BOUND_CELLS_PER_TYPE`` cells each), bound first.
+``dp.subset_sums``, and the bin-by-bin sum that scores independent types
+(``_hist_sum``), give a type the same bits in any batch, so a kept score is
+the one a fresh fuser would compute, and one report scores as it does in a
+batch. Cells are stored hypothesis-major, (2**m, T):
 ``decide_ints`` gathers them in that layout and ``argmax_lex`` reduces over
 axis 0, across contiguous rows of trials, with no transposed copy.
 """
@@ -280,10 +285,24 @@ def _universe(n, m):
 
 
 def _hist_dot(hist, w):
-    # sum_c H[c] * w[c] per row; an empty bin adds 0 even where w[c] = -inf
+    # sum_c H[c] * w[c] per row; an empty bin adds 0 even where w[c] = -inf.
+    # The BLAS product may round a row differently in another batch, so only
+    # the bounds use it
     finite = np.isfinite(w)
     out = hist @ np.where(finite, w, 0.0)
     out[(hist[:, ~finite] > 0).any(axis=1)] = -np.inf
+    return out
+
+
+def _hist_sum(hist, w):
+    # _hist_dot summed bin by bin, c = 0..m in turn, so that a row's bits do
+    # not depend on the batch it is in
+    out = np.zeros(hist.shape[0])
+    for c, w_c in enumerate(w.tolist()):
+        if w_c > -math.inf:
+            out += hist[:, c] * w_c
+        else:
+            out[hist[:, c] > 0] = -math.inf
     return out
 
 
@@ -303,12 +322,14 @@ class TypeClasses:
     ``KEPT`` the instance is valid until the thread's next build.
 
     Keys are built from :func:`_key_table` by row counts or node by node
-    (``_keys_from_row_counts``). Where ``_ranks_from_universe`` says so, the
-    rank table of :func:`_universe` ranks them into its ``hist``, and
-    ``present`` marks the types some cell has, or all on more than
-    ``_DENSE_CELLS_PER_TYPE`` cells per type. Elsewhere ``np.unique`` ranks
-    them, ``hist`` holds the chunk's types, and ``present`` is None. Either
-    way one-word keys rank ascending, lexicographic on (H[m], ..., H[1]).
+    (``_keys_from_row_counts``). Where ``_ranks_from_universe`` says so,
+    ``universal`` is True and the rank table of :func:`_universe` ranks them
+    into its ``hist``; ``present``, made on first read and kept, marks the
+    types some cell has, or all on more than ``_DENSE_CELLS_PER_TYPE`` cells
+    per type, so a chunk whose fusers never read it skips the scatter.
+    Elsewhere ``np.unique`` ranks them, ``hist`` holds the chunk's types, and
+    ``present`` is None. Either way one-word keys rank ascending,
+    lexicographic on (H[m], ..., H[1]).
     """
 
     def __init__(self, report_ints, n, m, scratch=FRESH):
@@ -349,16 +370,13 @@ class TypeClasses:
                     word += word_table.take(r_i, axis=0, out=add, mode="clip")
             keys = scratch.take("cells_i", (table.shape[0], 2**m * trials), np.int64)
             keys.reshape(table.shape[0], 2**m, trials)[...] = acc.transpose(0, 2, 1)
-        if _ranks_from_universe(n, m, trials):
+        self.universal = _ranks_from_universe(n, m, trials)
+        if self.universal:
             self.hist, self.float_hist, rank = _universe(n, m)
             # every key is a histogram's, and mode="clip" keeps take from
             # buffering its output
             inverse = scratch.take("cells_f", keys[0].shape, np.intp)
             rank.take(keys[0], out=inverse, mode="clip")
-            dense = inverse.size > _DENSE_CELLS_PER_TYPE * self.hist.shape[0]
-            self.present = np.full(self.hist.shape[0], dense)
-            if not dense:
-                self.present[inverse] = True
         else:
             if keys.shape[0] == 1:
                 uniq, inverse = np.unique(keys[0], return_inverse=True)
@@ -374,9 +392,24 @@ class TypeClasses:
                 hist[:, c] = uniq[word] - q * (n + 1)
                 uniq[word] = q
             hist[:, 0] = n - hist[:, 1:].sum(axis=1)
-            self.hist, self.float_hist, self.present = hist, hist.astype(np.float64), None
+            self.hist, self.float_hist = hist, hist.astype(np.float64)
         self.inverse = inverse.reshape(cells)
         self.scratch = scratch
+        self._present = None
+
+    @property
+    def present(self):
+        """On a universe chunk, a mark of each type some cell has; else None.
+
+        A dense chunk marks every type. Made on first read, from ``inverse``,
+        so from ``KEPT`` it must be read before the thread's next build.
+        """
+        if self._present is None and self.universal:
+            dense = self.inverse.size > _DENSE_CELLS_PER_TYPE * self.hist.shape[0]
+            self._present = np.full(self.hist.shape[0], dense)
+            if not dense:
+                self._present[self.inverse] = True
+        return self._present
 
 
 class BatchFuser:
@@ -389,10 +422,13 @@ class BatchFuser:
     Decoding goes by type class (see :class:`TypeClasses`): the match-count
     histograms of a batch are scored, not its cells, and each (trial,
     hypothesis) cell then reads its type's score. Independent priors score a
-    type as H . w. Fixed-count and bounded priors sum the subset-weighted
-    likelihood over the admissible Byzantine counts with
-    :func:`byzfusion.dp.subset_sums`, keeping one score per universe type;
-    :meth:`_subset_sums` is their one call into it.
+    type as H . w, summed bin by bin. Fixed-count and bounded priors sum the
+    subset-weighted likelihood over the admissible Byzantine counts with
+    :func:`byzfusion.dp.subset_sums`; :meth:`_subset_sums` is their one call
+    into it. On universe-ranked chunks every fuser reads one score table over
+    the universe, which it keeps for its life: an independent prior's is
+    filled whole on first use, a count prior's type by type as chunks bring
+    them.
 
     On a chunk that ``np.unique`` ranked, where ``_decodes_by_bound`` says so
     (at least 1536 types, at most 16 cells per type), the count priors bound
@@ -421,19 +457,22 @@ class BatchFuser:
 
         For the subset priors this is the log of P(r | s) times the number
         of admissible placements; :meth:`scores` divides that out. On a
-        universe chunk one call sums the present types not summed before, and
-        the fuser's kept scores come back, for reading only; a type not yet
-        summed, which no cell has, reads -inf.
+        universe chunk the fuser's kept table of universe type scores comes
+        back, for reading only. An independent prior fills it whole on first
+        use. A subset prior sums the present types not summed before, so a
+        type not yet summed, which no cell has, reads -inf; once every type
+        is summed, it reads no more presence marks.
         """
-        if self._k_range is None:
-            return _hist_dot(classes.float_hist, self._weights)
-        if classes.present is None:
+        if not classes.universal:
+            if self._k_range is None:
+                return _hist_sum(classes.float_hist, self._weights)
             return self._subset_sums(classes.hist)
         scores, summed = self._memo
-        new = np.flatnonzero(classes.present & ~summed)
-        if new.shape[0]:
-            scores[new] = self._subset_sums(classes.hist[new])
-            summed[new] = True
+        if summed is not None and not summed.all():
+            new = np.flatnonzero(classes.present & ~summed)
+            if new.shape[0]:
+                scores[new] = self._subset_sums(classes.hist[new])
+                summed[new] = True
         return scores
 
     def _subset_sums(self, hist):
@@ -447,9 +486,13 @@ class BatchFuser:
 
     @functools.cached_property
     def _memo(self):
-        # the count priors' score of each universe type, -inf until summed, and
-        # a mark of the types summed, written in place by the threads sharing
-        # the fuser: a type is marked once its batch-invariant sum is written
+        # the score of each universe type and a mark of the types summed. An
+        # independent prior sums them all at once and keeps no marks; a subset
+        # prior's read -inf until summed, written in place by the threads
+        # sharing the fuser: a type is marked once its batch-invariant sum is
+        # written
+        if self._k_range is None:
+            return _hist_sum(_universe(self.n, self.m)[1], self._weights), None
         types = math.comb(self.n + self.m, self.m)
         return np.full(types, -np.inf), np.zeros(types, dtype=bool)
 
@@ -507,7 +550,7 @@ class BatchFuser:
         :func:`decide_columns` builds `classes` once per chunk of trials and
         shares it across its fusers.
         """
-        if (self._k_range is not None and classes.present is None
+        if (self._k_range is not None and not classes.universal
                 and _decodes_by_bound(classes.inverse.size, len(classes.hist))):
             scores = self._bounded_type_scores(classes)
         else:

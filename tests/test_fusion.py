@@ -35,6 +35,7 @@ from byzfusion.game import (
     MAJORITY_VOTE,
     Scenario,
     StrategyGrid,
+    estimate_payoff_and_majority,
     estimate_payoff_matrix,
 )
 from byzfusion.scratch import FRESH, KEPT
@@ -451,7 +452,8 @@ class TestBatchFuser:
 
     @pytest.mark.parametrize("m", [1, 4, 8])
     def test_independent_scores_from_the_float_histogram_are_bitwise(self, m):
-        # the shared float64 histogram gives the int64 histogram's H . w bit for bit
+        # the shared float64 histogram gives the int64 histogram's H . w bit
+        # for bit, summed bin by bin
         rng = np.random.default_rng(16)
         n = 20
         for model in (UnconstrainedMaxEntropy(), IndependentAlpha(0.3)):
@@ -459,7 +461,7 @@ class TestBatchFuser:
             classes = TypeClasses(rows, n, m)
             for eps, pfc in ((0.1, 0.8), (0.0, 1.0), (0.3, 0.0)):
                 fuser = BatchFuser(FusionAssumption(model, eps, pfc), n, m)
-                want = fusion._hist_dot(classes.hist, fuser._weights)
+                want = fusion._hist_sum(classes.hist, fuser._weights)
                 assert np.array_equal(fuser._type_scores(classes), want)
 
     def test_scores_match_log_score(self):
@@ -628,12 +630,19 @@ class TestTypeClassRoutes:
         for n, m in self.SHAPES + self.SHAPES[:2]:
             for trials in (40, 7):
                 ints = rng.integers(0, 2**m, size=(trials, n))
-                kept, fresh = TypeClasses(ints, n, m, KEPT), TypeClasses(ints, n, m)
+                # presence is made on first read, from the kept inverse, so
+                # read it before the next build
+                kept = TypeClasses(ints, n, m, KEPT)
+                kept_present = kept.present
+                fresh = TypeClasses(ints, n, m)
                 np.testing.assert_array_equal(kept.hist, fresh.hist)
                 np.testing.assert_array_equal(kept.inverse, fresh.inverse)
-                assert (kept.present is None) == (fresh.present is None)
+                assert kept.universal == fresh.universal == (fresh.present is not None)
+                assert (kept_present is None) == (fresh.present is None)
                 if fresh.present is not None:
-                    np.testing.assert_array_equal(kept.present, fresh.present)
+                    np.testing.assert_array_equal(kept_present, fresh.present)
+                    # made once, then kept on the instance
+                    assert kept.present is kept_present
 
     @pytest.mark.parametrize("counted", [True, False])
     @pytest.mark.parametrize("n,m", [(3, 2), (20, 4)])
@@ -772,7 +781,7 @@ def record_routes(monkeypatch):
         return full(self, classes)
 
     def bound_recorded(self, classes):
-        routes.append("bound" if classes.present is None else "bound-universe")
+        routes.append("bound-universe" if classes.universal else "bound")
         return bound(self, classes)
 
     monkeypatch.setattr(BatchFuser, "_type_scores", full_recorded)
@@ -983,16 +992,116 @@ class TestTypeMemo:
 
     @pytest.mark.parametrize("n", [N, 17])
     def test_chunk_scores_do_not_depend_on_the_batch(self, n):
-        # every type of a chunk, summed in the chunk's batch and in batches of
-        # one; at n = 17 the bounded prior sums 9 counts
+        # every type of a sorted chunk, scored in the chunk's batch and in
+        # batches of one; at n = 17 the bounded prior sums 9 counts
         rng = np.random.default_rng(41)
-        for model in (FixedCount(3), BoundedBelowHalf()):
+        for model in (FixedCount(3), BoundedBelowHalf(), IndependentAlpha(0.3),
+                      UnconstrainedMaxEntropy()):
             for eps in (0.1, 0.0):
                 fuser = BatchFuser(FusionAssumption(model, eps, 0.9), n, 6)
                 _, rows = sample_rows(rng, model, n, 6, 0.1, 0.8, 30)
-                hist = TypeClasses(rows, n, 6).hist
-                alone = np.concatenate([fuser._subset_sums(h[None]) for h in hist])
-                assert np.array_equal(fuser._subset_sums(hist), alone)
+                classes = TypeClasses(rows, n, 6)
+                assert not classes.universal
+                if fuser._k_range is None:
+                    alone = [fusion._hist_sum(h[None], fuser._weights) for h in classes.hist]
+                else:
+                    alone = [fuser._subset_sums(h[None]) for h in classes.hist]
+                assert np.array_equal(fuser._type_scores(classes), np.concatenate(alone))
+
+
+def count_presence_reads(monkeypatch):
+    """The route flag of each TypeClasses whose `present` is read from here on, one a read."""
+    reads = []
+    present = TypeClasses.present.fget
+
+    def counted(self):
+        reads.append(self.universal)
+        return present(self)
+
+    monkeypatch.setattr(TypeClasses, "present", property(counted))
+    return reads
+
+
+class TestUniverseTables:
+    """On universe-ranked chunks every fuser reads one score table over the universe."""
+
+    INDEPENDENT = [FusionAssumption(model, eps, pfc)
+                   for model in (IndependentAlpha(0.3), UnconstrainedMaxEntropy())
+                   for eps, pfc in ((0.1, 0.8), (0.0, 1.0), (0.3, 0.0))] + [MAJORITY_VOTE]
+
+    def test_independent_table_is_filled_once(self, monkeypatch):
+        # three universe-ranked batches: every fuser sums the universe once,
+        # bit for bit its types' scores, and sums nothing more
+        n, m = 20, 4
+        hist_sum, sums = fusion._hist_sum, []
+
+        def counted(hist, w):
+            sums.append(len(hist))
+            return hist_sum(hist, w)
+
+        monkeypatch.setattr(fusion, "_hist_sum", counted)
+        rng = np.random.default_rng(50)
+        fusers = [BatchFuser(a, n, m) for a in self.INDEPENDENT]
+        for pmal_b, trials in ((0.8, 1500), (1.0, 700), (0.6, 300)):
+            assert fusion._ranks_from_universe(n, m, trials)
+            _, rows = sample_rows(rng, IndependentAlpha(0.3), n, m, 0.1, pmal_b, trials)
+            decide_columns(fusers, rows)
+        universe = fusion._universe(n, m)[0]
+        assert sums == [len(universe)] * len(fusers)
+        for fuser in fusers:
+            assert np.array_equal(fuser._memo[0], hist_sum(universe, fuser._weights))
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_one_report_scores_as_in_its_batch(self, model):
+        # 400 trials rank through the universe and one trial sorts, and each
+        # trial's scores are the same bits either way
+        n, m = 20, 4
+        assert fusion._ranks_from_universe(n, m, 400)
+        assert not fusion._ranks_from_universe(n, m, 1)
+        _, rows = sample_rows(np.random.default_rng(51), model, n, m, 0.1, 0.8, 400)
+        for eps, pfc in ((0.1, 0.8), (0.0, 1.0)):
+            fuser = BatchFuser(FusionAssumption(model, eps, pfc), n, m)
+            batch = fuser.scores(rows)
+            for t in range(0, 400, 25):
+                assert np.array_equal(fuser.scores(rows[t : t + 1])[0], batch[t])
+
+    def test_independent_decodes_never_compute_presence(self, monkeypatch):
+        # a payoff matrix of sparse universe chunks, 600 trials a row: the
+        # independent columns and majority read no presence mark; a fixed
+        # prior's columns read one per column and row, none of them complete
+        n, m = 20, 4
+        assert fusion._ranks_from_universe(n, m, 600)
+        reads = count_presence_reads(monkeypatch)
+        model = IndependentAlpha(0.3)
+        grid = StrategyGrid(DEFAULT_GRID)
+        estimate_payoff_and_majority(Scenario(n, m, 0.1, model, model), grid, grid, 600, 1,
+                                     "per-component", 1)
+        assert reads == []
+        model = FixedCount(6)
+        estimate_payoff_matrix(Scenario(n, m, 0.1, model, model), grid, grid, trials=600, seed=1)
+        assert reads == [True] * 36
+
+    @pytest.mark.parametrize("model", [FixedCount(2), BoundedBelowHalf()], ids=repr)
+    def test_full_count_table_reads_no_presence(self, monkeypatch, model):
+        # n = 7, m = 3 has 120 universe types: a sparse chunk of 20 trials
+        # reads its marks, a dense one of 250 sums every type, and after it
+        # no chunk reads presence, and each reads the whole universe's scores
+        n, m = 7, 3
+        rng = np.random.default_rng(52)
+        sparse, dense = (TypeClasses(sample_rows(rng, model, n, m, 0.1, 0.8, t)[1], n, m)
+                         for t in (20, 250))
+        assert sparse.universal and dense.universal
+        assert not sparse.present.all() and dense.present.all()
+        reads = count_presence_reads(monkeypatch)
+        fuser = BatchFuser(FusionAssumption(model, 0.1, 0.9), n, m)
+        whole = fuser._subset_sums(dense.hist)
+        fuser.decide_ints(sparse)
+        fuser.decide_ints(dense)
+        assert len(reads) == 2
+        for classes in (sparse, dense, sparse):
+            fuser.decide_ints(classes)
+            assert np.array_equal(fuser._type_scores(classes), whole)
+        assert len(reads) == 2
 
 
 def test_tracer_counts_every_decoded_trial():

@@ -741,9 +741,10 @@ class TestKeptBuffers:
         class Recorded(TypeClasses):
             def __init__(self, report_ints, n, m, scratch):
                 super().__init__(report_ints, n, m, scratch)
-                present = self.present
-                routes.add("sorted" if present is None else
-                           "dense" if self.inverse.size > 16 * len(present) else "sparse")
+                # the route flag and the cell count, not `present`, which
+                # the fusers make on first read
+                routes.add("sorted" if not self.universal else
+                           "dense" if self.inverse.size > 16 * len(self.hist) else "sparse")
 
         monkeypatch.setattr(fusion, "TypeClasses", Recorded)
         sc = Scenario(n, m, 0.1, FixedCount(3), FixedCount(3))
