@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import BatchFuser, FusionAssumption, chunk_trials, decide_columns
-from .model import IndependentAlpha, mix64, placement_law, sample_rows, stream_rows
+from .model import IndependentAlpha, mix64, placement_law, stream_rows
 from .scratch import KEPT
 
 __all__ = [
@@ -244,22 +244,22 @@ def _error_stats(decisions, states, m):
     """(4, C): rows pe_component, pe_sequence, se_component, se_sequence, a column per decoder.
 
     decisions (C, T) and states (T,) are packed. Standard errors use ddof=1,
-    or ddof=0 for a single trial. Each column's errors pass, one metric at a
-    time, through one lane of T floats, by the steps of ``errors.mean`` and
-    ``errors.std`` over ``trial_errors``: the same sums in the same order, so
-    the same bits, without a (2, C, T) array.
+    or ddof=0 for a single trial. Each column's errors, read off the table
+    ``trial_errors(np.arange(2**m), m)`` as the oracle reads them, pass one
+    metric at a time through a lane of T floats, by the steps of ``mean``
+    and ``std``: the same sums in the same order, so the same bits.
     """
     trials = states.shape[0]
     ddof = 1 if trials > 1 else 0
+    table = trial_errors(np.arange(2**m), m)
     stats = np.empty((4, decisions.shape[0]))
     diff = np.empty(trials, dtype=np.int64)
-    wrong = np.empty(trials, dtype=np.uint8)
     lane = np.empty(trials)
     for c, column in enumerate(decisions):
-        np.bitwise_count(np.bitwise_xor(column, states, out=diff), out=wrong)
-        # METRICS order, with the errors trial_errors gives
-        stats[0::2, c] = _mean_and_se(np.divide(wrong, m, out=lane), ddof)
-        stats[1::2, c] = _mean_and_se(np.not_equal(wrong, 0, out=lane), ddof)
+        np.bitwise_xor(column, states, out=diff)
+        # every diff is below 2**m, and mode="clip" keeps take from buffering
+        for metric, errors in enumerate(table):
+            stats[metric::2, c] = _mean_and_se(errors.take(diff, out=lane, mode="clip"), ddof)
     return stats
 
 
@@ -277,18 +277,16 @@ def fmt(v):
     return f"{v:.6g}"
 
 
-def simulate_row(scenario, pmal_b, trials, rng, step=None):
-    """Draw all realizations for one row, packed: states (T,) and node rows (T, n).
+def simulate_row(scenario, pmal_b, trials, rng):
+    """One row's draws, packed: states (T,) and ``model.stream_rows``' chunks.
 
-    With `step`, the node rows come as ``model.stream_rows``' chunks instead,
-    `step` trials at a time in this thread's kept buffers, from the same draws.
+    The chunks hold ``fusion.chunk_trials`` trials each, in this thread's
+    kept buffers; ``model.sample_rows`` draws the same as two new arrays.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     args = (rng, scenario.true_model, scenario.n, scenario.m, scenario.eps, pmal_b, trials)
-    if step is None:
-        return sample_rows(*args)
-    return stream_rows(*args, step, KEPT)
+    return stream_rows(*args, chunk_trials(scenario.n, scenario.m), KEPT)
 
 
 def _row_errors(scenario, pmal_b, fusers, trials, row_seed):
@@ -296,8 +294,7 @@ def _row_errors(scenario, pmal_b, fusers, trials, row_seed):
     # Each chunk is drawn, then decoded by every column, in kept buffers; the
     # row keeps only its packed decisions, < 2**m <= 2**12
     rng = np.random.default_rng(row_seed)
-    step = chunk_trials(scenario.n, scenario.m)
-    states, chunks = simulate_row(scenario, pmal_b, trials, rng, step)
+    states, chunks = simulate_row(scenario, pmal_b, trials, rng)
     decisions = np.empty((len(fusers), trials), dtype=np.uint16)
     for block, rows in chunks:
         decisions[:, block] = decide_columns(fusers, rows, KEPT)

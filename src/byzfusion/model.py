@@ -41,7 +41,7 @@ row order. :func:`stream_rows` draws the uniforms, and searches them, a
 chunk of trials at a time into the buffers it is given: the generator's
 stream is sequential, so any chunk size gives the same rows. The payoff
 game streams its rows through buffers kept per thread (``scratch.KEPT``),
-and :func:`sample_rows` draws one chunk of fresh arrays.
+and :func:`sample_rows` draws one chunk of fresh arrays and keeps none.
 
 The sampler is a pure function of the generator handed to it, so a run is
 reproducible from its seed alone.
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scratch import FRESH, KEPT
+from .scratch import FRESH
 
 __all__ = [
     "crossover_delta",
@@ -181,7 +181,7 @@ def _pattern_cdf(pmf):
     return cum / cum[-1]
 
 
-def _search(cdf, u):
+def _search(cdf, u, scratch):
     """``np.searchsorted(cdf, u, side="right")`` for u in [0, ceil(cdf[-1])), by guide table.
 
     An exact indexed search (Chen & Asau 1974; Devroye 1986, sec. III.2.4).
@@ -190,7 +190,7 @@ def _search(cdf, u):
     has that many entries at or below it, unless an entry lies strictly
     inside the bucket; such buckets are marked -1, and only their draws are
     searched. Scaling by 2**B is exact. u is scaled in place, and the result
-    is a view of this thread's kept ``found`` slot, valid until the next call.
+    is `scratch`'s ``found`` slot, which ``KEPT`` reuses at the next search.
     """
     scale = 2.0**_GUIDE_BITS
     buckets = int(np.ceil(cdf[-1])) << _GUIDE_BITS
@@ -204,10 +204,10 @@ def _search(cdf, u):
     # each bucket index is read before its own slot is written, so the
     # lookup can land in the index array; every index is in range, and
     # mode="clip" keeps take from buffering its output
-    found = KEPT.take("found", u.shape, np.intp)
+    found = scratch.take("found", u.shape, np.intp)
     np.copyto(found, u, casting="unsafe")
     table.take(found, out=found, mode="clip")
-    slow = np.flatnonzero(np.less(found, 0, out=KEPT.take("mask", u.shape, bool)))
+    slow = np.flatnonzero(np.less(found, 0, out=scratch.take("mask", u.shape, bool)))
     found.reshape(-1)[slow] = np.searchsorted(cdf, u.reshape(-1)[slow] / scale, side="right")
     return found
 
@@ -216,7 +216,7 @@ def sample_rows(rng, model, n, m, eps, pmal_b, count):
     """count trials of one network, packed as ``bits.pack_bits`` packs: (states, rows).
 
     states has shape (count,) and rows (count, n), both int64 and new, drawn
-    as the module docstring says: :func:`stream_rows` in one chunk.
+    as the module docstring says: :func:`stream_rows` in one fresh chunk.
     """
     states, chunks = stream_rows(rng, model, n, m, eps, pmal_b, count, max(count, 1), FRESH)
     _, rows = next(chunks)
@@ -230,7 +230,7 @@ def stream_rows(rng, model, n, m, eps, pmal_b, count, step, scratch):
     holds more than one, are drawn at once. ``chunks`` then yields (trials,
     rows) for consecutive slices of at most `step` trials, drawing each
     chunk's uniforms as it goes. The generator's stream is sequential, so the
-    draws are the same at any `step`. The uniforms, and rows (t, n) int64,
+    draws are the same at any `step`. Its work arrays, and rows (t, n) int64,
     come from `scratch`; from ``KEPT``, rows are valid until the next chunk.
     The Byzantines' uniforms are shifted up by 1 into the flipped channel's
     CDF, which follows the honest one in one table.
@@ -256,7 +256,7 @@ def stream_rows(rng, model, n, m, eps, pmal_b, count, step, scratch):
             k = np.empty((count, 1), dtype=np.intp)
             for block in blocks:
                 u = rng.random(out=scratch.take("nodes", k[block, 0].shape, np.float64))
-                k[block, 0] = _search(k_cdf, u)
+                k[block, 0] = _search(k_cdf, u, scratch)
             k += k_lo
         cdf = np.concatenate([_pattern_cdf(honest), 1.0 + _pattern_cdf(flipped)])
     return states, _node_rows(rng, cdf, states, k, n, m, blocks, scratch)
@@ -276,6 +276,7 @@ def _node_rows(rng, cdf, states, k, n, m, blocks, scratch):
             # probability > 0
             np.minimum(u, np.nextafter(2.0, 0.0), out=u)
         # the uniforms are spent once searched, so their slot takes the rows
-        rows = np.bitwise_and(_search(cdf, u), 2**m - 1, out=scratch.take("nodes", shape, np.int64))
+        found = _search(cdf, u, scratch)
+        rows = np.bitwise_and(found, 2**m - 1, out=scratch.take("nodes", shape, np.int64))
         rows ^= states[block, None]
         yield block, rows

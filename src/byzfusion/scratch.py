@@ -7,8 +7,8 @@ next chunk pays a page fault for every page again. ``KEPT`` keeps one byte
 buffer per named slot in each thread instead, grown to the largest size
 asked so far and never shrunk, and hands out views of it. ``FRESH`` has the
 same ``take`` and returns a new array each time; callers whose arrays
-outlive the call (``fusion.fuse``, ``BatchFuser.scores``, the oracle, and
-``model.sample_rows``' results) use it.
+outlive the call (``fusion.fuse``, ``BatchFuser.scores``, the oracle and
+``model.sample_rows``) take every work array from it, and keep nothing.
 
 A view of a kept slot is valid until the next ``take`` of that slot in the
 same thread, so arrays share a slot only where their lifetimes do not
@@ -18,8 +18,8 @@ public call returns does. The slots, per chunk of t trials on n nodes and
 
 * ``nodes`` (t, n): the chunk's uniforms, then its report rows, which live
   until every column has decoded the chunk (``model.stream_rows``);
-* ``found`` (t, n): the guide-table search's indices (``model._search``),
-  then ``TypeClasses``' count index;
+* ``found`` (t, n): the guide-table search's indices (``model._search``, in
+  ``stream_rows``' scratch), then ``TypeClasses``' count index;
 * ``mask``, one byte an entry: the Byzantine nodes, then the draws the guide
   table leaves to a full search, then each column's cells near their
   trial's score on the bound route;

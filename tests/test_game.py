@@ -39,6 +39,7 @@ from byzfusion.model import (
     IndependentAlpha,
     UnconstrainedMaxEntropy,
     mix64,
+    sample_rows,
 )
 from byzfusion.oracle import ExactScenario, exact_error_probability
 from byzfusion.scratch import KEPT
@@ -105,16 +106,22 @@ class TestGridAndMatrix:
 
 
 class TestSimulation:
-    def test_simulate_row_shapes_and_determinism(self):
+    def test_simulate_row_shapes_and_determinism(self, monkeypatch):
+        # chunks of 7 trials, the last one short; joined, they are the arrays
+        # sample_rows draws from the same generator
         sc = small_scenario()
-        s1, r1 = simulate_row(sc, 0.7, 50, np.random.default_rng(3))
-        s2, r2 = simulate_row(sc, 0.7, 50, np.random.default_rng(3))
+        monkeypatch.setattr(fusion, "_CHUNK_CELLS", 7 * sc.n * 2**sc.m)
+        states, chunks = simulate_row(sc, 0.7, 50, np.random.default_rng(3))
+        blocks = [(block, rows.copy()) for block, rows in chunks]
+        assert [block.start for block, _ in blocks] == list(range(0, 50, 7))
+        rows = np.concatenate([chunk for _, chunk in blocks])
         # packed: one int per trial's states and per node row
-        assert s1.shape == (50,) and r1.shape == (50, 5)
-        assert s1.dtype == r1.dtype == np.int64
-        assert 0 <= min(s1.min(), r1.min()) and max(s1.max(), r1.max()) < 2**2
-        np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_array_equal(r1, r2)
+        assert states.shape == (50,) and rows.shape == (50, 5)
+        assert states.dtype == rows.dtype == np.int64
+        assert 0 <= min(states.min(), rows.min()) and max(states.max(), rows.max()) < 2**2
+        want = sample_rows(np.random.default_rng(3), sc.true_model, sc.n, sc.m, sc.eps, 0.7, 50)
+        np.testing.assert_array_equal(states, want[0])
+        np.testing.assert_array_equal(rows, want[1])
 
     def test_estimate_matrix_shapes(self):
         pm = estimate_payoff_matrix(small_scenario(), trials=300, seed=1)
@@ -794,7 +801,13 @@ class TestKeptBuffers:
             fresh = [BatchFuser(f.assumption, sc.n, sc.m) for f in fusers]
             for i, pmal_b in enumerate((0.6, 1.0)):
                 got = _row_errors(sc, pmal_b, fusers, trials, mix64(9, i))
-                states, rows = simulate_row(sc, pmal_b, trials, np.random.default_rng(mix64(9, i)))
+                args = (sc.true_model, sc.n, sc.m, sc.eps, pmal_b, trials)
+                states, rows = sample_rows(np.random.default_rng(mix64(9, i)), *args)
+                # the row's kept chunks, joined, are the same draws
+                rng = np.random.default_rng(mix64(9, i))
+                streamed, chunks = simulate_row(sc, pmal_b, trials, rng)
+                np.testing.assert_array_equal(streamed, states)
+                np.testing.assert_array_equal(np.concatenate([c.copy() for _, c in chunks]), rows)
                 want = _error_stats(decide_columns(fresh, rows), states, sc.m)
                 np.testing.assert_array_equal(got, want)
         # the m = 8 rows bound in the kept slots, and their fresh decodes outside

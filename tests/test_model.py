@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from byzfusion.model import (
 )
 from byzfusion.model import _GUIDE_BITS, _pattern_cdf, _search
 from byzfusion.oracle import enumerate_placements, exact_likelihood
-from byzfusion.scratch import KEPT
+from byzfusion.scratch import FRESH, KEPT
 
 
 class TestCrossover:
@@ -441,6 +442,20 @@ class TestStreamedRows:
             np.testing.assert_array_equal(a, b)
             assert not any(np.shares_memory(a, c) for c in [*second, *kept, *KEPT.slots.values()])
 
+    def test_sample_rows_keeps_nothing(self):
+        # sample_rows takes every work array fresh, the search's too, so what
+        # a thread keeps does not grow with the trials it draws
+        kept = []
+
+        def draw():
+            sample_rows(np.random.default_rng(4), FixedCount(6), 20, 4, 0.1, 0.8, 200_000)
+            kept.append({slot: buf.nbytes for slot, buf in KEPT.slots.items()})
+
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join(timeout=300)
+        assert not thread.is_alive() and kept == [{}]
+
 
 def searched_tables(m):
     """The CDFs sample_rows searches at m, with repeated entries among them.
@@ -476,7 +491,7 @@ def search_probes(cdf):
     return probes[(probes >= 0.0) & (probes < top)]
 
 
-def plain_search(cdf, u):
+def plain_search(cdf, u, scratch):
     return np.searchsorted(cdf, u, side="right")
 
 
@@ -489,15 +504,16 @@ class TestGuideSearch:
             assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] in (1.0, 2.0)
             u = search_probes(cdf)
             assert u.size > 2 ** (_GUIDE_BITS + 1)
-            np.testing.assert_array_equal(_search(cdf, u.copy()), plain_search(cdf, u))
+            want = plain_search(cdf, u, FRESH)
+            np.testing.assert_array_equal(_search(cdf, u.copy(), FRESH), want)
 
     def test_keeps_shape_and_scales_in_place(self):
         cdf = searched_tables(3)[1]
         u = np.random.default_rng(0).random((40, 7)) * 2.0
         scaled = u.copy()
-        found = _search(cdf, scaled)
+        found = _search(cdf, scaled, FRESH)
         assert found.shape == (40, 7) and found.dtype == np.intp
-        np.testing.assert_array_equal(found, plain_search(cdf, u))
+        np.testing.assert_array_equal(found, plain_search(cdf, u, FRESH))
         np.testing.assert_array_equal(scaled, u * 2**_GUIDE_BITS)
 
     @pytest.mark.parametrize(
