@@ -2,13 +2,14 @@
 
 ``byte_contract.json`` holds the SHA-256 of every file that ``byzfusion
 payoff``, ``equilibrium`` and ``compare`` write for each config of CONFIGS
-(eps 0.1, seed 7, both 6-point grids), and the error probability of each
+(eps 0.1 where a config names no other, seed 7, both 6-point grids), and the error probability of each
 of the benchmark's exact-sweep scenarios under both metrics, as
 ``float.hex``. The tests recompute them in process, the files at --workers
 1 and 2. Together the configs decode by every route: chunks ranked through
 the type universe, dense and sparse; sorted chunks, scored whole and
-bounded; keys built by row counts and node by node. Their games are solved
-both by a saddle point and by the LP pair.
+bounded; keys built by row counts and node by node; subset sums in the
+ratio domain, in the log domain, and in both across one matrix's columns.
+Their games are solved both by a saddle point and by the LP pair.
 
 numpy's float64 ``exp`` and ``log`` round differently on different SIMD
 targets. So the exact values are compared bit for bit only where numpy
@@ -25,6 +26,7 @@ import json
 import math
 import pathlib
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -41,8 +43,19 @@ from test_fusion import load_perfbench, record_routes
 
 CONTRACT = pathlib.Path(__file__).with_name("byte_contract.json")
 SEED = 7
-# (n, m, true_model, trials); the fusion center assumes the true model
-CONFIGS = [
+
+
+class Config(NamedTuple):
+    """A payoff config; the fusion center assumes the true model."""
+
+    n: int
+    m: int
+    model: str
+    trials: int
+    eps: float = 0.1
+
+
+CONFIGS = [Config(*config) for config in [
     (20, 4, "fixed:6", 3000),
     (20, 4, "fixed:8", 3000),
     (20, 4, "bounded", 3000),
@@ -62,7 +75,10 @@ CONFIGS = [
     # too few trials for the universe, and too few types to bound: sorted
     # chunks of a count prior, scored whole
     (20, 4, "fixed:6", 100),
-]
+    # every row bounds its sorted chunks, and the columns sum in the ratio
+    # domain at pmal_fc 0.5 and 0.6 and in the log domain at 0.7 to 1.0
+    (80, 6, "bounded", 200, 0.06),
+]]
 SUBCOMMANDS = ("payoff", "equilibrium", "compare")
 ROUTES = {
     "universe-dense", "universe-sparse", "sorted", "sorted-full", "sorted-bound",
@@ -71,16 +87,16 @@ ROUTES = {
 
 
 def config_key(config):
-    n, m, model, trials = config
-    return f"n={n} m={m} {model} trials={trials}"
+    key = f"n={config.n} m={config.m} {config.model} trials={config.trials}"
+    return key if config.eps == 0.1 else f"{key} eps={config.eps}"
 
 
 def file_digests(config, workers, tmp):
     """{subcommand/file: SHA-256} of what the three subcommands write for `config`."""
-    n, m, model, trials = config
     tmp.mkdir()
     cfg = tmp / "run.cfg"
-    cfg.write_text(f"n = {n}\nm = {m}\ntrue_model = {model}\ntrials = {trials}\nseed = {SEED}\n")
+    cfg.write_text(f"n = {config.n}\nm = {config.m}\neps = {config.eps}\n"
+                   f"true_model = {config.model}\ntrials = {config.trials}\nseed = {SEED}\n")
     digests = {}
     for sub in SUBCOMMANDS:
         out = tmp / sub
