@@ -23,8 +23,12 @@ across the batch (a few, top first, where one slice would outgrow the
 cache), with the same floating-point operations per cell as a count-by-count
 loop. No operation mixes the multisets of a batch or depends on their
 position, so a multiset's sum is bitwise the same in any batch, which lets a
-decoder keep it. It works on linear Byzantine/honest likelihood ratios while
-they stay far from overflow and underflow, and in the log domain otherwise.
+decoder keep it. The multisets of one batch may read different weight
+tables, one per weight group (a decoder's guesses of the flip rate, one per
+payoff column), so one call sums them all. Each group works on linear
+Byzantine/honest likelihood ratios while they stay far from overflow and
+underflow, and in the log domain otherwise, as it would in a call of its
+own: a batch whose groups differ runs once per domain.
 
 :func:`naive_subset_sum` enumerates the subsets one by one; it is the
 independent reference the recursion is checked against.
@@ -64,21 +68,32 @@ def live_cells(n, k_lo, k_hi):
         yield i, range(min(k_hi, i + 1), max(0, k_lo - n + i), -1)
 
 
-def subset_sums(logb, logh, hist, k_lo, k_hi):
+def subset_sums(logb, logh, hist, k_lo, k_hi, group=None):
     """log sum_{k=k_lo..k_hi} f(n, k) for a batch of node multisets, shape (batch,).
 
     hist[t, c] nodes of multiset t sit in bin c, shape (batch, bins), and each
-    row counts the same n nodes; a node in bin c has log weights logb[c] and
-    logh[c]. The recursion adds each multiset's nodes in ascending bin order.
+    row counts the same n nodes. The weights come in G groups, logb and logh
+    of shape (G, bins): a node of multiset t in bin c has log weights
+    logb[group[t], c] and logh[group[t], c]. Weights of shape (bins,) with no
+    `group` are one group. The recursion adds each multiset's nodes in
+    ascending bin order.
 
-    When every honest weight is positive and the Byzantine/honest ratios stay
-    far from overflow and underflow (headroom below _RATIO_HEADROOM), the
-    recursion runs on elementary symmetric polynomials of the linear ratios
-    b/h, after factoring out the all-honest product hist @ logh. Otherwise
-    (degenerate eps or delta) it runs in the log domain, where a zero weight
-    enters as -inf. Both give the same sums up to rounding.
+    A group whose honest weights are all positive, and whose Byzantine/honest
+    ratios stay far from overflow and underflow (headroom below
+    _RATIO_HEADROOM), runs the recursion on elementary symmetric polynomials
+    of the linear ratios b/h, after factoring out the all-honest product
+    hist @ logh. Any other group (degenerate eps or delta) runs in the log
+    domain, where a zero weight enters as -inf. Both give the same sums up to
+    rounding. A batch whose groups take both domains is split in two, so
+    each multiset gets the operations, and the bits, of a call with its group
+    alone.
     """
+    logb, logh = np.atleast_2d(logb), np.atleast_2d(logh)
     batch, bins = hist.shape
+    if group is None:
+        group = np.zeros(batch, dtype=np.intp)
+    elif batch and not 0 <= group.min() <= group.max() < logb.shape[0]:
+        raise ValueError(f"group indices must lie in [0, {logb.shape[0]})")
     # the nodes in each multiset; hist.sum(axis=1) is 2-5x slower on short rows
     sizes = np.einsum("tc->t", hist)
     # an empty batch has no n to check k_hi against; its sums are empty anyway
@@ -87,40 +102,75 @@ def subset_sums(logb, logh, hist, k_lo, k_hi):
         raise ValueError(f"need 0 <= k_lo <= k_hi <= {n}, got [{k_lo}, {k_hi}]")
     if (sizes != n).any():
         raise ValueError("every multiset of a batch must count the same number of nodes")
-    # counts[i, t]: the bin of node i of multiset t, uint8 up to 255 bins
-    labels = np.tile(np.arange(bins, dtype=np.min_scalar_type(bins)), batch)
+    # counts[i, t]: the weight index, group * bins + bin, of node i of
+    # multiset t; uint8 up to 255 of them
+    labels = np.arange(bins) + bins * group[:, None]
+    labels = labels.astype(np.min_scalar_type(logb.size)).ravel()
     counts = np.ascontiguousarray(np.repeat(labels, hist.ravel()).reshape(batch, n).T)
     with np.errstate(invalid="ignore"):
         ratios = logb - logh
-    finite = np.isfinite(ratios)
-    headroom = np.inf
-    if np.isfinite(logh).all():
-        widest = np.abs(ratios[finite]).max(initial=0.0)
-        headroom = math.lgamma(n + 1) - math.lgamma(k_hi + 1) - math.lgamma(n - k_hi + 1)
-        # a product of up to k_hi ratios; one ratio must fit even when k_hi = 0
-        headroom += max(k_hi, 1) * widest
+    log_comb = math.lgamma(n + 1) - math.lgamma(k_hi + 1) - math.lgamma(n - k_hi + 1)
+    in_ratio = [_takes_ratios(r, h, log_comb, k_hi) for r, h in zip(ratios.tolist(), logh.tolist())]
+    if all(in_ratio):
+        return _ratio_sums(ratios, logh, hist, group, counts, k_lo, k_hi)
+    if not any(in_ratio):
+        return _log_sums(logb, logh, counts, k_lo, k_hi)
+    # no operation mixes multisets, so each part sums as a batch of its own
+    out = np.empty(batch)
+    part = np.array(in_ratio)[group]
+    out[part] = _ratio_sums(ratios, logh, hist[part], group[part], counts[:, part], k_lo, k_hi)
+    out[~part] = _log_sums(logb, logh, counts[:, ~part], k_lo, k_hi)
+    return out
+
+
+def _takes_ratios(ratios, logh, log_comb, k_hi):
+    # whether one group sums in the ratio domain: its honest weights are all
+    # positive, and log C(n, k_hi) + k_hi * max|log(b/h)|, the log of its
+    # largest product of ratios, stays below _RATIO_HEADROOM (one ratio must
+    # fit even when k_hi = 0). A group has a few weights, so Python floats
+    # are quicker than numpy here
+    if not all(map(math.isfinite, logh)):
+        return False
+    widest = max((abs(r) for r in ratios if math.isfinite(r)), default=0.0)
+    return log_comb + max(k_hi, 1) * widest < _RATIO_HEADROOM
+
+
+def _slices(k_hi, batch):
     # Each node updates its live counts ks a slice of `rows` counts at a time,
-    # top slice first. Every right-hand side reads counts from before the node
-    # joined, so each cell gets the operations of a count-by-count loop.
+    # top slice first, through a step buffer. Every right-hand side reads
+    # counts from before the node joined, so each cell gets the operations of
+    # a count-by-count loop.
     rows = max(1, _SLICE_BYTES // max(8 * batch, 1))
-    step = np.empty((min(rows, k_hi), batch))
-    if headroom < _RATIO_HEADROOM:
-        ratio = np.exp(ratios)
-        r_i = np.empty(batch, ratio.dtype)
-        esym = np.zeros((k_hi + 1, batch))
-        esym[0] = 1.0
-        for i, ks in live_cells(n, k_lo, k_hi):
-            ratio.take(counts[i], out=r_i)
-            for top in ks[::rows]:
-                lo, hi = max(top + 1 - rows, ks[-1]), top + 1
-                np.multiply(esym[lo - 1 : hi - 1], r_i, out=step[: hi - lo])
-                esym[lo:hi] += step[: hi - lo]
-        # hist @ logh and esym[k_lo:].sum(axis=0) would round a multiset by
-        # where it sits in the batch (a BLAS product, and a pairwise sum for a
-        # batch of one); a row sum and a running sum over counts do not
-        honest = (hist * logh).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            return honest + np.log(np.cumsum(esym[k_lo:], axis=0)[-1])
+    return rows, np.empty((min(rows, k_hi), batch))
+
+
+def _ratio_sums(ratios, logh, hist, group, counts, k_lo, k_hi):
+    # subset_sums in the ratio domain; ratios, logh (groups, bins)
+    n, batch = counts.shape
+    rows, step = _slices(k_hi, batch)
+    ratio = np.exp(ratios).ravel()
+    r_i = np.empty(batch, ratio.dtype)
+    esym = np.zeros((k_hi + 1, batch))
+    esym[0] = 1.0
+    for i, ks in live_cells(n, k_lo, k_hi):
+        ratio.take(counts[i], out=r_i)
+        for top in ks[::rows]:
+            lo, hi = max(top + 1 - rows, ks[-1]), top + 1
+            np.multiply(esym[lo - 1 : hi - 1], r_i, out=step[: hi - lo])
+            esym[lo:hi] += step[: hi - lo]
+    # hist @ logh and esym[k_lo:].sum(axis=0) would round a multiset by where
+    # it sits in the batch (a BLAS product, and a pairwise sum for a batch of
+    # one); a row sum and a running sum over counts do not
+    honest = (hist * logh[group]).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return honest + np.log(np.cumsum(esym[k_lo:], axis=0)[-1])
+
+
+def _log_sums(logb, logh, counts, k_lo, k_hi):
+    # subset_sums in the log domain; logb, logh (groups, bins)
+    n, batch = counts.shape
+    rows, step = _slices(k_hi, batch)
+    logb, logh = logb.ravel(), logh.ravel()
     g = np.full((k_hi + 1, batch), -np.inf)
     g[0] = 0.0
     lh_i, lb_i = np.empty(batch, logh.dtype), np.empty(batch, logb.dtype)

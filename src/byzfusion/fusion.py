@@ -23,7 +23,11 @@ score L_t that trial t reaches, and the subset sums run only on types with
 a cell whose bound is within ``_BOUND_MARGIN`` (1e-6) of its trial's L_t.
 Every other cell scores below its trial's maximum by more than the margin,
 which is far above ``SCORE_TIE_TOL`` plus rounding, so it is outside the
-tie band and reading it as -inf picks the same hypothesis.
+tie band and reading it as -inf picks the same hypothesis. All the columns
+that bound a chunk do so together (``_bounded_type_scores``): one product
+bounds the types under every column, and one ``dp.subset_sums`` call, a
+weight group per column, sums every column's lead types, and one more the
+types near them.
 
 Ties are broken toward the lexicographically smallest sequence: any
 hypothesis scoring within ``SCORE_TIE_TOL`` of the maximum counts as tied.
@@ -34,13 +38,14 @@ exhaustive reference implementations, which may round differently.
 
 ``decide_columns`` is the one loop that turns a packed report batch into
 decisions. Chunk by chunk (``chunk_trials`` trials, ``_CHUNK_CELLS`` cells)
-it groups the batch's cells by type (``TypeClasses``), and each
-``BatchFuser``, which fixes one assumption, scores each of the chunk's
-types once (``BatchFuser.decide_ints``). The histograms do not
-depend on the assumption, so the Monte Carlo game engine decodes every
-column of a chunk in one call; ``fuse`` calls it with a single fuser. The
-exact oracle shares the grouping and ``decide_ints`` but not the scores: it
-sums its likelihoods.
+it groups the batch's cells by type (``TypeClasses``), bounds the chunk for
+every column that bounds it at once, and each ``BatchFuser``, which fixes
+one assumption, scores each of the chunk's types once, or reads its bounded
+scores (``BatchFuser.decide_ints``). The histograms do not depend on the
+assumption, so the Monte Carlo game engine decodes every column of a chunk
+in one call; ``fuse`` calls it with a single fuser. The exact oracle shares
+the grouping and ``decide_ints``, which bounds for one fuser the same way,
+but not the scores: it sums its likelihoods.
 
 The game engine streams each payoff row: it draws one chunk of trials
 (``model.stream_rows``), decodes it with every column, and draws the next.
@@ -285,12 +290,13 @@ def _universe(n, m):
 
 
 def _hist_dot(hist, w):
-    # sum_c H[c] * w[c] per row; an empty bin adds 0 even where w[c] = -inf.
-    # The BLAS product may round a row differently in another batch, so only
-    # the bounds use it
+    # sum_c H[c] * w[j, c] per row of hist and row j of w, shape (len(w),
+    # len(hist)); an empty bin adds 0 even where w = -inf. The BLAS product
+    # may round a row differently in another batch, so only the bounds use it
     finite = np.isfinite(w)
-    out = hist @ np.where(finite, w, 0.0)
-    out[(hist[:, ~finite] > 0).any(axis=1)] = -np.inf
+    out = np.where(finite, w, 0.0) @ hist.T
+    if not finite.all():
+        out[~finite @ (hist > 0).T] = -np.inf
     return out
 
 
@@ -432,9 +438,11 @@ class BatchFuser:
 
     On a chunk that ``np.unique`` ranked, where ``_decodes_by_bound`` says so
     (at least 1536 types, at most 16 cells per type), the count priors bound
-    every type from above (:meth:`_type_bounds`) and sum only the types that
+    every type from above (:func:`_type_bounds`) and sum only the types that
     can still come within the tie band of their trial's maximum
-    (:meth:`_bounded_type_scores`); the decisions are the same.
+    (:func:`_bounded_type_scores`); the decisions are the same. The fusers
+    of one :func:`decide_columns` call bound a chunk together, in two
+    ``dp.subset_sums`` calls per chunk, not two per fuser.
     """
 
     MAX_M = 12
@@ -479,11 +487,6 @@ class BatchFuser:
         # the subset priors' exact scores of the types of `hist`
         return dp.subset_sums(self._logb, self._logh, hist, *self._k_range)
 
-    def _type_bounds(self, hist):
-        """The module docstring's upper bound on :meth:`_type_scores`, per type of `hist`."""
-        weights, shift = self._bound_terms
-        return _hist_dot(hist, weights) + shift
-
     @functools.cached_property
     def _memo(self):
         # the score of each universe type and a mark of the types summed. An
@@ -505,34 +508,6 @@ class BatchFuser:
         weights = _independent_mix_weights(alpha, asm.eps, asm.delta_fc, self.m)
         return weights, -min(_xlogy(k, alpha) + _xlogy(n - k, 1.0 - alpha) for k in (k_lo, k_hi))
 
-    def _bounded_type_scores(self, classes):
-        # _type_scores of a sorted chunk's types some trial could pick, else -inf.
-        # Each trial's bound-argmax type is scored exactly, giving a score L_t
-        # the trial reaches; then every type with a cell whose bound is within
-        # _BOUND_MARGIN of its trial's L_t. An unscored cell lies more than the
-        # margin below its trial's maximum, so outside the tie band.
-        inverse, scratch = classes.inverse, classes.scratch
-        bounds = self._type_bounds(classes.float_hist)
-        cell_bounds = bounds.take(
-            inverse, out=scratch.take("cells_g", inverse.shape, np.float64), mode="clip"
-        )
-        lead = inverse[np.argmax(cell_bounds, axis=0), np.arange(inverse.shape[1])]
-        scores = np.full(bounds.shape[0], -np.inf)
-        scored = np.zeros(bounds.shape[0], dtype=bool)
-        scored[lead] = True
-        first = np.flatnonzero(scored)
-        scores[first] = self._subset_sums(classes.hist[first])
-        near = np.greater_equal(
-            cell_bounds, scores[lead] - _BOUND_MARGIN,
-            out=scratch.take("mask", inverse.shape, bool),
-        )
-        reach = np.zeros_like(scored)
-        reach[inverse[near]] = True
-        rest = np.flatnonzero(reach & ~scored)
-        if rest.shape[0]:
-            scores[rest] = self._subset_sums(classes.hist[rest])
-        return scores
-
     def scores(self, report_ints):
         """Normalized log P(r | s) for every hypothesis, shape (T, 2**m)."""
         report_ints = _as_report_ints(report_ints)
@@ -544,16 +519,19 @@ class BatchFuser:
             out -= math.log(sum(math.comb(self.n, k) for k in range(k_lo, k_hi + 1)))
         return out
 
-    def decide_ints(self, classes):
+    def decide_ints(self, classes, scores=None):
         """Packed MAP decision for each trial that `classes` groups, shape (T,) int64.
 
-        :func:`decide_columns` builds `classes` once per chunk of trials and
-        shares it across its fusers.
+        :func:`decide_columns` builds `classes` once per chunk of trials,
+        shares it across its fusers, and passes in `scores` the type scores
+        it bounded for this fuser together with the chunk's other columns
+        (:func:`_bounded_type_scores`). Without them, as in the oracle's
+        calls, the fuser bounds the chunk alone where it bounds it at all,
+        and otherwise scores every type.
         """
-        if (self._k_range is not None and not classes.universal
-                and _decodes_by_bound(classes.inverse.size, len(classes.hist))):
-            scores = self._bounded_type_scores(classes)
-        else:
+        if scores is None:
+            scores = _bounded_type_scores([self], classes)[0]
+        if scores is None:
             scores = self._type_scores(classes)
         # every type index is in range, and mode="clip" keeps take from
         # buffering its output
@@ -564,12 +542,93 @@ class BatchFuser:
         return argmax_lex(cells, axis=0).astype(np.int64, copy=False)
 
 
+def _type_bounds(fusers, hist):
+    """The module docstring's upper bound on each fuser's type scores, shape (fusers, types).
+
+    `fusers` are count priors; one product bounds them all.
+    """
+    weights, shifts = zip(*(fuser._bound_terms for fuser in fusers))
+    bounds = _hist_dot(hist, np.stack(weights))
+    bounds += np.array(shifts)[:, None]
+    return bounds
+
+
+def _bounded_type_scores(fusers, classes):
+    """Each fuser's type scores on a chunk it bounds, else None; a list, one per fuser.
+
+    A count prior's fuser bounds a sorted chunk where ``_decodes_by_bound``
+    says so. The fusers that bound it share one bound-and-verify per count
+    range (:func:`_bound_and_verify`); the other fusers, and all of them on a
+    chunk ranked through the universe, get None.
+    """
+    scores = [None] * len(fusers)
+    if classes.universal or not _decodes_by_bound(classes.inverse.size, len(classes.hist)):
+        return scores
+    # a payoff matrix's columns share one model, so one count range
+    columns = {}
+    for j, fuser in enumerate(fusers):
+        if fuser._k_range is not None:
+            columns.setdefault(fuser._k_range, []).append(j)
+    for k_range, js in columns.items():
+        for j, column in zip(js, _bound_and_verify([fusers[j] for j in js], classes, k_range)):
+            scores[j] = column
+    return scores
+
+
+def _bound_and_verify(fusers, classes, k_range):
+    """The type scores some trial could pick under each of `fusers`, else -inf: (fusers, types).
+
+    The fusers share the admissible counts `k_range`. Under each, a trial's
+    bound-argmax type is scored exactly, giving a score L_t the trial
+    reaches; then every type with a cell whose bound is within _BOUND_MARGIN
+    of its trial's L_t. An unscored cell lies more than the margin below its
+    trial's maximum, so outside the tie band. One bound product serves every
+    fuser, and one ``dp.subset_sums`` call, a weight group per fuser, sums
+    each of the two passes.
+    """
+    inverse, scratch, hist = classes.inverse, classes.scratch, classes.hist
+    bounds = _type_bounds(fusers, classes.float_hist)
+    logb = np.stack([fuser._logb for fuser in fusers])
+    logh = np.stack([fuser._logh for fuser in fusers])
+    scores = np.full(bounds.shape, -np.inf)
+
+    def score(marked):
+        # np.nonzero on the 2-d marks costs several times this
+        column, types = np.divmod(np.flatnonzero(marked), marked.shape[1])
+        scores[column, types] = dp.subset_sums(logb, logh, hist[types], *k_range, group=column)
+
+    # each fuser's cell bounds in turn, once for the lead types and once more
+    # for the cells near them
+    cell_bounds = scratch.take("cells_g", inverse.shape, np.float64)
+    trials = np.arange(inverse.shape[1])
+    lead = np.empty((len(fusers), inverse.shape[1]), dtype=np.intp)
+    for c, column in enumerate(bounds):
+        column.take(inverse, out=cell_bounds, mode="clip")
+        lead[c] = inverse[np.argmax(cell_bounds, axis=0), trials]
+    scored = np.zeros(bounds.shape, dtype=bool)
+    scored[np.arange(len(fusers))[:, None], lead] = True
+    score(scored)
+    near = scratch.take("mask", inverse.shape, bool)
+    reach = np.zeros_like(scored)
+    for c, column in enumerate(bounds):
+        column.take(inverse, out=cell_bounds, mode="clip")
+        np.greater_equal(cell_bounds, scores[c, lead[c]] - _BOUND_MARGIN, out=near)
+        reach[c, inverse[near]] = True
+    reach &= ~scored
+    if reach.any():
+        score(reach)
+    return scores
+
+
 def decide_columns(fusers, report_ints, scratch=FRESH):
     """Decisions of several fusers on one report batch, shape (len(fusers), T) int64.
 
     Chunk by chunk, the batch's TypeClasses are built once and shared by
     every fuser, so each distinct histogram is scored once per fuser and
-    chunk. The fusers must agree on n and m. The work arrays and the result
+    chunk. The count-prior fusers that bound a sorted chunk bound it
+    together (:func:`_bounded_type_scores`): one bound product and two
+    ``dp.subset_sums`` calls for all of them. The fusers must agree on n
+    and m. The work arrays and the result
     come from `scratch`; from ``KEPT`` the result is valid until the next
     call, and the payoff game passes one chunk at a time, so that its slot
     stays the size of a chunk.
@@ -580,8 +639,9 @@ def decide_columns(fusers, report_ints, scratch=FRESH):
     report_ints = _as_report_ints(report_ints)
     out = scratch.take("decisions", (len(fusers), report_ints.shape[0]), np.int64)
     for rows, classes in _typed_chunks(report_ints, n, m, scratch):
-        for j, fuser in enumerate(fusers):
-            out[j, rows] = fuser.decide_ints(classes)
+        bounded = _bounded_type_scores(fusers, classes)
+        for j, (fuser, scores) in enumerate(zip(fusers, bounded)):
+            out[j, rows] = fuser.decide_ints(classes, scores)
     return out
 
 

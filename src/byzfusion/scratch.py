@@ -21,13 +21,15 @@ public call returns does. The slots, per chunk of t trials on n nodes and
 * ``found`` (t, n): the guide-table search's indices (``model._search``, in
   ``stream_rows``' scratch), then ``TypeClasses``' count index;
 * ``mask``, one byte an entry: the Byzantine nodes, then the draws the guide
-  table leaves to a full search, then each column's cells near their
-  trial's score on the bound route;
+  table leaves to a full search, then, on the bound route, each bounding
+  column's cells near their trial's score in turn;
 * ``cells_f``, ``cells_g``, ``cells_i`` (2**m, t), times the key words:
   ``TypeClasses``' row counts (or node-by-node key sums), float keys (or
   one node's key rows) and keys; then ``cells_f`` holds
   ``TypeClasses.inverse`` through every column's decode, and ``cells_g``
-  each column's cell bounds, then its gathered scores;
+  on the bound route each bounding column's cell bounds in turn, twice
+  over (for the lead types, then for the cells near them), then each
+  column's gathered scores;
 * ``decisions`` (columns, t): ``fusion.decide_columns``' result.
 
 Every slot is sized by a chunk (``fusion.chunk_trials``), never by a row, so

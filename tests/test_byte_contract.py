@@ -133,16 +133,19 @@ def record_every_route(monkeypatch):
     taken = set()
     decide, solve, lp_pair = BatchFuser.decide_ints, cli.solve_mixed, game.solve_lp_pair
 
-    def decide_recorded(self, classes):
+    def decide_recorded(self, classes, scores=None):
         before = len(scorings)
-        out = decide(self, classes)
+        out = decide(self, classes, scores)
         if classes.universal:
             dense = classes.inverse.size > fusion._DENSE_CELLS_PER_TYPE * len(classes.hist)
             taken.add("universe-dense" if dense else "universe-sparse")
         else:
             taken.add("sorted")
-            # a count prior's scoring: "full" or "bound"
-            taken.update(f"sorted-{route}" for route in scorings[before:])
+            # a count prior's scoring, "full" or "bound", logged by this
+            # decode, or, where decide_columns passed in the scores, by the
+            # chunk's joint bound: then the thread's last entry before it
+            routes = scorings[before:] if scores is None else scorings[before - 1 : before]
+            taken.update(f"sorted-{route}" for route in routes)
         taken.add("row-counts" if fusion._keys_from_row_counts(self.n, self.m) else "node-by-node")
         return out
 
@@ -177,10 +180,9 @@ def test_cli_files_match_the_contract(contract, monkeypatch, tmp_path, workers):
         changed += [f"{config_key(config)}: {name}" for name in sorted(want.keys() | got.keys())
                     if got.get(name) != want.get(name)]
     assert changed == []
-    # the scorings are one list that every thread appends to, so a decode
-    # reads only its own where it is the only thread decoding
-    if workers == 1:
-        assert taken == ROUTES
+    # each thread logs its scorings to a list of its own, so a decode reads
+    # only its own at any worker count
+    assert taken == ROUTES
 
 
 def test_exact_sweep_values_match_the_contract(contract):

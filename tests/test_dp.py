@@ -261,6 +261,68 @@ class TestSubsetSum:
             assert got.shape == (batch,)
             assert np.array_equal(got, want), (n, bins, batch, k_lo, k_hi)
 
+    # the default slice, and one count per slice
+    @pytest.mark.parametrize("slice_bytes", [dp._SLICE_BYTES, 8])
+    def test_groups_match_calls_of_their_own_bitwise(self, monkeypatch, slice_bytes):
+        # up to 5 weight groups in one batch, each multiset against a call
+        # with its group's weights alone: groups in the ratio domain, in the
+        # log domain (a zero honest weight or a ratio of e^700) and batches
+        # that mix them, -inf weights, k_lo = k_hi, and a last group that no
+        # multiset reads
+        monkeypatch.setattr(dp, "_SLICE_BYTES", slice_bytes)
+        domains = []
+        ratio_sums, log_sums = dp._ratio_sums, dp._log_sums
+
+        def ratio_recorded(*args):
+            domains[-1].add("ratio")
+            return ratio_sums(*args)
+
+        def log_recorded(*args):
+            domains[-1].add("log")
+            return log_sums(*args)
+
+        rng = np.random.default_rng(16)
+        for case in range(200):
+            n = int(rng.integers(1, 25))
+            bins = int(rng.integers(1, 10))
+            groups = int(rng.integers(1, 6))
+            batch = int(rng.integers(0, 41))
+            k_hi = int(rng.integers(0, n + 1))
+            k_lo = k_hi if case % 3 == 0 else int(rng.integers(0, k_hi + 1))
+            logb = rng.normal(size=(groups, bins))
+            logh = rng.normal(size=(groups, bins))
+            logb[rng.random(logb.shape) < 0.2] = -np.inf
+            for g, kind in enumerate(rng.integers(0, 3, size=groups)):
+                if kind == 1:
+                    logh[g, rng.integers(bins)] = -np.inf
+                elif kind == 2:
+                    logb[g, rng.integers(bins)] = logh[g].max() + 700.0
+            group = rng.integers(0, max(groups - 1, 1), size=batch)
+            counts = np.sort(rng.integers(0, bins, size=(n, batch)), axis=0)
+            hist = (counts[:, :, None] == np.arange(bins)).sum(axis=0)
+            want = np.empty(batch)
+            for g in range(groups):
+                rows = group == g
+                want[rows] = subset_sums(logb[g], logh[g], hist[rows], k_lo, k_hi)
+            monkeypatch.setattr(dp, "_ratio_sums", ratio_recorded)
+            monkeypatch.setattr(dp, "_log_sums", log_recorded)
+            domains.append(set())
+            got = subset_sums(logb, logh, hist, k_lo, k_hi, group)
+            monkeypatch.setattr(dp, "_ratio_sums", ratio_sums)
+            monkeypatch.setattr(dp, "_log_sums", log_sums)
+            assert got.shape == (batch,)
+            assert np.array_equal(got, want), (case, n, bins, groups, batch, k_lo, k_hi)
+        # some batches sum in one domain, some in the other, and some in both
+        assert {frozenset(d) for d in domains} >= {
+            frozenset({"ratio"}), frozenset({"log"}), frozenset({"ratio", "log"})}
+
+    def test_group_indices_are_checked(self):
+        hist = np.array([[2, 1], [1, 2]])
+        w = np.zeros((2, 2))
+        for group in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="group indices"):
+                subset_sums(w, w, hist, 0, 2, np.array(group))
+
     def test_float32_weights_match_count_by_count(self):
         # the weights keep their dtype through the gathers, in both domains
         rng = np.random.default_rng(13)

@@ -1,6 +1,8 @@
 import importlib.util
 import math
 import pathlib
+import threading
+from collections import UserList
 
 import numpy as np
 import pytest
@@ -766,26 +768,57 @@ def count_prior_batch(rng, model, n, m, trials):
     return np.concatenate([drawn, uniform])
 
 
+def count_subset_sum_calls(monkeypatch):
+    """The weight group of each multiset, one array a dp.subset_sums call, from here on."""
+    calls = []
+
+    def counted(logb, logh, hist, k_lo, k_hi, group=None):
+        calls.append(np.zeros(len(hist), dtype=np.intp) if group is None else group)
+        return subset_sums(logb, logh, hist, k_lo, k_hi, group)
+
+    monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+    return calls
+
+
+def lead_types(fusers, classes):
+    """How many types lead some trial of `classes` under each fuser's bounds, a list.
+
+    A trial's lead type is the type of its cell with the largest bound.
+    """
+    bounds = fusion._type_bounds(fusers, classes.float_hist)
+    trials = np.arange(classes.inverse.shape[1])
+    leads = [classes.inverse[b[classes.inverse].argmax(axis=0), trials] for b in bounds]
+    return [len(np.unique(lead)) for lead in leads]
+
+
+class RouteLog(threading.local, UserList):
+    """A list of route entries for each thread; it reads as the calling thread's."""
+
+
 def record_routes(monkeypatch):
-    """The routes of the count-prior type scorings from here on, one entry a call.
+    """The routes of the count-prior type scorings from here on, one entry a fuser's scoring.
 
     "full" is a whole-chunk score, "bound" bound-and-verify on a sorted chunk,
-    and "bound-universe" bound-and-verify on a chunk ranked through the universe.
+    and "bound-universe" bound-and-verify on a chunk ranked through the
+    universe: one entry for each fuser the chunk's joint bound scores. Each
+    thread logs to a list of its own.
     """
-    routes = []
-    full, bound = BatchFuser._type_scores, BatchFuser._bounded_type_scores
+    routes = RouteLog()
+    full, bound = BatchFuser._type_scores, fusion._bounded_type_scores
 
     def full_recorded(self, classes):
         if self._k_range is not None:
             routes.append("full")
         return full(self, classes)
 
-    def bound_recorded(self, classes):
-        routes.append("bound-universe" if classes.universal else "bound")
-        return bound(self, classes)
+    def bound_recorded(fusers, classes):
+        scores = bound(fusers, classes)
+        route = "bound-universe" if classes.universal else "bound"
+        routes.extend(route for column in scores if column is not None)
+        return scores
 
     monkeypatch.setattr(BatchFuser, "_type_scores", full_recorded)
-    monkeypatch.setattr(BatchFuser, "_bounded_type_scores", bound_recorded)
+    monkeypatch.setattr(fusion, "_bounded_type_scores", bound_recorded)
     return routes
 
 
@@ -809,7 +842,7 @@ class TestDecodeRoutes:
             seen = np.unique(classes.inverse)
             for fuser in self.fusers(model, m):
                 exact = fuser._type_scores(classes)
-                bound = fuser._type_bounds(classes.hist)
+                bound = fusion._type_bounds([fuser], classes.hist)[0]
                 # a -inf bound admits only a -inf score
                 assert (exact <= bound + 1e-9).all()
                 if model in (FixedCount(0), FixedCount(self.N)):
@@ -823,9 +856,9 @@ class TestDecodeRoutes:
         fusers = self.fusers(model, m)
         scored = []
 
-        def counted(logb, logh, hist, k_lo, k_hi):
+        def counted(logb, logh, hist, k_lo, k_hi, group=None):
             scored[-1] += len(hist)
-            return subset_sums(logb, logh, hist, k_lo, k_hi)
+            return subset_sums(logb, logh, hist, k_lo, k_hi, group)
 
         # the batch is sorted at every m: a chunk ranked through the universe
         # never bounds, and would read the fusers' kept scores the second time
@@ -846,16 +879,11 @@ class TestDecodeRoutes:
 
     def test_bound_route_sums_no_empty_batch(self, monkeypatch):
         # the second exact pass is skipped where no type beyond the trials'
-        # lead types comes within the margin; on the benchmark's bounded-m8
-        # shape (n = 20, m = 8, 100 trials a row) that holds for some columns
+        # lead types comes within the margin in any column; on the
+        # benchmark's bounded-m8 shape (n = 20, m = 8, 100 trials a row) that
+        # holds for some rows
         n, m = 20, 8
-        sizes = []
-
-        def counted(logb, logh, hist, k_lo, k_hi):
-            sizes.append(len(hist))
-            return subset_sums(logb, logh, hist, k_lo, k_hi)
-
-        monkeypatch.setattr(fusion.dp, "subset_sums", counted)
+        calls = count_subset_sum_calls(monkeypatch)
         routes = record_routes(monkeypatch)
         grid = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
         fusers = [BatchFuser(FusionAssumption(BoundedBelowHalf(), 0.1, p), n, m) for p in grid]
@@ -863,9 +891,73 @@ class TestDecodeRoutes:
             rng = np.random.default_rng(i)
             decide_columns(fusers, sample_rows(rng, BoundedBelowHalf(), n, m, 0.1, pmal_b, 100)[1])
         assert routes == ["bound"] * len(grid) ** 2
-        # a call per row and column for its lead types, and not always a second
-        assert len(grid) ** 2 <= len(sizes) < 2 * len(grid) ** 2
-        assert 0 not in sizes
+        # a call per row for every column's lead types, and not always a second
+        assert len(grid) <= len(calls) < 2 * len(grid)
+        assert all(len(group) for group in calls)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 8])
+    @pytest.mark.parametrize("model", count_priors(N), ids=repr)
+    def test_columns_bound_together(self, monkeypatch, model, m):
+        # a sorted chunk that all nine columns bound makes one dp.subset_sums
+        # call for every column's own lead types and, where any type is left
+        # within the margin, one for the rest; bounding column by column made
+        # up to two a column. Each column decides as it does alone
+        ints = count_prior_batch(np.random.default_rng(50 + m), model, self.N, m, 30)
+        fusers = self.fusers(model, m)
+        monkeypatch.setattr(fusion, "_ranks_from_universe", lambda n, m, trials: False)
+        monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: True)
+        alone = np.stack([decide_columns([fuser], ints)[0] for fuser in fusers])
+        calls = count_subset_sum_calls(monkeypatch)
+        routes = record_routes(monkeypatch)
+        np.testing.assert_array_equal(decide_columns(fusers, ints), alone)
+        assert routes == ["bound"] * len(fusers)
+        assert len(calls) == 1 + (model not in (FixedCount(0), FixedCount(self.N)) or m > 1)
+        leads = lead_types(fusers, TypeClasses(ints, self.N, m))
+        assert np.bincount(calls[0], minlength=len(fusers)).tolist() == leads
+
+    def test_columns_bound_together_by_count_range(self, monkeypatch):
+        # fusers of every count prior, two flip rates each, and an independent
+        # prior in one call: the count priors bound the sorted chunk together
+        # per admissible count range, in one or two calls each, and every
+        # fuser decides as it does alone
+        m = 5
+        models = count_priors(self.N) + [IndependentAlpha(0.3)]
+        fusers = [BatchFuser(FusionAssumption(model, 0.1, pfc), self.N, m)
+                  for model in models for pfc in (0.6, 1.0)]
+        ints = count_prior_batch(np.random.default_rng(55), BoundedBelowHalf(), self.N, m, 30)
+        monkeypatch.setattr(fusion, "_ranks_from_universe", lambda n, m, trials: False)
+        monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: True)
+        alone = np.stack([decide_columns([fuser], ints)[0] for fuser in fusers])
+        calls = count_subset_sum_calls(monkeypatch)
+        routes = record_routes(monkeypatch)
+        np.testing.assert_array_equal(decide_columns(fusers, ints), alone)
+        assert routes == ["bound"] * (len(fusers) - 2)
+        ranges = len({fuser._k_range for fuser in fusers} - {None})
+        assert ranges == 8
+        assert ranges <= len(calls) <= 2 * ranges
+        # each call sums the types of one count range's two columns
+        assert all(set(np.unique(group)) <= {0, 1} for group in calls)
+
+    def test_benchmark_columns_bound_together(self, monkeypatch):
+        # the benchmark's bounded-m8 shape, n = 20, m = 8 and 100 trials a
+        # row: every row's six columns share one dp.subset_sums call for
+        # their lead types, and a second on some rows, and decide as each
+        # does alone
+        n, m = 20, 8
+        grid = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        fusers = [BatchFuser(FusionAssumption(BoundedBelowHalf(), 0.1, p), n, m) for p in grid]
+        per_row = []
+        for i, pmal_b in enumerate(grid):
+            ints = sample_rows(np.random.default_rng(60 + i), BoundedBelowHalf(), n, m, 0.1,
+                               pmal_b, 100)[1]
+            alone = np.stack([decide_columns([fuser], ints)[0] for fuser in fusers])
+            calls = count_subset_sum_calls(monkeypatch)
+            np.testing.assert_array_equal(decide_columns(fusers, ints), alone)
+            monkeypatch.undo()
+            leads = lead_types(fusers, TypeClasses(ints, n, m))
+            assert np.bincount(calls[0], minlength=len(fusers)).tolist() == leads
+            per_row.append(len(calls))
+        assert set(per_row) == {1, 2}
 
     @pytest.mark.parametrize("m", [5, 8])
     def test_routes_agree_across_chunks(self, monkeypatch, m):
@@ -966,9 +1058,9 @@ class TestTypeMemo:
         distinct = np.count_nonzero(np.logical_or.reduce([c.present for c in chunks]))
         summed = []
 
-        def counted(logb, logh, hist, k_lo, k_hi):
+        def counted(logb, logh, hist, k_lo, k_hi, group=None):
             summed[-1] += len(hist)
-            return subset_sums(logb, logh, hist, k_lo, k_hi)
+            return subset_sums(logb, logh, hist, k_lo, k_hi, group)
 
         # eps 0.1 sums in the ratio domain, eps 0 in the log domain
         for eps, pmal_fc in ((0.1, 0.7), (0.1, 1.0), (0.0, 0.8), (0.0, 1.0)):

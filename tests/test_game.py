@@ -788,13 +788,15 @@ class TestKeptBuffers:
         # would change the decisions here, in any thread
         monkeypatch.setattr(fusion, "_CHUNK_CELLS", 1 << 18)
         bounded = set()
-        bound = BatchFuser._bounded_type_scores
+        bound = fusion._bounded_type_scores
 
-        def recorded(self, classes):
-            bounded.add((self.m, classes.scratch is KEPT))
-            return bound(self, classes)
+        def recorded(fusers, classes):
+            scores = bound(fusers, classes)
+            if any(column is not None for column in scores):
+                bounded.add((fusers[0].m, classes.scratch is KEPT))
+            return scores
 
-        monkeypatch.setattr(BatchFuser, "_bounded_type_scores", recorded)
+        monkeypatch.setattr(fusion, "_bounded_type_scores", recorded)
         for sc, trials in self.CALLS:
             fusers = [BatchFuser(FusionAssumption(sc.fc_model, sc.eps, p), sc.n, sc.m)
                       for p in (0.5, 0.8, 1.0)]
