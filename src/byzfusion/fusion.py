@@ -51,11 +51,13 @@ The game engine streams each payoff row: it draws one chunk of trials
 (``model.stream_rows``), decodes it with every column, and draws the next.
 Each chunk's large work arrays, from the report rows through the gathered
 cell scores, are views of buffers kept per thread (``scratch.KEPT``), so
-after the first chunk they are not allocated again. ``argmax_lex``'s masks,
-``np.unique``'s sort and the per-type arrays stay fresh. What a thread
-keeps is bounded by the chunk, whatever the trial count: about 10 MB at
-n = 20, m = 4. ``fuse``, ``BatchFuser.scores`` and the oracle take fresh
-arrays (``scratch.FRESH``) through the same code.
+after the first chunk they are not allocated again. On a sorted chunk the
+arrays sized by its types are kept as well: ``TypeClasses.hist`` and
+``float_hist``, and the bound route's bounds and scores. ``argmax_lex``'s
+masks and arrays sized by the trials or by the types a bound route sums
+stay fresh. What a thread keeps is bounded by the chunk, whatever the trial
+count (see ``scratch``). ``fuse``, ``BatchFuser.scores`` and the oracle take
+fresh arrays (``scratch.FRESH``) through the same code.
 
 ``TypeClasses`` keys each cell by its histogram read as a base-(n + 1)
 number (``_key_table``), and equal keys form a type. Where the key range is
@@ -65,8 +67,10 @@ every fuser, one per column of a payoff matrix or per oracle call, reads
 one score table over that universe, kept for its life. An independent prior
 fills it whole on first use; a count prior sums a type only on the first
 chunk that has it, reading the chunk's presence marks (made on first read)
-until its table holds every type. Elsewhere ``np.unique`` sorts the keys
-and each chunk's types are scored whole, or, for a count prior at any m
+until its table holds every type. Elsewhere one sort groups the keys
+(``_sorted_types``): of each key packed with its cell index into one int64
+where it fits (``_packs_cell_index``), else an argsort or a lexsort. Each
+such chunk's types are scored whole, or, for a count prior at any m
 where ``_decodes_by_bound`` says so (at least ``_BOUND_MIN_TYPES`` types
 with at most ``_BOUND_CELLS_PER_TYPE`` cells each), bound first.
 ``dp.subset_sums``, and the bin-by-bin sum that scores independent types
@@ -228,9 +232,18 @@ def _ranks_from_universe(n, m, trials):
 
     Its rank table has one entry per key value, (n + 1)**m, kept within
     _CHUNK_CELLS so the key is one word, and serves only batches of at least
-    a cell per _TABLE_ENTRIES_PER_CELL entries; others sort with np.unique.
+    a cell per _TABLE_ENTRIES_PER_CELL entries; others are sorted (_sorted_types).
     """
     return (n + 1) ** m <= min(_CHUNK_CELLS, _TABLE_ENTRIES_PER_CELL * trials * 2**m)
+
+
+def _packs_cell_index(n, m, cells):
+    """Whether TypeClasses sorts `cells` keys as one int64 each: (key << b) | cell.
+
+    b = (cells - 1).bit_length() bits hold the cell index, and every key lies
+    below (n + 1)**m, so the packed values stay below 2**63 where this holds.
+    """
+    return (n + 1) ** m << (cells - 1).bit_length() <= 2**63
 
 
 def _decodes_by_bound(cells, types):
@@ -289,12 +302,13 @@ def _universe(n, m):
     return hist, float_hist, rank
 
 
-def _hist_dot(hist, w):
-    # sum_c H[c] * w[j, c] per row of hist and row j of w, shape (len(w),
-    # len(hist)); an empty bin adds 0 even where w = -inf. The BLAS product
-    # may round a row differently in another batch, so only the bounds use it
+def _hist_dot(hist, w, out):
+    # sum_c H[c] * w[j, c] per row of hist and row j of w into `out`, shape
+    # (len(w), len(hist)); an empty bin adds 0 even where w = -inf. The BLAS
+    # product may round a row differently in another batch, so only the
+    # bounds use it
     finite = np.isfinite(w)
-    out = np.where(finite, w, 0.0) @ hist.T
+    out = np.matmul(np.where(finite, w, 0.0), hist.T, out=out)
     if not finite.all():
         out[~finite @ (hist > 0).T] = -np.inf
     return out
@@ -312,6 +326,69 @@ def _hist_sum(hist, w):
     return out
 
 
+def _sorted_types(keys, n, m, per_word, scratch):
+    """hist, float_hist and flat inverse of the cells keyed by `keys` (words, 2**m, trials), by one sort.
+
+    The arrays equal ``np.unique``'s and come from `scratch`. The cells come
+    in key order from one in-place sort of (key << b) | cell where
+    ``_packs_cell_index`` says so, else from an argsort of one-word keys, or
+    a lexsort of several with word 0 leading, as in ``np.unique``'s rows.
+    """
+    words, size = keys.shape[0], keys[0].size
+    if _packs_cell_index(n, m, size):
+        b = (size - 1).bit_length()
+        packed = np.left_shift(keys[0], b, out=scratch.take("cells_g", keys.shape[1:], np.int64))
+        # the cell index of hypothesis h and trial t is h * trials + t
+        packed += np.arange(packed.shape[1])
+        packed += packed.shape[1] * np.arange(packed.shape[0])[:, None]
+        packed = packed.reshape(-1)
+        packed.sort()
+        in_order = np.right_shift(packed, b, out=scratch.take("cells_f", (1, size), np.int64))
+        order = np.bitwise_and(packed, (1 << b) - 1, out=packed)
+    else:
+        keys = keys.reshape(words, size)
+        order = keys[0].argsort() if words == 1 else np.lexsort(keys[::-1])
+        in_order = keys.take(order, axis=1, out=scratch.take("cells_f", keys.shape, np.int64), mode="clip")
+    # a type starts where the sorted keys change, and its rank counts the
+    # starts after the first up to there
+    first = scratch.take("mask", (size,), bool)
+    first[:1] = False
+    np.not_equal(in_order[0, 1:], in_order[0, :-1], out=first[1:])
+    for word in in_order[1:]:
+        first[1:] |= word[1:] != word[:-1]
+    # cumsum casts a bool input whole, so it runs in place on a copy
+    rank = scratch.take("cells_i", (size,), np.intp)
+    np.copyto(rank, first)
+    np.cumsum(rank, out=rank)
+    types = int(rank[-1]) + 1 if size else 0
+    uniq = scratch.take("hist", (words, types), np.int64)
+    for word, sorted_word in zip(uniq, in_order):
+        word[rank] = sorted_word
+    inverse = scratch.take("cells_f", (size,), np.intp)
+    inverse[order] = rank
+    # the distinct keys, words x types, are split into the rows H[1..m] of
+    # `digits`, which shares float_hist's slot until float_hist is written
+    digits = scratch.take("float_hist", (m + 1, types), np.int64)
+    spare = scratch.take("cells_g", (types,), np.int64)
+    for word, x in enumerate(uniq):
+        low, high = word * per_word + 1, min(m, (word + 1) * per_word)
+        for c in range(low, high):
+            # floor division and a multiply-subtract beat np.divmod on int64
+            np.floor_divide(x, n + 1, out=spare)
+            np.multiply(spare, n + 1, out=digits[c])
+            np.subtract(x, digits[c], out=digits[c])
+            x, spare = spare, x
+        digits[high] = x
+    digits[0] = n
+    for row in digits[1:]:
+        digits[0] -= row
+    hist = scratch.take("hist", (types, m + 1), np.int64)
+    hist[...] = digits.T
+    float_hist = scratch.take("float_hist", (types, m + 1), np.float64)
+    float_hist[...] = hist
+    return hist, float_hist, inverse
+
+
 class TypeClasses:
     """The (trial, hypothesis) cells of a packed report batch, grouped by type.
 
@@ -323,9 +400,10 @@ class TypeClasses:
     ``inverse`` maps each cell to its type, hypothesis-major, shape (2**m, T).
     One instance can be shared by every BatchFuser that decodes the same
     batch. Non-integer reports, a report int outside [0, 2**m) and an m
-    outside [1, BatchFuser.MAX_M] are ValueErrors. ``inverse`` and the work
-    arrays come from `scratch` (``scratch.FRESH`` or ``scratch.KEPT``); from
-    ``KEPT`` the instance is valid until the thread's next build.
+    outside [1, BatchFuser.MAX_M] are ValueErrors. ``inverse``, a sorted
+    chunk's ``hist`` and ``float_hist``, and the work arrays come from
+    `scratch` (``scratch.FRESH`` or ``scratch.KEPT``); from ``KEPT`` the
+    instance is valid until the thread's next build.
 
     Keys are built from :func:`_key_table` by row counts or node by node
     (``_keys_from_row_counts``). Where ``_ranks_from_universe`` says so,
@@ -333,9 +411,9 @@ class TypeClasses:
     into its ``hist``; ``present``, made on first read and kept, marks the
     types some cell has, or all on more than ``_DENSE_CELLS_PER_TYPE`` cells
     per type, so a chunk whose fusers never read it skips the scatter.
-    Elsewhere ``np.unique`` ranks them, ``hist`` holds the chunk's types, and
-    ``present`` is None. Either way one-word keys rank ascending,
-    lexicographic on (H[m], ..., H[1]).
+    Elsewhere one sort ranks them (:func:`_sorted_types`), ``hist`` holds
+    the chunk's types, and ``present`` is None. Either way one-word keys rank
+    ascending, lexicographic on (H[m], ..., H[1]).
     """
 
     def __init__(self, report_ints, n, m, scratch=FRESH):
@@ -384,21 +462,8 @@ class TypeClasses:
             inverse = scratch.take("cells_f", keys[0].shape, np.intp)
             rank.take(keys[0], out=inverse, mode="clip")
         else:
-            if keys.shape[0] == 1:
-                uniq, inverse = np.unique(keys[0], return_inverse=True)
-            else:
-                uniq, inverse = np.unique(keys.T, axis=0, return_inverse=True)
-            # the distinct keys, words x types, are split into digits H[1..m]
-            uniq = uniq.reshape(-1, keys.shape[0]).T
-            hist = np.empty((uniq.shape[1], m + 1), dtype=np.int64)
-            for c in range(1, m + 1):
-                word = (c - 1) // per_word
-                # floor division and a multiply-subtract beat np.divmod on int64
-                q = uniq[word] // (n + 1)
-                hist[:, c] = uniq[word] - q * (n + 1)
-                uniq[word] = q
-            hist[:, 0] = n - hist[:, 1:].sum(axis=1)
-            self.hist, self.float_hist = hist, hist.astype(np.float64)
+            self.hist, self.float_hist, inverse = _sorted_types(
+                keys.reshape(keys.shape[0], *cells), n, m, per_word, scratch)
         self.inverse = inverse.reshape(cells)
         self.scratch = scratch
         self._present = None
@@ -436,10 +501,10 @@ class BatchFuser:
     filled whole on first use, a count prior's type by type as chunks bring
     them.
 
-    On a chunk that ``np.unique`` ranked, where ``_decodes_by_bound`` says so
-    (at least 1536 types, at most 16 cells per type), the count priors bound
-    every type from above (:func:`_type_bounds`) and sum only the types that
-    can still come within the tie band of their trial's maximum
+    On a sorted chunk, where ``_decodes_by_bound`` says so (at least 1536
+    types, at most 16 cells per type), the count priors bound every type
+    from above (:func:`_type_bounds`) and sum only the types that can still
+    come within the tie band of their trial's maximum
     (:func:`_bounded_type_scores`); the decisions are the same. The fusers
     of one :func:`decide_columns` call bound a chunk together, in two
     ``dp.subset_sums`` calls per chunk, not two per fuser.
@@ -542,13 +607,14 @@ class BatchFuser:
         return argmax_lex(cells, axis=0).astype(np.int64, copy=False)
 
 
-def _type_bounds(fusers, hist):
+def _type_bounds(fusers, hist, scratch=FRESH):
     """The module docstring's upper bound on each fuser's type scores, shape (fusers, types).
 
-    `fusers` are count priors; one product bounds them all.
+    `fusers` are count priors; one product bounds them all, into an array
+    from `scratch`.
     """
     weights, shifts = zip(*(fuser._bound_terms for fuser in fusers))
-    bounds = _hist_dot(hist, np.stack(weights))
+    bounds = _hist_dot(hist, np.stack(weights), scratch.take("bounds", (len(fusers), len(hist)), np.float64))
     bounds += np.array(shifts)[:, None]
     return bounds
 
@@ -559,7 +625,8 @@ def _bounded_type_scores(fusers, classes):
     A count prior's fuser bounds a sorted chunk where ``_decodes_by_bound``
     says so. The fusers that bound it share one bound-and-verify per count
     range (:func:`_bound_and_verify`); the other fusers, and all of them on a
-    chunk ranked through the universe, get None.
+    chunk ranked through the universe, get None. The scores are rows of one
+    array from the chunk's scratch.
     """
     scores = [None] * len(fusers)
     if classes.universal or not _decodes_by_bound(classes.inverse.size, len(classes.hist)):
@@ -569,14 +636,20 @@ def _bounded_type_scores(fusers, classes):
     for j, fuser in enumerate(fusers):
         if fuser._k_range is not None:
             columns.setdefault(fuser._k_range, []).append(j)
+    # each count range fills a block of consecutive rows
+    rows = classes.scratch.take("scores", (sum(map(len, columns.values())), len(classes.hist)), np.float64)
+    start = 0
     for k_range, js in columns.items():
-        for j, column in zip(js, _bound_and_verify([fusers[j] for j in js], classes, k_range)):
+        block = rows[start : start + len(js)]
+        _bound_and_verify([fusers[j] for j in js], classes, k_range, block)
+        for j, column in zip(js, block):
             scores[j] = column
+        start += len(js)
     return scores
 
 
-def _bound_and_verify(fusers, classes, k_range):
-    """The type scores some trial could pick under each of `fusers`, else -inf: (fusers, types).
+def _bound_and_verify(fusers, classes, k_range, scores):
+    """Each of `fusers`' type scores that some trial could pick, else -inf, into `scores` (fusers, types).
 
     The fusers share the admissible counts `k_range`. Under each, a trial's
     bound-argmax type is scored exactly, giving a score L_t the trial
@@ -587,10 +660,10 @@ def _bound_and_verify(fusers, classes, k_range):
     each of the two passes.
     """
     inverse, scratch, hist = classes.inverse, classes.scratch, classes.hist
-    bounds = _type_bounds(fusers, classes.float_hist)
+    bounds = _type_bounds(fusers, classes.float_hist, scratch)
     logb = np.stack([fuser._logb for fuser in fusers])
     logh = np.stack([fuser._logh for fuser in fusers])
-    scores = np.full(bounds.shape, -np.inf)
+    scores.fill(-np.inf)
 
     def score(marked):
         # np.nonzero on the 2-d marks costs several times this
@@ -617,7 +690,6 @@ def _bound_and_verify(fusers, classes, k_range):
     reach &= ~scored
     if reach.any():
         score(reach)
-    return scores
 
 
 def decide_columns(fusers, report_ints, scratch=FRESH):

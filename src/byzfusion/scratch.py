@@ -21,20 +21,40 @@ public call returns does. The slots, per chunk of t trials on n nodes and
 * ``found`` (t, n): the guide-table search's indices (``model._search``, in
   ``stream_rows``' scratch), then ``TypeClasses``' count index;
 * ``mask``, one byte an entry: the Byzantine nodes, then the draws the guide
-  table leaves to a full search, then, on the bound route, each bounding
-  column's cells near their trial's score in turn;
+  table leaves to a full search, then, on a sorted chunk, the cells where a
+  type starts in key order (``fusion._sorted_types``), then, on the bound
+  route, each bounding column's cells near their trial's score in turn;
 * ``cells_f``, ``cells_g``, ``cells_i`` (2**m, t), times the key words:
   ``TypeClasses``' row counts (or node-by-node key sums), float keys (or
-  one node's key rows) and keys; then ``cells_f`` holds
+  one node's key rows) and keys. On a sorted chunk whose keys pack with
+  the cell index, ``cells_g`` then holds the packed values, sorted in
+  place, then each sorted cell's index; on any sorted chunk ``cells_f``
+  holds the keys in sorted order, ``cells_i`` each sorted cell's type, and
+  ``cells_g`` a spare row for splitting the distinct keys into digits.
+  Then ``cells_f`` holds
   ``TypeClasses.inverse`` through every column's decode, and ``cells_g``
   on the bound route each bounding column's cell bounds in turn, twice
   over (for the lead types, then for the cells near them), then each
   column's gathered scores;
+* ``hist`` and ``float_hist`` (types, m + 1), on a sorted chunk: first the
+  distinct keys (words, types) and their digits H[0..m] as rows
+  (m + 1, types), then ``TypeClasses.hist`` and ``float_hist``, which live
+  through every column's decode;
+* ``bounds`` and ``scores`` (columns, types), on the bound route: each count
+  range's type bounds in turn (``fusion._type_bounds``), and every bounding
+  column's type scores, which live through the columns' decodes;
 * ``decisions`` (columns, t): ``fusion.decide_columns``' result.
 
 Every slot is sized by a chunk (``fusion.chunk_trials``), never by a row, so
-what a thread keeps does not grow with the trial count: each slot holds at
-most 8 bytes per key word and per one of ``fusion._CHUNK_CELLS`` cells.
+what a thread keeps does not grow with the trial count. A cell slot holds
+at most 8 bytes per key word and per one of ``fusion._CHUNK_CELLS`` cells;
+``hist`` and ``float_hist`` 8 (m + 1) bytes, and ``bounds`` and ``scores`` 8
+bytes per column, per type of a chunk, which has at most one type a cell.
+Measured at n = 20, m = 8 in a fresh thread: after a ``bounded-m8`` pass
+(100-trial chunks, about 12,000 types each) it keeps 3.6 MiB, 3.0 of them
+in the four per-type slots; after a fixed:6 matrix of 50,000 trials a row
+(819-trial chunks, up to about 45,000 types) 15.7 MiB, 10.4 of them
+per-type.
 ``decisions`` has a slot of its own, so ``decide_columns`` stays correct on
 a batch of several chunks even from ``KEPT``.
 """

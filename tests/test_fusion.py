@@ -2,6 +2,7 @@ import importlib.util
 import math
 import pathlib
 import threading
+import tracemalloc
 from collections import UserList
 
 import numpy as np
@@ -139,6 +140,16 @@ def count_type_class_builds(monkeypatch, chunk_cells):
     monkeypatch.setattr(fusion, "_CHUNK_CELLS", chunk_cells)
     monkeypatch.setattr(fusion, "TypeClasses", Counted)
     return builds
+
+
+def in_fresh_thread(call):
+    """call() in a new thread, which starts with no kept buffers."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
 
 
 def score(reports, states, asm):
@@ -546,13 +557,15 @@ class TestTypeClassRoutes:
     """Both key builders and both rankers give every cell the same histogram."""
 
     # (20, 4), (4, 2), (44, 4), (64, 6) and (45, 4) count rows; (20, 5),
-    # (2, 9), (3, 2), (2, 3) and (20, 8) have more row values than nodes, and
-    # (250, 8) and (256, 8) need two key words, which a float64 product
-    # cannot build exactly. (64, 6), (45, 4) and (20, 8) have too many keys
-    # for the universe's rank table; (20, 4), (20, 5) and (44, 4) have too
-    # many for it at 40 trials, but not at a full chunk.
+    # (2, 9), (3, 2), (2, 3), (20, 8) and (40, 9) have more row values than
+    # nodes, and (250, 8) and (256, 8) need two key words, which a float64
+    # product cannot build exactly. (64, 6), (45, 4), (20, 8) and (40, 9)
+    # have too many keys for the universe's rank table; (20, 4), (20, 5) and
+    # (44, 4) have too many for it at 40 trials, but not at a full chunk.
+    # Sorted, one-word keys pack with the cell index, except (40, 9)'s at 40
+    # trials, which an argsort orders; two-word keys are lexsorted.
     SHAPES = [(20, 4), (20, 5), (4, 2), (64, 6), (44, 4), (45, 4),
-              (2, 9), (3, 2), (2, 3), (20, 8), (250, 8), (256, 8)]
+              (2, 9), (3, 2), (2, 3), (20, 8), (40, 9), (250, 8), (256, 8)]
     MAPPED = [(2, 9), (3, 2), (2, 3), (20, 4)]
 
     def test_predicate_edges(self):
@@ -567,6 +580,7 @@ class TestTypeClassRoutes:
             (44, 4): (True, False, True), (45, 4): (True, False, False),
             (2, 9): (False, True, True), (3, 2): (False, True, True),
             (2, 3): (False, True, True), (20, 8): (False, False, False),
+            (40, 9): (False, False, False),
             (250, 8): (False, False, False), (256, 8): (False, False, False),
         }
         # the table needs a cell per 64 key values: 21**4 / (64 * 2**4) = 189.9 trials
@@ -701,15 +715,101 @@ class TestTypeClassRoutes:
 
     @pytest.mark.parametrize("n,m", MAPPED)
     def test_mapped_shapes_never_sort(self, monkeypatch, n, m):
-        def no_unique(*args, **kwargs):
-            raise AssertionError("np.unique called where the key range fits the rank table")
+        def no_sort(*args, **kwargs):
+            raise AssertionError("keys sorted where the key range fits the rank table")
 
         # 200 trials give every shape here a cell per 64 key values
         ints = np.random.default_rng(17).integers(0, 2**m, size=(200, n))
-        monkeypatch.setattr(fusion.np, "unique", no_unique)
+        monkeypatch.setattr(fusion, "_sorted_types", no_sort)
         classes = TypeClasses(ints, n, m)
         monkeypatch.undo()
         np.testing.assert_array_equal(classes.hist[classes.inverse], brute_histograms(ints, m))
+
+    def test_packing_edges(self):
+        packs = fusion._packs_cell_index
+        # 256**7 << 7 is 2**63 exactly: 128 cells pack, and 129 take a bit more
+        assert packs(255, 7, 128) and not packs(255, 7, 129)
+        # one node more puts the key range just above 2**56
+        assert not packs(256, 7, 128)
+        # 8**12 << 27 is 2**63 too; a single cell takes no index bit
+        assert packs(7, 12, 2**27) and not packs(7, 12, 2**27 + 1)
+        assert packs(7, 21, 1) and not packs(7, 21, 2) and not packs(8, 21, 1)
+        # full chunks at n = 20 pack through m = 10, and bounded-m8's 100 trials
+        full = {m: fusion.chunk_trials(20, m) * 2**m for m in (8, 10, 11)}
+        assert packs(20, 8, 100 * 2**8) and packs(20, 8, full[8])
+        assert packs(20, 10, full[10]) and not packs(20, 11, full[11])
+        # SHAPES' (40, 9) packs at 7 trials, not at 40
+        assert packs(40, 9, 7 * 2**9) and not packs(40, 9, 40 * 2**9)
+
+    # (n, m, keys' shape (words, rows, columns), how they are ordered)
+    GROUPINGS = [
+        (255, 7, (1, 2, 64), "packed"),  # the packed values reach 2**63 - 1
+        (255, 7, (1, 1, 1), "packed"),
+        (20, 8, (1, 256, 100), "packed"),
+        (255, 7, (1, 3, 43), "argsort"),
+        (40, 9, (1, 512, 40), "argsort"),
+        (250, 8, (2, 4, 9), "lexsort"),
+        (250, 8, (2, 1, 1), "lexsort"),
+    ]
+
+    @pytest.mark.parametrize("n,m,shape,source", GROUPINGS)
+    def test_grouping_matches_unique(self, n, m, shape, source):
+        # uniq, read back from the digits of hist, and inverse equal
+        # np.unique's, on random keys, on keys all equal and on a chunk whose
+        # last cell has the largest key
+        per_word = _key_table(n, m)[0]
+        words, size = shape[0], shape[1] * shape[2]
+        assert fusion._packs_cell_index(n, m, size) == (source == "packed")
+        assert (words > 1) == (source == "lexsort")
+        top = [(n + 1) ** min(per_word, m - w * per_word) for w in range(words)]
+        rng = np.random.default_rng(size)
+        random = np.stack([rng.integers(0, t, size=shape[1:]) for t in top])
+        random[:, : shape[1] // 2] = random[:, :1, :1]  # repeated keys
+        largest = random.copy()
+        largest[:, -1, -1] = np.array(top) - 1
+        equal = np.empty(shape, dtype=np.int64)
+        equal[...] = largest[:, -1:, -1:]
+        for keys in (random, largest, equal):
+            hist, float_hist, inverse = fusion._sorted_types(keys.copy(), n, m, per_word, FRESH)
+            want, want_inverse = np.unique(keys.reshape(words, -1).T, axis=0, return_inverse=True)
+            digits = [hist[:, 1 + w * per_word: 1 + (w + 1) * per_word] for w in range(words)]
+            got = np.stack([d @ (n + 1) ** np.arange(d.shape[1]) for d in digits], axis=1)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+            np.testing.assert_array_equal(hist[:, 0], n - hist[:, 1:].sum(axis=1))
+            np.testing.assert_array_equal(float_hist, hist)
+
+    def test_warm_sorted_builds_allocate_little(self):
+        # from KEPT a warm build of a bounded-m8 chunk takes its arrays, the
+        # per-type ones too, from the thread's slots: tracemalloc's peak stays
+        # within 2 x cells x 8 bytes, where np.unique's build took 10x. Chunks
+        # that grow, then shrink, in one thread build as fresh ones do
+        n, m = 20, 8
+        rng = np.random.default_rng(23)
+        batches = [sample_rows(rng, BoundedBelowHalf(), n, m, 0.1, 0.8, t)[1]
+                   for t in (100, 1, 12, 100, 300, 40, 2)]
+
+        def builds():
+            TypeClasses(batches[0], n, m, KEPT)
+            tracemalloc.start()
+            try:
+                TypeClasses(batches[0], n, m, KEPT)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = []
+            for ints in batches[1:]:
+                classes = TypeClasses(ints, n, m, KEPT)
+                kept.append((classes.hist.copy(), classes.float_hist.copy(), classes.inverse.copy()))
+            return peak, kept
+
+        peak, kept = in_fresh_thread(builds)
+        assert peak <= 2 * 100 * 2**m * 8
+        for ints, arrays in zip(batches[1:], kept):
+            fresh = TypeClasses(ints, n, m)
+            assert not fresh.universal
+            for got, want in zip(arrays, (fresh.hist, fresh.float_hist, fresh.inverse)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("counted", [True, False])
     def test_routes_agree_across_chunks(self, monkeypatch, counted):
@@ -928,6 +1028,9 @@ class TestDecodeRoutes:
         monkeypatch.setattr(fusion, "_ranks_from_universe", lambda n, m, trials: False)
         monkeypatch.setattr(fusion, "_decodes_by_bound", lambda cells, types: True)
         alone = np.stack([decide_columns([fuser], ints)[0] for fuser in fusers])
+        # from kept buffers too, where every range's scores are rows of one slot
+        kept = in_fresh_thread(lambda: decide_columns(fusers, ints, KEPT).copy())
+        np.testing.assert_array_equal(kept, alone)
         calls = count_subset_sum_calls(monkeypatch)
         routes = record_routes(monkeypatch)
         np.testing.assert_array_equal(decide_columns(fusers, ints), alone)

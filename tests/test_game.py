@@ -1,6 +1,5 @@
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -43,7 +42,7 @@ from byzfusion.model import (
 )
 from byzfusion.oracle import ExactScenario, exact_error_probability
 from byzfusion.scratch import KEPT
-from test_fusion import count_type_class_builds, load_perfbench
+from test_fusion import count_type_class_builds, in_fresh_thread, load_perfbench
 
 
 def small_scenario(**kw):
@@ -680,16 +679,6 @@ def test_scenario_validation():
         small_scenario(m=0)
     with pytest.raises(ValueError):
         small_scenario(true_model=FixedCount(9))
-
-
-def in_fresh_thread(call):
-    """call() in a new thread, which starts with no kept buffers."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(call()))
-    thread.start()
-    thread.join(timeout=300)
-    assert not thread.is_alive() and len(result) == 1
-    return result[0]
 
 
 class TestKeptBuffers:
